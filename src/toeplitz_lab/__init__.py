@@ -18,11 +18,11 @@ from .hardy_s3 import (S3Truncation, analytic_index_s3, monomial_norm_sq,
 from .kernel import (AnalyticIndex, KernelReport, kernel_dim,
                      stabilized_kernel_dim)
 from .reports import IndexReport, compute_index_report, convergence_table
-from .symbols import (HopfPoint, LaurentSymbol, S3Symbol, adjoint,
-                      det_laurent, direct_sum, evaluate, hopf_partials,
+from .symbols import (S1, S3, HopfPoint, LaurentSymbol, S3Symbol, Symbol,
+                      adjoint, det_laurent, direct_sum, evaluate, hopf_partials,
                       invertibility_margin, multiply, power, transpose)
 from .symbol_io import load_symbol, parse_symbol, save_symbol, serialize_symbol
-from .topology import (ChernValue, chern_s1, chern_s3, topological_index,
+from .topology import (ChernValue, chern, chern_s1, chern_s3, topological_index,
                        winding_argument, winding_roots)
 from .verify import run_verify
 
@@ -31,9 +31,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticIndex", "ChernValue", "HopfPoint", "IndexReport", "KernelReport",
     "LaurentSymbol", "NonIntegralChernError", "NumericsError", "ParseError",
-    "ResidualFailureError", "S1Truncation", "S3Symbol", "S3Truncation",
-    "SymbolError", "ToeplitzLabError", "UndersampledError", "UnstabilizedError",
-    "adjoint", "analytic_index_s1", "analytic_index_s3", "chern_s1", "chern_s3",
+    "ResidualFailureError", "S1", "S1Truncation", "S3", "S3Symbol",
+    "S3Truncation", "Symbol", "SymbolError", "ToeplitzLabError",
+    "UndersampledError", "UnstabilizedError", "adjoint", "analytic_index_s1",
+    "analytic_index_s3", "chern", "chern_s1", "chern_s3",
     "compute_index_report", "convergence_table", "det_laurent", "diag_laurent",
     "direct_sum", "evaluate", "hopf_partials", "invertibility_margin",
     "kernel_dim", "load_symbol", "monomial_norm_sq", "multiply", "parse_symbol",

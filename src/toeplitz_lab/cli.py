@@ -6,10 +6,11 @@ human-readable summary on standard output, and optionally writes a
 structured document to --out in the chosen --format.
 
 Exit statuses: 0 success (and, for index/winding/verify, agreement), and
-1 computed-but-disagreeing, 2 parse failure, 3 symbol rejected as
-non-invertible on its manifold, 4 numerical failure (unstabilized kernel,
-failed residual validation, undersampled winding, non-integral Chern value).
-No output document is written on a parse failure.
+1 computed-but-disagreeing, 2 parse failure or option value out of range,
+3 symbol rejected as non-invertible on its manifold, 4 numerical failure
+(unstabilized kernel, failed residual validation, undersampled winding,
+non-integral Chern value).  No output document is written on a parse
+failure or an out-of-range option.
 """
 from __future__ import annotations
 
@@ -17,15 +18,17 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .errors import NumericsError, ParseError, SymbolError
 from .kernel import DEFAULT_RESIDUAL_TOL, DEFAULT_TOL
 from .reports import (compute_index_report, convergence_table,
                       convergence_text, convergence_to_csv,
                       convergence_to_dict, final_delta, index_report_text,
                       index_report_to_dict)
-from .symbols import LaurentSymbol, det_laurent, require_invertible
+from .symbols import S1, det_laurent, require_invertible
 from .symbol_io import atomic_write_text, load_symbol
-from .topology import chern_s1, chern_s3, winding_argument, winding_roots
+from .topology import chern, winding_argument, winding_roots
 from .verify import (run_verify, verify_report_csv, verify_report_json,
                      verify_report_text)
 
@@ -103,12 +106,9 @@ def _cmd_index(args) -> int:
 def _cmd_chern(args) -> int:
     symbol = load_symbol(args.file)
     require_invertible(symbol)
-    if isinstance(symbol, LaurentSymbol):
-        ch = chern_s1(symbol, grid=args.grid)
-    else:
-        ch = chern_s3(symbol, theta_nodes=args.theta_nodes, phi_nodes=args.phi_nodes)
+    ch = chern(symbol, grid=args.grid, theta_nodes=args.theta_nodes, phi_nodes=args.phi_nodes)
     doc = {
-        "manifold": "S1" if isinstance(symbol, LaurentSymbol) else "S3",
+        "manifold": symbol.manifold.name,
         "rank": symbol.rank,
         "value": [ch.value.real, ch.value.imag],
         "refined": [ch.refined.real, ch.refined.imag],
@@ -127,9 +127,10 @@ def _cmd_chern(args) -> int:
 
 def _cmd_winding(args) -> int:
     symbol = load_symbol(args.file)
-    if not isinstance(symbol, LaurentSymbol):
+    if symbol.manifold is not S1:
         raise ParseError("winding is defined for circle symbols only; "
                          "this file holds a three-sphere symbol")
+    require_invertible(symbol)
     scalar = symbol if symbol.rank == 1 else det_laurent(symbol)
     w_arg = winding_argument(scalar, grid=args.grid)
     w_roots = winding_roots(scalar)
@@ -224,7 +225,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except np.linalg.LinAlgError:
+        raise  # a ValueError, but a numerical breakdown rather than a bad option value
+    except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SymbolError as exc:

@@ -15,9 +15,8 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .symbols import (LaurentSymbol, S3Symbol, Symbol, adjoint, direct_sum,
-                      invertibility_margin, laurent_constant, multiply, power,
-                      s3_constant)
+from .symbols import (S1, S3, Symbol, constant, direct_sum, invertibility_margin,
+                      multiply, power)
 
 # Root radii for random scalar symbols: interior roots in [0.15, 0.70],
 # exterior in [1.43, 3.00].  Both bands keep every linear factor at least
@@ -37,19 +36,19 @@ MATRIX_MAX_ROOTS_PER_ENTRY = 2
 MATRIX_WINDOW = 4
 
 
-def z_power(m: int, rank: int = 1) -> LaurentSymbol:
+def z_power(m: int, rank: int = 1) -> Symbol:
     """The monomial symbol z^m (times the identity for rank > 1)."""
-    return LaurentSymbol({int(m): np.eye(rank)})
+    return Symbol(S1, {int(m): np.eye(rank)})
 
 
-def su2_symbol() -> S3Symbol:
+def su2_symbol() -> Symbol:
     """Degree-one unitary generator [[z1, z2], [-z2bar, z1bar]] on S3.
 
     Pointwise in SU(2); its Toeplitz operator has a trivial kernel and a
     one-dimensional cokernel, hence index -1.  Its transpose (equivalently,
     reading the same matrix as acting on row vectors) has index +1.
     """
-    return S3Symbol({
+    return Symbol(S3, {
         (1, 0, 0, 0): [[1, 0], [0, 0]],
         (0, 1, 0, 0): [[0, 1], [0, 0]],
         (0, 0, 0, 1): [[0, 0], [-1, 0]],
@@ -57,12 +56,12 @@ def su2_symbol() -> S3Symbol:
     })
 
 
-def su2_power(k: int) -> S3Symbol:
+def su2_power(k: int) -> Symbol:
     """Pointwise power of the SU(2) generator; index of its Toeplitz operator is -k."""
     return power(su2_symbol(), k)
 
 
-def s3_representative(m: int) -> tuple[S3Symbol, tuple[int, int]]:
+def s3_representative(m: int) -> tuple[Symbol, tuple[int, int]]:
     """A three-sphere symbol of index m with its trusted truncation sizes.
 
     |m| <= 2 uses a power of the SU(2) generator directly.  |m| = 3 uses a
@@ -111,15 +110,15 @@ def _random_root(rng: np.random.Generator, interior: bool,
     return rng.uniform(lo, hi) * np.exp(2j * np.pi * rng.uniform())
 
 
-def _root_product(roots: Sequence[complex], shift: int, scale: complex) -> LaurentSymbol:
-    f = LaurentSymbol({shift: [[scale]]})
+def _root_product(roots: Sequence[complex], shift: int, scale: complex) -> Symbol:
+    f = Symbol(S1, {shift: [[scale]]})
     for rho in roots:
-        factor = LaurentSymbol({1: [[1.0]], 0: [[-rho]]})
+        factor = Symbol(S1, {1: [[1.0]], 0: [[-rho]]})
         f = multiply(f, factor)
     return f
 
 
-def random_scalar_symbol(rng: np.random.Generator) -> tuple[LaurentSymbol, int]:
+def random_scalar_symbol(rng: np.random.Generator) -> tuple[Symbol, int]:
     """Random invertible scalar circle symbol with its winding known by construction.
 
     Returns (symbol, winding).  Shape: c z^p prod_j (z - rho_j) with at most
@@ -137,7 +136,7 @@ def random_scalar_symbol(rng: np.random.Generator) -> tuple[LaurentSymbol, int]:
     return f, winding
 
 
-def diag_laurent(entries: Sequence[LaurentSymbol]) -> LaurentSymbol:
+def diag_laurent(entries: Sequence[Symbol]) -> Symbol:
     """Diagonal matrix symbol from scalar circle symbols."""
     out = entries[0]
     for e in entries[1:]:
@@ -146,7 +145,7 @@ def diag_laurent(entries: Sequence[LaurentSymbol]) -> LaurentSymbol:
 
 
 def random_matrix_symbol(rng: np.random.Generator, max_rank: int = 3,
-                         rank: int | None = None) -> tuple[LaurentSymbol, int]:
+                         rank: int | None = None) -> tuple[Symbol, int]:
     """Random invertible matrix circle symbol with its index known by construction.
 
     Returns (symbol, index).  Shape: U diag(d_1..d_r) V with U, V Haar
@@ -170,20 +169,19 @@ def random_matrix_symbol(rng: np.random.Generator, max_rank: int = 3,
         d = _root_product(roots, shift, 1.0)
         margin = invertibility_margin(d, 64)
         target = rng.uniform(0.55, 1.8)
-        d = multiply(laurent_constant([[target / margin]]), d)
+        d = multiply(constant(S1, [[target / margin]]), d)
         entries.append(d)
         winding_sum += shift + int(np.count_nonzero(interior_flags))
     core = diag_laurent(entries)
-    u = laurent_constant(haar_unitary(rng, rank))
-    v = laurent_constant(haar_unitary(rng, rank))
+    u = constant(S1, haar_unitary(rng, rank))
+    v = constant(S1, haar_unitary(rng, rank))
     return multiply(u, multiply(core, v)), -winding_sum
 
 
 def constant_sandwich(a: Symbol, rng: np.random.Generator) -> Symbol:
     """L a R with random well-conditioned constant factors; index is unchanged."""
-    const = laurent_constant if isinstance(a, LaurentSymbol) else s3_constant
-    left = const(well_conditioned_matrix(rng, a.rank))
-    right = const(well_conditioned_matrix(rng, a.rank))
+    left = constant(a.manifold, well_conditioned_matrix(rng, a.rank))
+    right = constant(a.manifold, well_conditioned_matrix(rng, a.rank))
     return multiply(left, multiply(a, right))
 
 
@@ -195,9 +193,8 @@ def homotopy_path(a: Symbol, rng: np.random.Generator, strength: float = 0.4):
     """
     x = rng.standard_normal((a.rank, a.rank)) + 1j * rng.standard_normal((a.rank, a.rank))
     x *= strength / np.linalg.norm(x, 2)
-    const = laurent_constant if isinstance(a, LaurentSymbol) else s3_constant
 
     def at(t: float) -> Symbol:
-        return multiply(const(scipy.linalg.expm(float(t) * x)), a)
+        return multiply(constant(a.manifold, scipy.linalg.expm(float(t) * x)), a)
 
     return at

@@ -17,7 +17,7 @@ import numpy as np
 
 from .kernel import (DEFAULT_RESIDUAL_TOL, DEFAULT_TOL, AnalyticIndex,
                      analytic_index_from_builders)
-from .symbols import LaurentSymbol, adjoint, require_invertible
+from .symbols import Symbol, adjoint, require_invertible
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class S1Truncation:
     rank: int
 
 
-def toeplitz_rect_s1(a: LaurentSymbol, domain_size: int) -> S1Truncation:
+def toeplitz_rect_s1(a: Symbol, domain_size: int) -> S1Truncation:
     """Build the image-exact rectangular truncation with the given domain size."""
     n_dom = int(domain_size)
     if n_dom < 1:
@@ -57,7 +57,7 @@ def default_sizes_s1(trunc: int) -> tuple[int, int]:
 
 
 def analytic_index_s1(
-    a: LaurentSymbol,
+    a: Symbol,
     trunc: int = 64,
     tol: float = DEFAULT_TOL,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,

@@ -23,7 +23,7 @@ from scipy.special import gammaln
 
 from .kernel import (DEFAULT_RESIDUAL_TOL, DEFAULT_TOL, AnalyticIndex,
                      analytic_index_from_builders)
-from .symbols import S3Symbol, adjoint, require_invertible
+from .symbols import Symbol, adjoint, require_invertible
 
 
 def band_dim(band: int) -> int:
@@ -78,7 +78,7 @@ class S3Truncation:
         return band_dim(self.codomain_band) * self.rank
 
 
-def toeplitz_rect_s3(a: S3Symbol, domain_band: int) -> S3Truncation:
+def toeplitz_rect_s3(a: Symbol, domain_band: int) -> S3Truncation:
     """Build the image-exact rectangular truncation with the given domain band."""
     n_band = int(domain_band)
     if n_band < 0:
@@ -114,7 +114,7 @@ def default_sizes_s3(trunc: int) -> tuple[int, int]:
 
 
 def analytic_index_s3(
-    a: S3Symbol,
+    a: Symbol,
     trunc: int = 12,
     tol: float = DEFAULT_TOL,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,

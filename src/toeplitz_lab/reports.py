@@ -16,8 +16,9 @@ import numpy as np
 
 from .hardy_s1 import analytic_index_s1
 from .hardy_s3 import analytic_index_s3
-from .symbols import LaurentSymbol, Symbol, require_invertible, unitarity_defect
-from .topology import _chern_s1_raw, _chern_s3_raw, topological_index
+from .kernel import DEFAULT_RESIDUAL_TOL, DEFAULT_TOL
+from .symbols import S1, Symbol, require_invertible
+from .topology import chern_ladder, topological_index
 
 
 @dataclass(frozen=True)
@@ -41,27 +42,23 @@ class IndexReport:
 def compute_index_report(
     symbol: Symbol,
     trunc: int | None = None,
-    tol: float = 1e-8,
-    residual_tol: float = 1e-6,
+    tol: float = DEFAULT_TOL,
+    residual_tol: float = DEFAULT_RESIDUAL_TOL,
     grid: int = 512,
     theta_nodes: int = 24,
     phi_nodes: int = 24,
 ) -> IndexReport:
-    """Run both index pipelines on one symbol and compare them."""
-    is_s1 = isinstance(symbol, LaurentSymbol)
+    """Run both index pipelines on one symbol and compare them (trunc=None: route default)."""
+    analytic_index = analytic_index_s1 if symbol.manifold is S1 else analytic_index_s3
+    truncation = {} if trunc is None else {"trunc": trunc}
     t0 = time.perf_counter()
-    if is_s1:
-        analytic = analytic_index_s1(symbol, trunc=trunc if trunc else 64,
-                                     tol=tol, residual_tol=residual_tol)
-    else:
-        analytic = analytic_index_s3(symbol, trunc=trunc if trunc else 12,
-                                     tol=tol, residual_tol=residual_tol)
+    analytic = analytic_index(symbol, tol=tol, residual_tol=residual_tol, **truncation)
     t1 = time.perf_counter()
     chern = topological_index(symbol, grid=grid,
                               theta_nodes=theta_nodes, phi_nodes=phi_nodes)
     t2 = time.perf_counter()
     return IndexReport(
-        manifold="S1" if is_s1 else "S3",
+        manifold=symbol.manifold.name,
         rank=symbol.rank,
         analytic_index=analytic.index,
         ker_dim=analytic.ker_dim,
@@ -135,26 +132,11 @@ def convergence_table(
     phi_nodes: int = 24,
     steps: int | None = None,
 ) -> list[ConvergenceRow]:
-    """Chern quadrature up a doubling resolution ladder with successive deltas.
-
-    On S1 the size column is the circle grid (steps defaults to 4); on S3 it
-    is the theta node count, with phi nodes doubled in lockstep (steps
-    defaults to 3).  Deltas are |value_i - value_{i-1}|, blank on the first row.
-    """
+    """topology.chern_ladder's rungs with deltas |value_i - value_{i-1}| (None on the first)."""
     require_invertible(symbol)
     rows: list[ConvergenceRow] = []
-    if isinstance(symbol, LaurentSymbol):
-        steps = 4 if steps is None else int(steps)
-        sizes = [int(grid) * 2 ** i for i in range(steps)]
-        values = [_chern_s1_raw(symbol, n) for n in sizes]
-    else:
-        steps = 3 if steps is None else int(steps)
-        unitary = unitarity_defect(symbol) <= 1e-10
-        sizes = [int(theta_nodes) * 2 ** i for i in range(steps)]
-        values = [_chern_s3_raw(symbol, tn, int(phi_nodes) * 2 ** i, unitary)
-                  for i, tn in enumerate(sizes)]
     previous: complex | None = None
-    for size, value in zip(sizes, values):
+    for size, value in chern_ladder(symbol, steps, grid, theta_nodes, phi_nodes):
         delta = None if previous is None else float(abs(value - previous))
         rows.append(ConvergenceRow(size=size, value=value, delta=delta))
         previous = value

@@ -22,7 +22,7 @@ import tempfile
 import numpy as np
 
 from .errors import ParseError
-from .symbols import LaurentSymbol, S3Symbol, Symbol
+from .symbols import S1, S3, Symbol
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -77,46 +77,41 @@ def _require_int(data, field: str, where: str, minimum: int | None = None) -> in
 
 def symbol_to_dict(symbol: Symbol) -> dict:
     """Canonical JSON-ready document for a symbol (terms in canonical order)."""
-    if isinstance(symbol, LaurentSymbol):
-        terms = [{"k": int(k), "matrix": _matrix_to_pairs(c)}
-                 for k, c in symbol.terms.items()]
-        return {"manifold": "S1", "rank": symbol.rank, "terms": terms}
-    terms = [{"p": p, "q": q, "s": s, "t": t, "matrix": _matrix_to_pairs(c)}
-             for (p, q, s, t), c in symbol.terms.items()]
-    return {"manifold": "S3", "rank": symbol.rank, "terms": terms}
+    fields = symbol.manifold.key_fields
+    terms = [{**dict(zip(fields, key if len(fields) > 1 else (key,))),
+              "matrix": _matrix_to_pairs(c)} for key, c in symbol.terms.items()]
+    return {"manifold": symbol.manifold.name, "rank": symbol.rank, "terms": terms}
 
 
 def symbol_from_dict(data) -> Symbol:
     """Parse a symbol document; raises ParseError with a pointed message on any defect."""
     if not isinstance(data, dict):
         raise ParseError(f"symbol document must be an object, got {type(data).__name__}")
-    manifold = data.get("manifold")
-    if manifold not in ("S1", "S3"):
-        raise ParseError(f"field 'manifold' must be \"S1\" or \"S3\", got {manifold!r}")
+    name = data.get("manifold")
+    manifold = next((m for m in (S1, S3) if m.name == name), None)
+    if manifold is None:
+        raise ParseError(f"field 'manifold' must be \"S1\" or \"S3\", got {name!r}")
     rank = _require_int(data, "rank", "symbol document", minimum=1)
     terms = data.get("terms")
     if not isinstance(terms, list) or not terms:
         raise ParseError("field 'terms' must be a non-empty list")
+    fields = manifold.key_fields
     parsed: dict = {}
     for idx, term in enumerate(terms):
         where = f"term {idx}"
         if not isinstance(term, dict):
             raise ParseError(f"{where}: must be an object")
-        if manifold == "S1":
-            key = _require_int(term, "k", where)
-            extra = set(term) - {"k", "matrix"}
-        else:
-            key = tuple(_require_int(term, f, where, minimum=0) for f in ("p", "q", "s", "t"))
-            extra = set(term) - {"p", "q", "s", "t", "matrix"}
+        values = tuple(_require_int(term, f, where, minimum=manifold.min_exponent)
+                       for f in fields)
+        key = values if len(fields) > 1 else values[0]
+        extra = set(term) - {*fields, "matrix"}
         if extra:
             raise ParseError(f"{where}: unknown fields {sorted(extra)}")
         if key in parsed:
             raise ParseError(f"{where}: duplicate exponent key {key}")
         parsed[key] = _parse_matrix(term.get("matrix"), rank, where)
     try:
-        if manifold == "S1":
-            return LaurentSymbol(parsed, rank=rank)
-        return S3Symbol(parsed, rank=rank)
+        return Symbol(manifold, parsed, rank=rank)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 

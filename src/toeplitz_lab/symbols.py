@@ -1,10 +1,12 @@
 """Matrix-valued symbols on S1 and S3 and their exact algebra.
 
-Two symbol classes are implemented: Laurent polynomials z -> sum_k c_k z^k
-with r x r matrix coefficients (S1), and polynomials in z1, z2, z1bar, z2bar
-with matrix coefficients restricted to the unit sphere of C^2 (S3).  Both are
-dense in the continuous invertible symbols up to homotopy, and both admit
-exact finite truncations of the associated Toeplitz operators downstream.
+A Symbol is a matrix polynomial on its manifold: a Laurent polynomial in z on
+the circle S1, or a polynomial in z1, z2, z1bar, z2bar restricted to the unit
+sphere of C^2 on S3.  Both are dense in the continuous invertible symbols up
+to homotopy, and both admit exact finite truncations of the associated
+Toeplitz operators downstream.  What differs between the manifolds (exponent
+keys, sampling degree, sample grid, point evaluation) sits in a Manifold
+record, S1 or S3; the algebra is written once against it.
 
 All symbols are immutable after construction; every operation returns a new
 value.  Coefficients are pruned only when exactly zero.
@@ -12,14 +14,17 @@ value.  Coefficients are pruned only when exactly zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .errors import SymbolError
 
 MARGIN_THRESHOLD = 1e-6
+UNITARY_TOL = 1e-10  # largest unitarity defect of a pointwise-unitary symbol
+UNITARITY_GRID = 32  # points per axis of the unitarity_defect sample grid
 
 
 def _as_coeff(rank: int | None, value) -> np.ndarray:
@@ -35,31 +40,34 @@ def _as_coeff(rank: int | None, value) -> np.ndarray:
     return m
 
 
-class LaurentSymbol:
-    """Matrix Laurent polynomial sum_k c_k z^k on the unit circle.
+class Symbol:
+    """Matrix polynomial on a manifold: terms maps exponent keys to r x r matrices.
 
-    terms maps integer exponents to r x r complex matrices; scalars are
-    promoted to 1 x 1.  At least one coefficient must be nonzero.
+    On S1 a key k stands for z^k; on S3 a key (p, q, s, t) of non-negative
+    integers stands for z1^p z2^q z1bar^s z2bar^t.  Scalars are promoted to
+    1 x 1; at least one coefficient must be nonzero.  k_min, k_max and
+    bandwidth describe S1 symbols, total_degree and max_shift S3 symbols.
     """
 
-    __slots__ = ("rank", "_terms")
+    __slots__ = ("manifold", "rank", "_terms")
 
-    def __init__(self, terms: Mapping[int, object], rank: int | None = None):
-        cleaned: dict[int, np.ndarray] = {}
-        for k, value in terms.items():
-            k = int(k)
+    def __init__(self, manifold: Manifold, terms: Mapping, rank: int | None = None):
+        cleaned: dict = {}
+        for key, value in terms.items():
+            key = manifold.check_key(key)
             m = _as_coeff(rank, value)
             if rank is None:
                 rank = m.shape[0]
             if np.any(m != 0):
-                cleaned[k] = m
+                cleaned[key] = m
         if not cleaned:
             raise ValueError("symbol must have at least one nonzero term")
+        self.manifold = manifold
         self.rank = rank
         self._terms = MappingProxyType(dict(sorted(cleaned.items())))
 
     @property
-    def terms(self) -> Mapping[int, np.ndarray]:
+    def terms(self) -> Mapping:
         return self._terms
 
     @property
@@ -74,71 +82,29 @@ class LaurentSymbol:
     def bandwidth(self) -> int:
         return self.k_max - self.k_min
 
-    def coeff(self, k: int) -> np.ndarray:
-        z = np.zeros((self.rank, self.rank), dtype=complex)
-        return self._terms.get(k, z)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentSymbol):
-            return NotImplemented
-        return (self.rank == other.rank
-                and self._terms.keys() == other._terms.keys()
-                and all(np.array_equal(self._terms[k], other._terms[k]) for k in self._terms))
-
-    def __repr__(self) -> str:
-        return f"LaurentSymbol(rank={self.rank}, window=[{self.k_min},{self.k_max}])"
-
-
-class S3Symbol:
-    """Matrix polynomial in z1, z2, z1bar, z2bar on the unit sphere of C^2.
-
-    terms maps exponent tuples (p, q, s, t) with non-negative entries to
-    r x r complex matrices.  Tuples are canonical: at most one term each.
-    """
-
-    __slots__ = ("rank", "_terms")
-
-    def __init__(self, terms: Mapping[tuple, object], rank: int | None = None):
-        cleaned: dict[tuple, np.ndarray] = {}
-        for key, value in terms.items():
-            p, q, s, t = (int(e) for e in key)
-            if min(p, q, s, t) < 0:
-                raise ValueError(f"exponents must be non-negative, got {key}")
-            m = _as_coeff(rank, value)
-            if rank is None:
-                rank = m.shape[0]
-            if np.any(m != 0):
-                cleaned[(p, q, s, t)] = m
-        if not cleaned:
-            raise ValueError("symbol must have at least one nonzero term")
-        self.rank = rank
-        self._terms = MappingProxyType(dict(sorted(cleaned.items())))
-
-    @property
-    def terms(self) -> Mapping[tuple, np.ndarray]:
-        return self._terms
-
     @property
     def total_degree(self) -> int:
         return max(p + q + s + t for (p, q, s, t) in self._terms)
 
     @property
     def max_shift(self) -> int:
-        """Largest upward total-degree shift of the holomorphic grading."""
+        """Largest upward total-degree shift of the holomorphic grading (S3)."""
         return max(max(p - s + q - t, 0) for (p, q, s, t) in self._terms)
 
+    def coeff(self, key) -> np.ndarray:
+        z = np.zeros((self.rank, self.rank), dtype=complex)
+        return self._terms.get(key, z)
+
     def __eq__(self, other) -> bool:
-        if not isinstance(other, S3Symbol):
+        if not isinstance(other, Symbol):
             return NotImplemented
-        return (self.rank == other.rank
+        return (self.manifold is other.manifold
+                and self.rank == other.rank
                 and self._terms.keys() == other._terms.keys()
                 and all(np.array_equal(self._terms[k], other._terms[k]) for k in self._terms))
 
     def __repr__(self) -> str:
-        return f"S3Symbol(rank={self.rank}, degree={self.total_degree}, nterms={len(self._terms)})"
-
-
-Symbol = LaurentSymbol | S3Symbol
+        return f"Symbol({self.manifold.name}, rank={self.rank}, nterms={len(self._terms)})"
 
 
 @dataclass(frozen=True)
@@ -156,61 +122,120 @@ class HopfPoint:
             raise ValueError("phi angles must lie in [0, 2*pi)")
 
 
-def laurent_identity(rank: int) -> LaurentSymbol:
-    return LaurentSymbol({0: np.eye(rank)})
+# -- the two manifolds --------------------------------------------------------
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Manifold:
+    """What the symbol algebra needs to know about one manifold (S1 or S3)."""
+
+    name: str
+    key_fields: tuple[str, ...]  # exponent fields of a term in a symbol file
+    min_exponent: int | None     # lower bound of each of those fields, if any
+    check_key: Callable          # canonical form of a given key; ValueError if invalid
+    zero: object                 # key of the constant term
+    add: Callable                # key of the product of two terms
+    conj: Callable               # key of the complex conjugate of a term
+    degree: Callable             # degree that sets how densely a symbol is sampled
+    sample: Callable             # (a, n) -> a on the n-per-axis sample grid, (N, r, r)
+    point: Callable              # canonical form of one manifold point
+    monomial: Callable           # (key, point) -> the key's monomial at that point
+
+    def __repr__(self) -> str:
+        return self.name
 
 
-def s3_identity(rank: int) -> S3Symbol:
-    return S3Symbol({(0, 0, 0, 0): np.eye(rank)})
+def _s3_key(key) -> tuple[int, int, int, int]:
+    p, q, s, t = (int(e) for e in key)
+    if min(p, q, s, t) < 0:
+        raise ValueError(f"exponents must be non-negative, got {key}")
+    return (p, q, s, t)
 
 
-def laurent_constant(matrix) -> LaurentSymbol:
-    return LaurentSymbol({0: matrix})
+def _hopf_sample(a: Symbol, n: int) -> np.ndarray:
+    theta = np.linspace(0.0, np.pi / 2, n)
+    phi = np.arange(n) * (2 * np.pi / n)
+    return eval_hopf_grid(a, theta, phi, phi).reshape(-1, a.rank, a.rank)
 
 
-def s3_constant(matrix) -> S3Symbol:
-    return S3Symbol({(0, 0, 0, 0): matrix})
+def _hopf_monomial(key: tuple, x: HopfPoint) -> complex:
+    p, q, s, t = key
+    radial = np.cos(x.theta) ** (p + s) * np.sin(x.theta) ** (q + t)
+    return radial * np.exp(1j * ((p - s) * x.phi1 + (q - t) * x.phi2))
+
+
+S1 = Manifold(
+    name="S1",
+    key_fields=("k",),
+    min_exponent=None,
+    check_key=int,
+    zero=0,
+    add=lambda j, l: j + l,
+    conj=lambda k: -k,
+    degree=lambda a: a.bandwidth,
+    sample=lambda a, n: eval_circle(a, np.exp(2j * np.pi * np.arange(n) / n)),
+    point=complex,
+    monomial=lambda k, z: z ** k,
+)
+
+S3 = Manifold(
+    name="S3",
+    key_fields=("p", "q", "s", "t"),
+    min_exponent=0,
+    check_key=_s3_key,
+    zero=(0, 0, 0, 0),
+    add=lambda j, l: tuple(x + y for x, y in zip(j, l)),
+    conj=lambda key: (key[2], key[3], key[0], key[1]),
+    degree=lambda a: a.total_degree,
+    sample=_hopf_sample,
+    point=lambda x: x if isinstance(x, HopfPoint) else HopfPoint(*x),
+    monomial=_hopf_monomial,
+)
+
+def identity(manifold: Manifold, rank: int) -> Symbol:
+    return Symbol(manifold, {manifold.zero: np.eye(rank)})
+
+
+def constant(manifold: Manifold, matrix) -> Symbol:
+    return Symbol(manifold, {manifold.zero: matrix})
+
+
+# Per-manifold spellings of the constructors, kept for existing callers.
+LaurentSymbol = partial(Symbol, S1)
+S3Symbol = partial(Symbol, S3)
+laurent_identity = partial(identity, S1)
+s3_identity = partial(identity, S3)
+laurent_constant = partial(constant, S1)
+s3_constant = partial(constant, S3)
 
 
 def multiply(a: Symbol, b: Symbol) -> Symbol:
     """Pointwise product ab; exact coefficient arithmetic on both manifolds."""
-    if type(a) is not type(b):
+    if a.manifold is not b.manifold:
         raise ValueError("cannot multiply symbols of different manifold kinds")
     if a.rank != b.rank:
         raise ValueError(f"rank mismatch: {a.rank} vs {b.rank}")
     out: dict = {}
-    if isinstance(a, LaurentSymbol):
-        for j, cj in a.terms.items():
-            for l, dl in b.terms.items():
-                k = j + l
-                prod = cj @ dl
-                out[k] = out.get(k, 0) + prod
-        return LaurentSymbol(out, rank=a.rank)
-    for (p, q, s, t), c in a.terms.items():
-        for (P, Q, S, T), d in b.terms.items():
-            key = (p + P, q + Q, s + S, t + T)
+    for j, c in a.terms.items():
+        for l, d in b.terms.items():
+            key = a.manifold.add(j, l)
             out[key] = out.get(key, 0) + c @ d
-    return S3Symbol(out, rank=a.rank)
+    return Symbol(a.manifold, out, rank=a.rank)
 
 
 def adjoint(a: Symbol) -> Symbol:
     """Pointwise conjugate transpose: eval(adjoint(a))(x) = eval(a)(x)^dagger."""
-    if isinstance(a, LaurentSymbol):
-        return LaurentSymbol({-k: c.conj().T for k, c in a.terms.items()}, rank=a.rank)
-    return S3Symbol({(s, t, p, q): c.conj().T for (p, q, s, t), c in a.terms.items()},
-                    rank=a.rank)
+    return Symbol(a.manifold, {a.manifold.conj(key): c.conj().T for key, c in a.terms.items()},
+                  rank=a.rank)
 
 
 def transpose(a: Symbol) -> Symbol:
     """Pointwise transpose without conjugation: eval(transpose(a))(x) = eval(a)(x)^T."""
-    if isinstance(a, LaurentSymbol):
-        return LaurentSymbol({k: c.T for k, c in a.terms.items()}, rank=a.rank)
-    return S3Symbol({key: c.T for key, c in a.terms.items()}, rank=a.rank)
+    return Symbol(a.manifold, {key: c.T for key, c in a.terms.items()}, rank=a.rank)
 
 
 def direct_sum(a: Symbol, b: Symbol) -> Symbol:
     """Block-diagonal symbol of rank a.rank + b.rank."""
-    if type(a) is not type(b):
+    if a.manifold is not b.manifold:
         raise ValueError("cannot direct-sum symbols of different manifold kinds")
     r, s = a.rank, b.rank
     out: dict = {}
@@ -222,8 +247,7 @@ def direct_sum(a: Symbol, b: Symbol) -> Symbol:
         if key in b.terms:
             m[r:, r:] = b.terms[key]
         out[key] = m
-    cls = LaurentSymbol if isinstance(a, LaurentSymbol) else S3Symbol
-    return cls(out, rank=r + s)
+    return Symbol(a.manifold, out, rank=r + s)
 
 
 # -- scalar Laurent arithmetic used by the exact determinant ----------------
@@ -263,7 +287,7 @@ def _det_poly(entries: list) -> dict:
     return acc
 
 
-def det_laurent(a: LaurentSymbol) -> LaurentSymbol:
+def det_laurent(a: Symbol) -> Symbol:
     """Exact determinant as a rank-1 Laurent symbol (Leibniz over the coefficient ring)."""
     r = a.rank
     entries = [[{} for _ in range(r)] for _ in range(r)]
@@ -277,7 +301,7 @@ def det_laurent(a: LaurentSymbol) -> LaurentSymbol:
     # data; keep every coefficient that is not exactly zero
     if not det:
         raise ValueError("determinant is identically zero (symbol nowhere invertible)")
-    return LaurentSymbol({k: [[v]] for k, v in det.items()}, rank=1)
+    return Symbol(S1, {k: [[v]] for k, v in det.items()}, rank=1)
 
 
 # -- evaluation --------------------------------------------------------------
@@ -287,24 +311,14 @@ def evaluate(a: Symbol, point) -> np.ndarray:
 
     S1 symbols take a unit-modulus complex number; S3 symbols take a HopfPoint.
     """
-    if isinstance(a, LaurentSymbol):
-        z = complex(point)
-        out = np.zeros((a.rank, a.rank), dtype=complex)
-        for k, c in a.terms.items():
-            out += c * z ** k
-        return out
-    if not isinstance(point, HopfPoint):
-        point = HopfPoint(*point)
-    ct, st = np.cos(point.theta), np.sin(point.theta)
+    point = a.manifold.point(point)
     out = np.zeros((a.rank, a.rank), dtype=complex)
-    for (p, q, s, t), c in a.terms.items():
-        radial = ct ** (p + s) * st ** (q + t)
-        phase = np.exp(1j * ((p - s) * point.phi1 + (q - t) * point.phi2))
-        out += c * (radial * phase)
+    for key, c in a.terms.items():
+        out += c * a.manifold.monomial(key, point)
     return out
 
 
-def eval_circle(a: LaurentSymbol, z: np.ndarray) -> np.ndarray:
+def eval_circle(a: Symbol, z: np.ndarray) -> np.ndarray:
     """Vectorized evaluation on an array of circle points; returns (n, r, r)."""
     z = np.asarray(z, dtype=complex)
     out = np.zeros(z.shape + (a.rank, a.rank), dtype=complex)
@@ -313,7 +327,7 @@ def eval_circle(a: LaurentSymbol, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_hopf_grid(a: S3Symbol, theta: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,
+def eval_hopf_grid(a: Symbol, theta: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,
                    partials: bool = False):
     """Vectorized evaluation on the product Hopf grid theta x phi1 x phi2.
 
@@ -351,10 +365,9 @@ def eval_hopf_grid(a: S3Symbol, theta: np.ndarray, phi1: np.ndarray, phi2: np.nd
     return val
 
 
-def hopf_partials(a: S3Symbol, point: HopfPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def hopf_partials(a: Symbol, point: HopfPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact partial derivatives (d_theta a, d_phi1 a, d_phi2 a) at one point."""
-    if not isinstance(point, HopfPoint):
-        point = HopfPoint(*point)
+    point = S3.point(point)
     _, dth, dp1, dp2 = eval_hopf_grid(
         a, np.array([point.theta]), np.array([point.phi1]), np.array([point.phi2]),
         partials=True)
@@ -363,12 +376,6 @@ def hopf_partials(a: S3Symbol, point: HopfPoint) -> tuple[np.ndarray, np.ndarray
 
 # -- invertibility -----------------------------------------------------------
 
-def _hopf_sample_grid(grid_size: int):
-    theta = np.linspace(0.0, np.pi / 2, grid_size)
-    phi = np.arange(grid_size) * (2 * np.pi / grid_size)
-    return theta, phi, phi
-
-
 def invertibility_margin(a: Symbol, grid_size: int = 64) -> float:
     """Min of |det(a(x))| over a sample grid: uniform on S1, product Hopf grid on S3.
 
@@ -376,21 +383,13 @@ def invertibility_margin(a: Symbol, grid_size: int = 64) -> float:
     """
     if grid_size < 16:
         raise ValueError("grid_size must be at least 16")
-    if isinstance(a, LaurentSymbol):
-        z = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-        vals = eval_circle(a, z)
-    else:
-        theta, phi1, phi2 = _hopf_sample_grid(grid_size)
-        vals = eval_hopf_grid(a, theta, phi1, phi2)
-    dets = np.linalg.det(vals.reshape(-1, a.rank, a.rank))
+    dets = np.linalg.det(a.manifold.sample(a, grid_size))
     return float(np.min(np.abs(dets)))
 
 
 def margin_grid_size(a: Symbol) -> int:
     """Default pre-check grid: oversample the determinant's zero set."""
-    if isinstance(a, LaurentSymbol):
-        return max(16, 4 * (a.bandwidth + 2))
-    return max(16, 4 * (a.total_degree + 2))
+    return max(16, 4 * (a.manifold.degree(a) + 2))
 
 
 def require_invertible(a: Symbol, threshold: float = MARGIN_THRESHOLD,
@@ -409,36 +408,31 @@ def require_invertible(a: Symbol, threshold: float = MARGIN_THRESHOLD,
     return margin
 
 
-def unitarity_defect(a: Symbol, grid_size: int = 32) -> float:
+def unitarity_defect(a: Symbol) -> float:
     """Max over a sample grid of the entrywise deviation of a(x)^dagger a(x) from I."""
-    if isinstance(a, LaurentSymbol):
-        z = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-        vals = eval_circle(a, z)
-    else:
-        theta, phi1, phi2 = _hopf_sample_grid(max(16, grid_size))
-        vals = eval_hopf_grid(a, theta, phi1, phi2).reshape(-1, a.rank, a.rank)
+    vals = a.manifold.sample(a, UNITARITY_GRID)
     gram = np.conj(np.swapaxes(vals, -1, -2)) @ vals
     return float(np.max(np.abs(gram - np.eye(a.rank))))
 
 
-def power(a: Symbol, k: int, unitary_tol: float = 1e-10) -> Symbol:
+def power(a: Symbol, k: int) -> Symbol:
     """Pointwise power a^k.
 
-    Negative powers are defined only for pointwise-unitary symbols, where
-    a^-1 = adjoint(a) keeps the result polynomial.
+    Negative powers are defined only for pointwise-unitary symbols (defect at
+    most UNITARY_TOL), where a^-1 = adjoint(a) keeps the result polynomial.
     """
     k = int(k)
     if k < 0:
         defect = unitarity_defect(a)
-        if defect > unitary_tol:
+        if defect > UNITARY_TOL:
             raise ValueError(
                 f"negative powers need a pointwise-unitary symbol "
-                f"(unitarity defect {defect:.2e} > {unitary_tol:.0e})")
+                f"(unitarity defect {defect:.2e} > {UNITARY_TOL:.0e})")
         base = adjoint(a)
         k = -k
     else:
         base = a
-    out = laurent_identity(a.rank) if isinstance(a, LaurentSymbol) else s3_identity(a.rank)
+    out = identity(a.manifold, a.rank)
     for _ in range(k):
         out = multiply(out, base)
     return out

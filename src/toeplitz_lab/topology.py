@@ -16,12 +16,13 @@ from an independent pipeline).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import NonIntegralChernError, SymbolError, UndersampledError
-from .symbols import (LaurentSymbol, S3Symbol, Symbol, eval_circle,
-                      eval_hopf_grid, require_invertible, unitarity_defect)
+from .symbols import (S1, S3, UNITARY_TOL, Symbol, eval_circle, eval_hopf_grid,
+                      require_invertible, unitarity_defect)
 
 S3_ORIENTATION_SIGN = -1
 
@@ -30,10 +31,11 @@ ROOT_ON_CIRCLE_TOL = 1e-8
 INTEGRALITY_TOL = 1e-4
 MAX_PHASE_STEP = np.pi / 2
 MAX_DOUBLINGS = 3
+THETA_CHUNK = 8  # Gauss-Legendre theta nodes per batch of the S3 quadrature
 
 
-def _require_scalar(f: LaurentSymbol, what: str) -> None:
-    if not isinstance(f, LaurentSymbol):
+def _require_scalar(f: Symbol, what: str) -> None:
+    if f.manifold is not S1:
         raise ValueError(f"{what} is defined for circle symbols only")
     if f.rank != 1:
         raise ValueError(
@@ -41,7 +43,7 @@ def _require_scalar(f: LaurentSymbol, what: str) -> None:
             f"(take det_laurent first)")
 
 
-def winding_argument(f: LaurentSymbol, grid: int = 512) -> int:
+def winding_argument(f: Symbol, grid: int = 512) -> int:
     """Winding number of a scalar circle symbol by principal-branch phase tracking.
 
     Any phase step exceeding pi/2 means the grid cannot certify the branch
@@ -70,7 +72,7 @@ def winding_argument(f: LaurentSymbol, grid: int = 512) -> int:
         f"(final grid {n}); winding cannot be certified")
 
 
-def winding_roots(f: LaurentSymbol) -> int:
+def winding_roots(f: Symbol) -> int:
     """Winding number of a scalar circle symbol by root counting.
 
     With exponent window [p, q], z^-p f(z) is a polynomial with nonzero
@@ -122,11 +124,11 @@ def _chern_report(value: complex, refined: complex, resolution: tuple[int, ...])
     )
 
 
-def _chern_s1_raw(a: LaurentSymbol, grid: int) -> complex:
+def _chern_s1_raw(a: Symbol, grid: int) -> complex:
     deriv = {k: 1j * k * c for k, c in a.terms.items() if k != 0}
     if not deriv:
         return 0.0 + 0.0j
-    da = LaurentSymbol(deriv, rank=a.rank)
+    da = Symbol(S1, deriv, rank=a.rank)
     z = np.exp(2j * np.pi * np.arange(grid) / grid)
     vals = eval_circle(a, z)
     dvals = eval_circle(da, z)
@@ -136,7 +138,7 @@ def _chern_s1_raw(a: LaurentSymbol, grid: int) -> complex:
     return complex(-integral / (2j * np.pi))
 
 
-def chern_s1(a: LaurentSymbol, grid: int = 512) -> ChernValue:
+def chern_s1(a: Symbol, grid: int = 512) -> ChernValue:
     """Odd Chern character pairing on the circle: -(1/2 pi i) integral tr(a^-1 da).
 
     Exact coefficient differentiation, periodic trapezoid quadrature, and a
@@ -144,13 +146,12 @@ def chern_s1(a: LaurentSymbol, grid: int = 512) -> ChernValue:
     doubling defect.  For invertible symbols this equals minus the winding
     of det a.
     """
-    if not isinstance(a, LaurentSymbol):
+    if a.manifold is not S1:
         raise ValueError("chern_s1 is defined for circle symbols only")
     grid = int(grid)
     if grid < 16:
         raise ValueError("grid must be at least 16")
-    value = _chern_s1_raw(a, grid)
-    refined = _chern_s1_raw(a, 2 * grid)
+    (_, value), (_, refined) = chern_ladder(a, 2, grid=grid)
     return _chern_report(value, refined, (grid,))
 
 
@@ -162,17 +163,16 @@ def six_term_trace(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> complex:
         + np.trace(a3 @ a1 @ a2) - np.trace(a3 @ a2 @ a1))
 
 
-def _chern_s3_raw(a: S3Symbol, theta_nodes: int, phi_nodes: int,
-                  unitary: bool, theta_chunk: int = 8) -> complex:
+def _chern_s3_raw(a: Symbol, theta_nodes: int, phi_nodes: int, unitary: bool) -> complex:
     nodes, weights = np.polynomial.legendre.leggauss(theta_nodes)
     theta = (nodes + 1.0) * (np.pi / 4)
     w_theta = weights * (np.pi / 4)
     phi = np.arange(phi_nodes) * (2 * np.pi / phi_nodes)
     r = a.rank
     total = 0.0 + 0.0j
-    for start in range(0, theta_nodes, theta_chunk):
-        th = theta[start:start + theta_chunk]
-        wt = w_theta[start:start + theta_chunk]
+    for start in range(0, theta_nodes, THETA_CHUNK):
+        th = theta[start:start + THETA_CHUNK]
+        wt = w_theta[start:start + THETA_CHUNK]
         val, dth, dp1, dp2 = eval_hopf_grid(a, th, phi, phi, partials=True)
         flat = val.reshape(-1, r, r)
         if unitary:
@@ -190,7 +190,29 @@ def _chern_s3_raw(a: S3Symbol, theta_nodes: int, phi_nodes: int,
     return complex(S3_ORIENTATION_SIGN * total / (24 * np.pi ** 2))
 
 
-def chern_s3(a: S3Symbol, theta_nodes: int = 24, phi_nodes: int = 24) -> ChernValue:
+def chern_ladder(a: Symbol, steps: int | None = None, grid: int = 512,
+                 theta_nodes: int = 24, phi_nodes: int = 24) -> list[tuple[int, complex]]:
+    """Raw Chern quadrature up a doubling resolution ladder, as (size, value) rungs.
+
+    On S1 the rungs are circle grids of grid * 2^i points (4 by default); on
+    S3, theta_nodes * 2^i x phi_nodes * 2^i Hopf nodes sized by the theta
+    count (3 by default), with pointwise-unitary symbols inverted by their
+    adjoint.  A node count below 1 raises ValueError.
+    """
+    if a.manifold is S1:
+        resolution, default_steps = (int(grid),), 4
+        quadrature = partial(_chern_s1_raw, a)
+    else:
+        resolution, default_steps = (int(theta_nodes), int(phi_nodes)), 3
+        quadrature = partial(_chern_s3_raw, a, unitary=unitarity_defect(a) <= UNITARY_TOL)
+    if min(resolution) < 1:
+        raise ValueError("node counts must be at least 1")
+    steps = default_steps if steps is None else int(steps)
+    return [(resolution[0] * 2 ** i, quadrature(*(n * 2 ** i for n in resolution)))
+            for i in range(steps)]
+
+
+def chern_s3(a: Symbol, theta_nodes: int = 24, phi_nodes: int = 24) -> ChernValue:
     """Odd Chern character pairing on the three-sphere in Hopf coordinates.
 
     The top Chern form tr((a^-1 da)^3) reduces by cyclicity of the trace to
@@ -200,18 +222,24 @@ def chern_s3(a: S3Symbol, theta_nodes: int = 24, phi_nodes: int = 24) -> ChernVa
     both phi angles, normalized by 1/(24 pi^2) and the orientation sign.
     Doubling both node counts gives the reported refinement defect.
 
-    Pointwise-unitary symbols (within 1e-10) use the conjugate transpose for
-    the inverse; everything else is inverted directly.
+    Pointwise-unitary symbols (within UNITARY_TOL) use the conjugate transpose
+    for the inverse; everything else is inverted directly.
     """
-    if not isinstance(a, S3Symbol):
+    if a.manifold is not S3:
         raise ValueError("chern_s3 is defined for three-sphere symbols only")
     theta_nodes, phi_nodes = int(theta_nodes), int(phi_nodes)
     if theta_nodes < 4 or phi_nodes < 4:
         raise ValueError("node counts must be at least 4")
-    unitary = unitarity_defect(a) <= 1e-10
-    value = _chern_s3_raw(a, theta_nodes, phi_nodes, unitary)
-    refined = _chern_s3_raw(a, 2 * theta_nodes, 2 * phi_nodes, unitary)
+    (_, value), (_, refined) = chern_ladder(a, 2, theta_nodes=theta_nodes, phi_nodes=phi_nodes)
     return _chern_report(value, refined, (theta_nodes, phi_nodes))
+
+
+def chern(a: Symbol, grid: int = 512, theta_nodes: int = 24,
+          phi_nodes: int = 24) -> ChernValue:
+    """chern_s1 at the circle grid or chern_s3 at the Hopf node counts, by manifold."""
+    if a.manifold is S1:
+        return chern_s1(a, grid=grid)
+    return chern_s3(a, theta_nodes=theta_nodes, phi_nodes=phi_nodes)
 
 
 def topological_index(
@@ -229,10 +257,7 @@ def topological_index(
     index of the Toeplitz operator equals the rounded value.
     """
     require_invertible(a)
-    if isinstance(a, LaurentSymbol):
-        report = chern_s1(a, grid=grid)
-    else:
-        report = chern_s3(a, theta_nodes=theta_nodes, phi_nodes=phi_nodes)
+    report = chern(a, grid=grid, theta_nodes=theta_nodes, phi_nodes=phi_nodes)
     if report.integrality_defect > integrality_tol or \
             abs(report.refined.imag) > integrality_tol:
         raise NonIntegralChernError(

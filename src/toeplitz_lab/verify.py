@@ -21,7 +21,7 @@ from .families import (homotopy_path, random_matrix_symbol,
 from .hardy_s1 import analytic_index_s1
 from .hardy_s3 import analytic_index_s3
 from .kernel import DEFAULT_RESIDUAL_TOL, DEFAULT_TOL
-from .symbols import Symbol, adjoint, det_laurent, direct_sum, laurent_identity, multiply
+from .symbols import S1, Symbol, adjoint, det_laurent, direct_sum, identity, multiply
 from .symbol_io import symbol_to_dict
 from .topology import chern_s1, chern_s3, winding_argument, winding_roots
 
@@ -76,6 +76,9 @@ def run_verify(
     rng = np.random.default_rng(seed)
     properties: list[PropertyResult] = []
 
+    def index32(a: Symbol) -> int:
+        return analytic_index_s1(a, trunc=32, tol=tol, residual_tol=residual_tol).index
+
     # 1. Scalar monomial law: index of T_{z^m} is -m, with the split dims.
     noether = PropertyResult("noether-scalar-law", True, 0)
     for m in range(-3, 4):
@@ -121,9 +124,9 @@ def run_verify(
         ab = multiply(a, b)
 
         def case(a=a, b=b, ab=ab, ia=ia, ib=ib):
-            got_a = analytic_index_s1(a, trunc=32, tol=tol, residual_tol=residual_tol).index
-            got_b = analytic_index_s1(b, trunc=32, tol=tol, residual_tol=residual_tol).index
-            got_ab = analytic_index_s1(ab, trunc=32, tol=tol, residual_tol=residual_tol).index
+            got_a = index32(a)
+            got_b = index32(b)
+            got_ab = index32(ab)
             _check(additivity, got_a == ia, f"index(a) {got_a} != constructed {ia}", a)
             _check(additivity, got_b == ib, f"index(b) {got_b} != constructed {ib}", b)
             _check(additivity, got_ab == got_a + got_b,
@@ -138,9 +141,8 @@ def run_verify(
         a_star = adjoint(a)
 
         def case(a=a, a_star=a_star, ia=ia):
-            got = analytic_index_s1(a, trunc=32, tol=tol, residual_tol=residual_tol).index
-            got_star = analytic_index_s1(a_star, trunc=32, tol=tol,
-                                         residual_tol=residual_tol).index
+            got = index32(a)
+            got_star = index32(a_star)
             _check(adj, got == ia, f"index(a) {got} != constructed {ia}", a)
             _check(adj, got_star == -got, f"index(a*) {got_star} != {-got}", a_star)
         _guard(adj, a, case)
@@ -152,15 +154,13 @@ def run_verify(
     for _ in range(matrix_cases):
         a, ia = random_matrix_symbol(rng)
         b, ib = random_matrix_symbol(rng)
-        padded = direct_sum(a, laurent_identity(2))
+        padded = direct_sum(a, identity(S1, 2))
         sum_ab = direct_sum(a, b)
 
         def case(a=a, padded=padded, sum_ab=sum_ab, ia=ia, ib=ib):
-            got = analytic_index_s1(a, trunc=32, tol=tol, residual_tol=residual_tol).index
-            got_pad = analytic_index_s1(padded, trunc=32, tol=tol,
-                                        residual_tol=residual_tol).index
-            got_sum = analytic_index_s1(sum_ab, trunc=32, tol=tol,
-                                        residual_tol=residual_tol).index
+            got = index32(a)
+            got_pad = index32(padded)
+            got_sum = index32(sum_ab)
             _check(stab, got == ia, f"index(a) {got} != constructed {ia}", a)
             _check(stab, got_pad == got, f"index(a + I) {got_pad} != {got}", padded)
             _check(stab, got_sum == ia + ib, f"index(a + b) {got_sum} != {ia + ib}", sum_ab)
@@ -175,7 +175,7 @@ def run_verify(
         a_t = path(float(t))
 
         def case(a_t=a_t, t=t, ia=ia):
-            got = analytic_index_s1(a_t, trunc=32, tol=tol, residual_tol=residual_tol).index
+            got = index32(a_t)
             _check(homotopy, got == ia, f"index at t={t:.2f} is {got}, want {ia}", a_t)
         _guard(homotopy, a_t, case)
     properties.append(homotopy)

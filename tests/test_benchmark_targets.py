@@ -1,0 +1,57 @@
+"""The benchmark's traced call sites exist and take the parameters its hooks bind.
+
+perfbench/spans.py wraps program functions by module and attribute name; a
+rename there would only show when the traced benchmark runs.
+"""
+import importlib
+import importlib.util
+import inspect
+import os
+import sys
+
+import pytest
+
+from toeplitz_lab import kernel
+
+SPANS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "spans.py")
+
+# (module, attribute) -> parameters its hook in spans.py reads from the call
+HOOK_PARAMETERS = {
+    ("toeplitz_lab.kernel", "stabilized_kernel_dim"): {"builder", "sizes"},
+    ("toeplitz_lab.topology", "chern_s3"): {"theta_nodes", "phi_nodes"},
+    ("toeplitz_lab.symbols", "eval_hopf_grid"): {"theta", "phi1", "phi2"},
+}
+
+
+def _load_targets() -> dict:
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = spans  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(spans)
+    finally:
+        del sys.modules[spec.name]
+    return spans.TARGETS
+
+
+TARGETS = _load_targets()
+
+
+def _resolve(module: str, attr: str):
+    return getattr(importlib.import_module(module), attr)
+
+
+@pytest.mark.parametrize("module, attr", sorted(TARGETS))
+def test_target_is_a_function(module, attr):
+    assert inspect.isfunction(_resolve(module, attr))
+
+
+@pytest.mark.parametrize("module, attr", sorted(HOOK_PARAMETERS))
+def test_hooked_function_takes_the_bound_parameters(module, attr):
+    assert TARGETS[module, attr][1] is not None
+    parameters = inspect.signature(_resolve(module, attr)).parameters
+    assert HOOK_PARAMETERS[module, attr] <= set(parameters)
+
+
+def test_gap_warning_ratio_exists():
+    assert isinstance(kernel.GAP_WARN_RATIO, float)

@@ -64,6 +64,12 @@ class TestIndexCommand:
         assert main(["index", path]) == 3
         assert "margin" in capsys.readouterr().err
 
+    def test_trunc_zero_is_used_not_defaulted(self, tmp_path):
+        out = str(tmp_path / "report.json")
+        assert main(["index", sym("s3_su2.json"), "--trunc", "0",
+                     "--theta-nodes", "12", "--phi-nodes", "12", "--out", out]) == 0
+        assert json.loads(open(out).read())["truncation_sizes"] == [0, 4]
+
 
 class TestParseFailures:
     def test_invalid_json_exits_2_and_writes_nothing(self, tmp_path, capsys):
@@ -81,6 +87,21 @@ class TestParseFailures:
         assert main(["winding", sym("s3_su2.json")]) == 2
         assert "circle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["chern", "s1_z_1.json", "--grid", "8"],
+        ["winding", "s1_z_1.json", "--grid", "4"],
+        ["index", "s3_su2.json", "--trunc", "4", "--theta-nodes", "2"],
+        ["convergence", "s3_su2.json", "--theta-nodes", "0"],
+        ["convergence", "s1_z_1.json", "--grid", "0"],
+        ["index", "s1_z_1.json", "--trunc", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_out_of_range_option_exits_2_and_writes_nothing(self, argv, tmp_path, capsys):
+        command, name, *options = argv
+        out = str(tmp_path / "never.json")
+        assert main([command, sym(name), *options, "--out", out]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestWindingCommand:
     def test_scalar_oracles_agree(self, capsys):
@@ -95,6 +116,12 @@ class TestWindingCommand:
         doc = json.loads(open(out).read())
         assert doc["via_determinant"] is True
         assert doc["argument"] == doc["roots"] == -1
+
+    def test_identically_singular_matrix_symbol_exits_3(self, tmp_path, capsys):
+        path = str(tmp_path / "singular.json")
+        save_symbol(LaurentSymbol({0: [[1, 1], [1, 1]], 1: [[1, 1], [1, 1]]}), path)
+        assert main(["winding", path]) == 3
+        assert "invertib" in capsys.readouterr().err
 
     def test_undersampled_high_winding_exits_4(self, tmp_path, capsys):
         path = str(tmp_path / "z20.json")

@@ -1,4 +1,6 @@
 """Index reports and convergence tables: content, serialization, gates."""
+import os
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,10 @@ from toeplitz_lab.reports import (compute_index_report, convergence_table,
                                   convergence_text, convergence_to_csv,
                                   convergence_to_dict, final_delta,
                                   index_report_text, index_report_to_dict)
+from toeplitz_lab.symbol_io import load_symbol
 from toeplitz_lab.symbols import LaurentSymbol
+
+SYMBOLS = os.path.join(os.path.dirname(__file__), "..", "symbols")
 
 
 class TestIndexReport:
@@ -41,6 +46,15 @@ class TestIndexReport:
         assert doc["analytic_index"] == 0
         assert doc["topological_value"][0] == pytest.approx(0.0, abs=1e-12)
         assert isinstance(doc["agreement"], bool)
+
+    # A known defect, pinned rather than fixed: at the default bands 12/16 the
+    # analytic route sees index 0 for su2^2 and su2^-2, against -2 and 2 from
+    # the Chern quadrature; --trunc 20 agrees.
+    @pytest.mark.xfail(strict=True, reason="default S3 bands 12/16 are too small for su2^+-2")
+    @pytest.mark.parametrize("name", ["s3_su2_pow_2.json", "s3_su2_pow_-2.json"])
+    def test_shipped_su2_squares_agree_at_default_truncation(self, name):
+        report = compute_index_report(load_symbol(os.path.join(SYMBOLS, name)))
+        assert report.agreement
 
     def test_text_rendering_has_verdict_line(self):
         report = compute_index_report(z_power(2), trunc=8, grid=32)
@@ -97,11 +111,7 @@ class TestConvergence:
             final_delta(rows[:1])
 
     def test_shipped_symbol_files_converge(self):
-        import os
-
-        from toeplitz_lab.symbol_io import load_symbol
-        symbols_dir = os.path.join(os.path.dirname(__file__), "..", "symbols")
-        s1_path = os.path.join(symbols_dir, "s1_diag_z_zm2.json")
+        s1_path = os.path.join(SYMBOLS, "s1_diag_z_zm2.json")
         rows = convergence_table(load_symbol(s1_path), grid=32, steps=4)
         deltas = [r.delta for r in rows[1:]]
         assert deltas == sorted(deltas, reverse=True) or final_delta(rows) < 1e-6

@@ -89,6 +89,7 @@ def toeplitz_rect_s3(a: Symbol, domain_band: int) -> S3Truncation:
     n_dom = dom_a.size
     n_cod = band_dim(m_band)
     mat = np.zeros((n_cod * r, n_dom * r), dtype=complex)
+    blocks = mat.reshape(n_cod, r, n_dom, r)
     log_h_dom = gammaln(dom_a + 1) + gammaln(dom_b + 1) - gammaln(dom_a + dom_b + 2)
     for (p, q, s, t), coeff in a.terms.items():
         tgt_a = dom_a + (p - s)
@@ -103,8 +104,9 @@ def toeplitz_rect_s3(a: Symbol, domain_band: int) -> S3Truncation:
         log_h_tgt = gammaln(ta + 1) + gammaln(tb + 1) - gammaln(ta + tb + 2)
         weights = np.exp(log_pair - 0.5 * (log_h_dom[src] + log_h_tgt))
         rows = monomial_position(ta, tb)
-        for col, row, w in zip(src, rows, weights):
-            mat[row * r:(row + 1) * r, col * r:(col + 1) * r] += w * coeff
+        # one term sends distinct domain monomials to distinct targets, so
+        # no (row, col) block repeats within the fancy-indexed add
+        blocks[rows, :, src, :] += weights[:, None, None] * coeff
     return S3Truncation(matrix=mat, domain_band=n_band, codomain_band=m_band, rank=r)
 
 

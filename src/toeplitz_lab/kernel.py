@@ -12,6 +12,18 @@ the largest size must annihilate a strictly larger truncation after zero
 extension.  Because the truncations are image-exact, that larger matrix acts
 on the candidates exactly as the infinite operator does, so the residual test
 separates true kernel vectors from truncation artifacts.
+
+Each SVD is taken block by block.  Rows and columns of a truncation linked by
+a nonzero entry form the connected components of its sparsity graph, and the
+matrix is a row and column permutation of the block-diagonal matrix of those
+components.  Its SVD is therefore exactly the union of the block SVDs: the
+singular values are the blocks' values together, and a block's right singular
+vectors, zero-extended into its columns, are right singular vectors of the
+whole.  The split needs no symmetry and no knowledge of the symbol; a
+torus-equivariant symbol on S3 splits into hundreds of small weight-space
+blocks, a generic symbol stays one component.  Blocks of equal shape go
+through one stacked SVD.  The kernel threshold is relative to the largest
+singular value over all blocks, never to a block's own.
 """
 from __future__ import annotations
 
@@ -20,6 +32,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ResidualFailureError, UnstabilizedError
 
@@ -40,22 +54,72 @@ class KernelReport:
     residual: float
 
 
+def _components(m: np.ndarray):
+    """Connected components of the sparsity graph of m, grouped by block shape.
+
+    Yields (row_index, col_index) pairs of integer arrays of shapes
+    (blocks, rows) and (blocks, cols), one pair per distinct block shape.
+    Rows and columns without a nonzero entry are components of their own:
+    a zero column is a (0, 1) block, a zero row a (1, 0) block.
+    """
+    rows, cols = m.shape
+    r, c = np.nonzero(m)
+    graph = coo_array((np.ones(r.size), (r, rows + c)), shape=(rows + cols, rows + cols))
+    count, labels = connected_components(graph, directed=False)
+    row_label, col_label = labels[:rows], labels[rows:]
+    row_order = np.argsort(row_label, kind="stable")
+    col_order = np.argsort(col_label, kind="stable")
+    n_rows = np.bincount(row_label, minlength=count)
+    n_cols = np.bincount(col_label, minlength=count)
+    row_start = np.cumsum(n_rows) - n_rows
+    col_start = np.cumsum(n_cols) - n_cols
+    shapes, group = np.unique(np.stack([n_rows, n_cols], axis=1), axis=0, return_inverse=True)
+    for k, (nr, nc) in enumerate(shapes):
+        blocks = np.flatnonzero(group == k)
+        yield (row_order[row_start[blocks, None] + np.arange(nr)],
+               col_order[col_start[blocks, None] + np.arange(nc)])
+
+
 def _svd_split(matrix: np.ndarray, tol: float):
     """Split the SVD of a truncation into (dim, sigma, kernel_basis, gap).
 
-    dim counts singular values at most tol * sigma_max, plus any columns
-    beyond the number of singular values (possible only for wide blocks).
-    A zero matrix has every column in the kernel.
+    The SVD is the union of the SVDs of the connected components of the
+    matrix's sparsity graph (see the module docstring), one stacked SVD per
+    block shape.  sigma holds every block's singular values in descending
+    order, padded with zeros to min(rows, cols), as the SVD of the whole
+    matrix would give them.  dim counts singular values at most
+    tol * sigma_max, with sigma_max taken over all blocks, plus each block's
+    columns beyond its number of singular values (possible only for wide
+    blocks, and always for a zero column); a zero matrix has every column in
+    the kernel.  The kernel basis holds each block's kernel right singular
+    vectors, zero-extended into the block's columns.  gap is the ratio of
+    the smallest kept to the largest rejected singular value of sigma.
     """
     m = np.asarray(matrix, dtype=complex)
     rows, cols = m.shape
-    u, sigma, vh = np.linalg.svd(m, full_matrices=True)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return cols, sigma, np.eye(cols, dtype=complex), np.inf
-    thresh = tol * sigma[0]
+    groups = []
+    for row_index, col_index in _components(m):
+        nr, nc = row_index.shape[1], col_index.shape[1]
+        _, s, vh = np.linalg.svd(m[row_index[:, :, None], col_index[:, None, :]],
+                                 full_matrices=nr < nc)
+        groups.append((col_index, s, vh))
+
+    sigma = np.zeros(min(rows, cols))
+    values = np.concatenate([s.ravel() for _, s, _ in groups]) if groups else sigma[:0]
+    sigma[:values.size] = -np.sort(-values)
+    thresh = tol * (sigma[0] if sigma.size else 0.0)
     small = sigma <= thresh
-    dim = int(np.count_nonzero(small)) + (cols - sigma.size)
-    basis = vh.conj().T[:, cols - dim:] if dim > 0 else np.zeros((cols, 0), dtype=complex)
+    dim = cols - int(np.count_nonzero(~small))
+
+    basis = np.zeros((cols, dim), dtype=complex)
+    filled = 0
+    for col_index, s, vh in groups:
+        n_kept = np.count_nonzero(s > thresh, axis=1)
+        block, row = np.nonzero(np.arange(vh.shape[1]) >= n_kept[:, None])
+        slots = filled + np.arange(block.size)
+        basis[col_index[block], slots[:, None]] = vh[block, row].conj()
+        filled += block.size
+
     kept = sigma[~small]
     rejected = sigma[small]
     if dim == 0 or rejected.size == 0 or rejected[0] == 0.0:
@@ -66,7 +130,12 @@ def _svd_split(matrix: np.ndarray, tol: float):
 
 
 def kernel_dim(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """SVD kernel dimension of one matrix at relative threshold tol."""
+    """SVD kernel dimension of one matrix at relative threshold tol.
+
+    Singular values at most tol times the largest one count as kernel; the
+    SVD is taken per connected block of the matrix's sparsity graph, with
+    the threshold set by the largest singular value of all blocks.
+    """
     dim, _, _, _ = _svd_split(matrix, tol)
     return dim
 

@@ -132,7 +132,10 @@ def _chern_s1_raw(a: Symbol, grid: int) -> complex:
     z = np.exp(2j * np.pi * np.arange(grid) / grid)
     vals = eval_circle(a, z)
     dvals = eval_circle(da, z)
-    logdiff = np.linalg.solve(vals, dvals)
+    try:
+        logdiff = np.linalg.solve(vals, dvals)
+    except np.linalg.LinAlgError as exc:
+        raise SymbolError("symbol is singular at a quadrature node") from exc
     traces = np.trace(logdiff, axis1=-2, axis2=-1)
     integral = np.sum(traces) * (2 * np.pi / grid)
     return complex(-integral / (2j * np.pi))
@@ -178,7 +181,10 @@ def _chern_s3_raw(a: Symbol, theta_nodes: int, phi_nodes: int, unitary: bool) ->
         if unitary:
             inv = np.conj(np.swapaxes(flat, -1, -2))
         else:
-            inv = np.linalg.inv(flat)
+            try:
+                inv = np.linalg.inv(flat)
+            except np.linalg.LinAlgError as exc:
+                raise SymbolError("symbol is singular at a quadrature node") from exc
         a_th = inv @ dth.reshape(-1, r, r)
         a_p1 = inv @ dp1.reshape(-1, r, r)
         a_p2 = inv @ dp2.reshape(-1, r, r)

@@ -9,9 +9,13 @@ import inspect
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from toeplitz_lab import kernel
+from toeplitz_lab.families import su2_symbol, z_power
+from toeplitz_lab.hardy_s1 import toeplitz_rect_s1
+from toeplitz_lab.hardy_s3 import toeplitz_rect_s3
 
 SPANS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "spans.py")
 
@@ -55,3 +59,11 @@ def test_hooked_function_takes_the_bound_parameters(module, attr):
 
 def test_gap_warning_ratio_exists():
     assert isinstance(kernel.GAP_WARN_RATIO, float)
+
+
+@pytest.mark.parametrize("truncation", [lambda: toeplitz_rect_s1(z_power(2), 8),
+                                        lambda: toeplitz_rect_s3(su2_symbol(), 4)],
+                         ids=["s1", "s3"])
+def test_truncations_are_dense_arrays(truncation):
+    # the traced run's byte counter reads truncation.matrix.nbytes
+    assert isinstance(truncation().matrix, np.ndarray)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from toeplitz_lab.cli import main
@@ -63,6 +64,18 @@ class TestIndexCommand:
         save_symbol(LaurentSymbol({1: [[1.0]], 0: [[-(1 + 1e-9)]]}), path)
         assert main(["index", path]) == 3
         assert "margin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["index", "chern"])
+    def test_root_on_a_quadrature_node_exits_3(self, command, tmp_path, capsys):
+        # the 16-point invertibility sample misses the root on the unit
+        # circle; the refined 1024-point Chern grid lands on it
+        path = str(tmp_path / "root_on_grid.json")
+        root = complex(np.exp(2j * np.pi / 1024))
+        save_symbol(LaurentSymbol({1: [[1.0]], 0: [[-root]]}), path)
+        assert main([command, path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "quadrature node" in err
+        assert "Traceback" not in err
 
     def test_trunc_zero_is_used_not_defaulted(self, tmp_path):
         out = str(tmp_path / "report.json")

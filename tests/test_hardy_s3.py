@@ -1,9 +1,11 @@
 """Three-sphere Hardy space: monomial grading, shift weights, analytic index."""
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from toeplitz_lab.errors import SymbolError
-from toeplitz_lab.families import su2_power, su2_symbol
+from toeplitz_lab.families import (constant_sandwich, s3_representative,
+                                   su2_power, su2_symbol)
 from toeplitz_lab.hardy_s3 import (S3Truncation, analytic_index_s3, band_dim,
                                    default_sizes_s3, monomial_norm_sq,
                                    monomial_position, monomials_up_to,
@@ -102,6 +104,45 @@ class TestTruncationStructure:
         t = toeplitz_rect_s3(s3_identity(1), 4)
         assert isinstance(t, S3Truncation)
         assert np.allclose(t.matrix, np.eye(band_dim(4)))
+
+
+def loop_rect_s3(a, n_band):
+    """Reference truncation: the per-entry loop that toeplitz_rect_s3 vectorizes."""
+    r = a.rank
+    dom_a, dom_b = monomials_up_to(n_band)
+    n_dom = dom_a.size
+    n_cod = band_dim(n_band + a.max_shift)
+    mat = np.zeros((n_cod * r, n_dom * r), dtype=complex)
+    log_h_dom = gammaln(dom_a + 1) + gammaln(dom_b + 1) - gammaln(dom_a + dom_b + 2)
+    for (p, q, s, t), coeff in a.terms.items():
+        tgt_a = dom_a + (p - s)
+        tgt_b = dom_b + (q - t)
+        valid = (tgt_a >= 0) & (tgt_b >= 0)
+        if not np.any(valid):
+            continue
+        src = np.nonzero(valid)[0]
+        ta, tb = tgt_a[src], tgt_b[src]
+        lift_a, lift_b = dom_a[src] + p, dom_b[src] + q
+        log_pair = gammaln(lift_a + 1) + gammaln(lift_b + 1) - gammaln(lift_a + lift_b + 2)
+        log_h_tgt = gammaln(ta + 1) + gammaln(tb + 1) - gammaln(ta + tb + 2)
+        weights = np.exp(log_pair - 0.5 * (log_h_dom[src] + log_h_tgt))
+        rows = monomial_position(ta, tb)
+        for col, row, w in zip(src, rows, weights):
+            mat[row * r:(row + 1) * r, col * r:(col + 1) * r] += w * coeff
+    return mat
+
+
+REFERENCE_SYMBOLS = {
+    **{f"representative_{m}": s3_representative(m)[0] for m in (-3, -2, -1, 1, 2, 3)},
+    "sandwich_su2_pow_2": constant_sandwich(su2_power(2), np.random.default_rng(7)),
+}
+
+
+@pytest.mark.parametrize("band", [8, 20, 24])
+@pytest.mark.parametrize("name", sorted(REFERENCE_SYMBOLS))
+def test_truncation_equals_the_per_entry_loop(name, band):
+    a = REFERENCE_SYMBOLS[name]
+    assert np.array_equal(toeplitz_rect_s3(a, band).matrix, loop_rect_s3(a, band))
 
 
 class TestAnalyticIndex:

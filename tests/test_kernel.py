@@ -2,9 +2,13 @@
 import numpy as np
 import pytest
 
+from toeplitz_lab import kernel
 from toeplitz_lab.errors import ResidualFailureError, UnstabilizedError
-from toeplitz_lab.kernel import (AnalyticIndex, analytic_index_from_builders,
-                                 kernel_dim, stabilized_kernel_dim)
+from toeplitz_lab.families import s3_representative
+from toeplitz_lab.hardy_s3 import analytic_index_s3
+from toeplitz_lab.kernel import (DEFAULT_TOL, AnalyticIndex, _svd_split,
+                                 analytic_index_from_builders, kernel_dim,
+                                 stabilized_kernel_dim)
 
 
 def shift_matrix(n, rows=None):
@@ -151,3 +155,114 @@ class TestAnalyticIndexAssembly:
         result = analytic_index_from_builders(up_shift(0), down_shift(0), (8, 16))
         assert (result.ker_dim, result.coker_dim, result.index) == (0, 0, 0)
         assert result.index == result.ker_dim - result.coker_dim
+
+
+def dense_svd_split(matrix, tol):
+    """Reference: one dense SVD of the whole matrix, as before the block split."""
+    m = np.asarray(matrix, dtype=complex)
+    rows, cols = m.shape
+    u, sigma, vh = np.linalg.svd(m, full_matrices=True)
+    if sigma.size == 0 or sigma[0] == 0.0:
+        return cols, sigma, np.eye(cols, dtype=complex), np.inf
+    thresh = tol * sigma[0]
+    small = sigma <= thresh
+    dim = int(np.count_nonzero(small)) + (cols - sigma.size)
+    basis = vh.conj().T[:, cols - dim:] if dim > 0 else np.zeros((cols, 0), dtype=complex)
+    kept = sigma[~small]
+    rejected = sigma[small]
+    if dim == 0 or rejected.size == 0 or rejected[0] == 0.0:
+        gap = np.inf
+    else:
+        gap = float(kept[-1] / rejected[0]) if kept.size else np.inf
+    return dim, sigma, basis, gap
+
+
+def gaussian(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def permuted_blocks(rng, blocks, zero_rows=0, zero_cols=0):
+    """Block-diagonal matrix of the given blocks plus zero rows and columns,
+    with rows and columns randomly permuted."""
+    rows = sum(b.shape[0] for b in blocks) + zero_rows
+    cols = sum(b.shape[1] for b in blocks) + zero_cols
+    m = np.zeros((rows, cols), dtype=complex)
+    r = c = 0
+    for b in blocks:
+        m[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return m[rng.permutation(rows)][:, rng.permutation(cols)]
+
+
+def low_rank(rng, rows, cols, rank):
+    return gaussian(rng, rows, rank) @ gaussian(rng, rank, cols)
+
+
+def with_singular_values(rng, values):
+    q1, _ = np.linalg.qr(gaussian(rng, len(values), len(values)))
+    q2, _ = np.linalg.qr(gaussian(rng, len(values), len(values)))
+    return q1 @ np.diag(values) @ q2
+
+
+# name -> (blocks as (rows, cols, rank), zero rows, zero columns)
+BLOCK_CASES = {
+    "rank_deficient": ([(6, 4, 3), (5, 5, 2), (3, 3, 3), (4, 2, 1)], 0, 0),
+    "wide": ([(2, 5, 2), (3, 7, 2), (1, 3, 1), (4, 4, 4)], 0, 0),
+    "zero_rows_and_columns": ([(5, 4, 4), (3, 3, 2)], 3, 2),
+    "one_component": ([(9, 7, 5)], 0, 0),
+    "zero_matrix": ([], 5, 4),
+    "many_equal_shapes": ([(3, 3, 2)] * 20 + [(4, 2, 2)] * 10 + [(2, 3, 1)] * 5, 1, 1),
+}
+
+
+def assert_matches_dense(matrix, tol):
+    dim, sigma, basis, gap = _svd_split(matrix, tol)
+    ref_dim, ref_sigma, ref_basis, ref_gap = dense_svd_split(matrix, tol)
+    assert dim == ref_dim
+    assert basis.shape == (matrix.shape[1], dim)
+    assert sigma.shape == ref_sigma.shape
+    scale = ref_sigma[0] if ref_sigma.size and ref_sigma[0] > 0 else 1.0
+    assert np.max(np.abs(sigma - ref_sigma), initial=0.0) <= 1e-12 * scale
+    projector = basis @ basis.conj().T
+    ref_projector = ref_basis @ ref_basis.conj().T
+    assert np.max(np.abs(projector - ref_projector), initial=0.0) <= 1e-10
+    if ref_gap < 1e12:
+        assert gap == pytest.approx(ref_gap, rel=1e-9)
+    else:
+        assert gap >= 1e12
+    return dim, gap
+
+
+class TestBlockSplitAgainstDense:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_permuted_block_diagonal(self, case, seed):
+        rng = np.random.default_rng(seed)
+        shapes, zero_rows, zero_cols = BLOCK_CASES[case]
+        blocks = [low_rank(rng, *shape) for shape in shapes]
+        assert_matches_dense(permuted_blocks(rng, blocks, zero_rows, zero_cols), DEFAULT_TOL)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_threshold_is_taken_across_blocks(self, seed):
+        # every singular value of the small block lies below tol times the
+        # large block's sigma_max, though none is small against its own
+        # block's: all four count as kernel, and the gap spans the blocks
+        rng = np.random.default_rng(seed)
+        large = with_singular_values(rng, [1.0, 0.9, 0.7, 0.6, 0.5])
+        small = with_singular_values(rng, [5e-4, 3e-4, 2e-4, 1e-4])
+        matrix = permuted_blocks(rng, [large, small, large])
+        dim, gap = assert_matches_dense(matrix, 1e-3)
+        assert dim == 4
+        assert gap == pytest.approx(0.5 / 5e-4, rel=1e-9)
+
+
+@pytest.mark.parametrize("m", range(-3, 4))
+def test_representative_kernel_reports_match_dense(m, monkeypatch):
+    sym, sizes = s3_representative(m)
+    result = analytic_index_s3(sym, sizes=sizes)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "_svd_split", dense_svd_split)
+        reference = analytic_index_s3(sym, sizes=sizes)
+    for report, ref in ((result.ker, reference.ker), (result.coker, reference.coker)):
+        assert (report.dim, report.dims, report.sizes) == (ref.dim, ref.dims, ref.sizes)
+        assert np.max(np.abs(report.singular_values - ref.singular_values)) <= 1e-12

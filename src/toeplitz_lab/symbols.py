@@ -333,23 +333,22 @@ def eval_hopf_grid(a: Symbol, theta: np.ndarray, phi1: np.ndarray, phi2: np.ndar
 
     Returns value array of shape (nt, n1, n2, r, r); with partials=True returns
     (value, d_theta, d_phi1, d_phi2) using the exact per-term derivatives.
+    Each field is accumulated points-last, in an (r, r, nt, n1, n2) buffer with
+    one add per nonzero coefficient entry, and returned as an np.moveaxis view
+    of that buffer.
     """
     theta = np.asarray(theta, dtype=float)
     phi1 = np.asarray(phi1, dtype=float)
     phi2 = np.asarray(phi2, dtype=float)
     ct, st = np.cos(theta), np.sin(theta)
-    shape = (theta.size, phi1.size, phi2.size, a.rank, a.rank)
-    val = np.zeros(shape, dtype=complex)
-    if partials:
-        dth = np.zeros(shape, dtype=complex)
-        dp1 = np.zeros(shape, dtype=complex)
-        dp2 = np.zeros(shape, dtype=complex)
+    shape = (a.rank, a.rank, theta.size, phi1.size, phi2.size)
+    fields = [np.zeros(shape, dtype=complex) for _ in range(4 if partials else 1)]
     for (p, q, s, t), c in a.terms.items():
         radial = ct ** (p + s) * st ** (q + t)
         phase = (np.exp(1j * (p - s) * phi1)[:, None]
                  * np.exp(1j * (q - t) * phi2)[None, :])
         base = radial[:, None, None] * phase[None, :, :]
-        val += base[..., None, None] * c
+        bases = [base]
         if partials:
             # n * x^(n-1) is taken to be 0 when n = 0: no negative powers appear
             drad = np.zeros_like(radial)
@@ -357,12 +356,29 @@ def eval_hopf_grid(a: Symbol, theta: np.ndarray, phi1: np.ndarray, phi2: np.ndar
                 drad += (p + s) * ct ** (p + s - 1) * (-st) * st ** (q + t)
             if q + t > 0:
                 drad += (q + t) * st ** (q + t - 1) * ct * ct ** (p + s)
-            dth += (drad[:, None, None] * phase[None, :, :])[..., None, None] * c
-            dp1 += (1j * (p - s)) * base[..., None, None] * c
-            dp2 += (1j * (q - t)) * base[..., None, None] * c
-    if partials:
-        return val, dth, dp1, dp2
-    return val
+            bases += [drad[:, None, None] * phase[None, :, :],
+                      (1j * (p - s)) * base, (1j * (q - t)) * base]
+        for i, j in zip(*np.nonzero(c)):
+            for field, b in zip(fields, bases):
+                field[i, j] += b * c[i, j]
+    views = tuple(np.moveaxis(field, (0, 1), (3, 4)) for field in fields)
+    return views if partials else views[0]
+
+
+def pointwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product at every point of points-last stacks: (r, k, N) x (k, s, N) -> (r, s, N).
+
+    Each entry is k multiply-adds over whole point vectors; numpy's stacked @
+    on (N, r, r) stacks runs one tiny matrix product per point instead.
+    """
+    k, n = a.shape[1], a.shape[2]
+    out = np.empty((a.shape[0], b.shape[1], n), dtype=np.result_type(a, b))
+    term = np.empty(n, dtype=out.dtype)
+    for i, j in np.ndindex(out.shape[:2]):
+        np.multiply(a[i, 0], b[0, j], out=out[i, j])
+        for l in range(1, k):
+            out[i, j] += np.multiply(a[i, l], b[l, j], out=term)
+    return out
 
 
 def hopf_partials(a: Symbol, point: HopfPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -410,9 +426,9 @@ def require_invertible(a: Symbol, threshold: float = MARGIN_THRESHOLD,
 
 def unitarity_defect(a: Symbol) -> float:
     """Max over a sample grid of the entrywise deviation of a(x)^dagger a(x) from I."""
-    vals = a.manifold.sample(a, UNITARITY_GRID)
-    gram = np.conj(np.swapaxes(vals, -1, -2)) @ vals
-    return float(np.max(np.abs(gram - np.eye(a.rank))))
+    vals = np.moveaxis(a.manifold.sample(a, UNITARITY_GRID), 0, -1)
+    gram = pointwise_matmul(np.conj(vals.transpose(1, 0, 2)), vals)
+    return float(np.max(np.abs(gram - np.eye(a.rank)[:, :, None])))
 
 
 def power(a: Symbol, k: int) -> Symbol:

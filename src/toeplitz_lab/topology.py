@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NonIntegralChernError, SymbolError, UndersampledError
 from .symbols import (S1, S3, UNITARY_TOL, Symbol, eval_circle, eval_hopf_grid,
-                      require_invertible, unitarity_defect)
+                      pointwise_matmul, require_invertible, unitarity_defect)
 
 S3_ORIENTATION_SIGN = -1
 
@@ -166,32 +166,39 @@ def six_term_trace(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> complex:
         + np.trace(a3 @ a1 @ a2) - np.trace(a3 @ a2 @ a1))
 
 
+def _chern_s3_integrand(a: Symbol, theta: np.ndarray, phi: np.ndarray,
+                        unitary: bool) -> np.ndarray:
+    """3 tr(A_theta [A_phi1, A_phi2]) on the grid theta x phi x phi, shape (nt, n, n)."""
+    r = a.rank
+    # eval_hopf_grid's (r, r, nt, n1, n2) buffers as (r, r, N) views, no copy
+    val, dth, dp1, dp2 = (np.moveaxis(f, (3, 4), (0, 1)).reshape(r, r, -1)
+                          for f in eval_hopf_grid(a, theta, phi, phi, partials=True))
+    if unitary:
+        inv = np.conj(val.transpose(1, 0, 2))
+    else:
+        try:
+            inv = np.linalg.inv(np.moveaxis(val, -1, 0))
+        except np.linalg.LinAlgError as exc:
+            raise SymbolError("symbol is singular at a quadrature node") from exc
+        # one copy to contiguous point vectors; strided ones halve pointwise_matmul's speed
+        inv = np.ascontiguousarray(np.moveaxis(inv, 0, -1))
+    a_th = pointwise_matmul(inv, dth)
+    a_p1 = pointwise_matmul(inv, dp1)
+    a_p2 = pointwise_matmul(inv, dp2)
+    comm = pointwise_matmul(a_p1, a_p2) - pointwise_matmul(a_p2, a_p1)
+    integrand = 3.0 * np.einsum('ijn,jin->n', a_th, comm)
+    return integrand.reshape(theta.size, phi.size, phi.size)
+
+
 def _chern_s3_raw(a: Symbol, theta_nodes: int, phi_nodes: int, unitary: bool) -> complex:
     nodes, weights = np.polynomial.legendre.leggauss(theta_nodes)
     theta = (nodes + 1.0) * (np.pi / 4)
     w_theta = weights * (np.pi / 4)
     phi = np.arange(phi_nodes) * (2 * np.pi / phi_nodes)
-    r = a.rank
     total = 0.0 + 0.0j
     for start in range(0, theta_nodes, THETA_CHUNK):
-        th = theta[start:start + THETA_CHUNK]
-        wt = w_theta[start:start + THETA_CHUNK]
-        val, dth, dp1, dp2 = eval_hopf_grid(a, th, phi, phi, partials=True)
-        flat = val.reshape(-1, r, r)
-        if unitary:
-            inv = np.conj(np.swapaxes(flat, -1, -2))
-        else:
-            try:
-                inv = np.linalg.inv(flat)
-            except np.linalg.LinAlgError as exc:
-                raise SymbolError("symbol is singular at a quadrature node") from exc
-        a_th = inv @ dth.reshape(-1, r, r)
-        a_p1 = inv @ dp1.reshape(-1, r, r)
-        a_p2 = inv @ dp2.reshape(-1, r, r)
-        comm = a_p1 @ a_p2 - a_p2 @ a_p1
-        integrand = 3.0 * np.einsum('nij,nji->n', a_th, comm)
-        integrand = integrand.reshape(th.size, phi_nodes, phi_nodes)
-        total += np.einsum('t,tab->', wt, integrand)
+        integrand = _chern_s3_integrand(a, theta[start:start + THETA_CHUNK], phi, unitary)
+        total += np.einsum('t,tab->', w_theta[start:start + THETA_CHUNK], integrand)
     total *= (2 * np.pi / phi_nodes) ** 2
     return complex(S3_ORIENTATION_SIGN * total / (24 * np.pi ** 2))
 
@@ -263,6 +270,12 @@ def topological_index(
     index of the Toeplitz operator equals the rounded value.
     """
     require_invertible(a)
+    return _certified_chern(a, grid, theta_nodes, phi_nodes, integrality_tol)
+
+
+def _certified_chern(a: Symbol, grid: int, theta_nodes: int, phi_nodes: int,
+                     integrality_tol: float) -> ChernValue:
+    """topological_index after its invertibility gate, for callers that gated a already."""
     report = chern(a, grid=grid, theta_nodes=theta_nodes, phi_nodes=phi_nodes)
     if report.integrality_defect > integrality_tol or \
             abs(report.refined.imag) > integrality_tol:

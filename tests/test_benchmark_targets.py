@@ -12,8 +12,8 @@ import sys
 import numpy as np
 import pytest
 
-from toeplitz_lab import kernel
-from toeplitz_lab.families import su2_symbol, z_power
+from toeplitz_lab import kernel, topology
+from toeplitz_lab.families import s3_representative, su2_symbol, z_power
 from toeplitz_lab.hardy_s1 import toeplitz_rect_s1
 from toeplitz_lab.hardy_s3 import toeplitz_rect_s3
 
@@ -67,3 +67,19 @@ def test_gap_warning_ratio_exists():
 def test_truncations_are_dense_arrays(truncation):
     # the traced run's byte counter reads truncation.matrix.nbytes
     assert isinstance(truncation().matrix, np.ndarray)
+
+
+@pytest.mark.parametrize("theta_nodes, phi_nodes", [(4, 4), (12, 8), (10, 6)])
+def test_chern_s3_evaluates_the_points_its_hook_counts(monkeypatch, theta_nodes, phi_nodes):
+    # spans.py counts 9 t p^2 quadrature nodes per chern_s3(a, t, p): the value
+    # at (t, p) and the refinement at (2t, 2p)
+    points = []
+    evaluate = topology.eval_hopf_grid
+
+    def counted(a, theta, phi1, phi2, partials=False):
+        points.append(np.size(theta) * np.size(phi1) * np.size(phi2))
+        return evaluate(a, theta, phi1, phi2, partials)
+
+    monkeypatch.setattr(topology, "eval_hopf_grid", counted)
+    topology.chern_s3(s3_representative(2)[0], theta_nodes, phi_nodes)
+    assert sum(points) == 9 * theta_nodes * phi_nodes ** 2

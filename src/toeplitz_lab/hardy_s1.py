@@ -43,11 +43,12 @@ def toeplitz_rect_s1(a: Symbol, domain_size: int) -> S1Truncation:
     r = a.rank
     n_cod = n_dom + max(a.k_max, 0)
     mat = np.zeros((n_cod * r, n_dom * r), dtype=complex)
+    blocks = mat.reshape(n_cod, r, n_dom, r)
     for k, c in a.terms.items():
-        for n in range(n_dom):
-            m = n + k
-            if 0 <= m < n_cod:
-                mat[m * r:(m + 1) * r, n * r:(n + 1) * r] = c
+        # domain degrees n with 0 <= n + k < n_cod; terms have distinct k, so
+        # no block is written twice
+        n = np.arange(max(-k, 0), min(n_dom, n_cod - k))
+        blocks[n + k, :, n, :] = c
     return S1Truncation(matrix=mat, domain_size=n_dom, codomain_size=n_cod, rank=r)
 
 

@@ -24,6 +24,16 @@ torus-equivariant symbol on S3 splits into hundreds of small weight-space
 blocks, a generic symbol stays one component.  Blocks of equal shape go
 through one stacked SVD.  The kernel threshold is relative to the largest
 singular value over all blocks, never to a block's own.
+
+Dimensions, singular values and gaps need no singular vectors; only the
+residual check reads kernel vectors, at the largest size and only when a
+kernel exists.  So every SVD is values-only except the one of the largest
+truncation, which takes vectors exactly when the size below it found a
+kernel.  That is exact.  If the size below has no kernel, either the largest
+has none either, and no basis is read, or the sizes disagree, and
+stabilization fails before any residual check.  If it has one, the largest
+truncation's SVD is the same as when every size takes vectors.  No truncation
+is decomposed twice.
 """
 from __future__ import annotations
 
@@ -63,7 +73,7 @@ def _components(m: np.ndarray):
     a zero column is a (0, 1) block, a zero row a (1, 0) block.
     """
     rows, cols = m.shape
-    r, c = np.nonzero(m)
+    r, c = (m != 0).nonzero()
     graph = coo_array((np.ones(r.size), (r, rows + c)), shape=(rows + cols, rows + cols))
     count, labels = connected_components(graph, directed=False)
     row_label, col_label = labels[:rows], labels[rows:]
@@ -73,14 +83,16 @@ def _components(m: np.ndarray):
     n_cols = np.bincount(col_label, minlength=count)
     row_start = np.cumsum(n_rows) - n_rows
     col_start = np.cumsum(n_cols) - n_cols
-    shapes, group = np.unique(np.stack([n_rows, n_cols], axis=1), axis=0, return_inverse=True)
-    for k, (nr, nc) in enumerate(shapes):
+    # n_cols <= cols, so the key orders shapes as (n_rows, n_cols) pairs do
+    keys, group = np.unique(n_rows * (cols + 1) + n_cols, return_inverse=True)
+    for k, key in enumerate(keys):
+        nr, nc = divmod(int(key), cols + 1)
         blocks = np.flatnonzero(group == k)
         yield (row_order[row_start[blocks, None] + np.arange(nr)],
                col_order[col_start[blocks, None] + np.arange(nc)])
 
 
-def _svd_split(matrix: np.ndarray, tol: float):
+def _svd_split(matrix: np.ndarray, tol: float, vectors: bool):
     """Split the SVD of a truncation into (dim, sigma, kernel_basis, gap).
 
     The SVD is the union of the SVDs of the connected components of the
@@ -91,17 +103,23 @@ def _svd_split(matrix: np.ndarray, tol: float):
     tol * sigma_max, with sigma_max taken over all blocks, plus each block's
     columns beyond its number of singular values (possible only for wide
     blocks, and always for a zero column); a zero matrix has every column in
-    the kernel.  The kernel basis holds each block's kernel right singular
-    vectors, zero-extended into the block's columns.  gap is the ratio of
-    the smallest kept to the largest rejected singular value of sigma.
+    the kernel.  gap is the ratio of the smallest kept to the largest
+    rejected singular value of sigma.  dim, sigma and gap need singular
+    values only.  With vectors true the block SVDs also take the right
+    singular vectors, and the kernel basis holds each block's kernel right
+    singular vectors, zero-extended into the block's columns; with vectors
+    false the SVDs are values-only and the kernel basis is None.
     """
     m = np.asarray(matrix, dtype=complex)
     rows, cols = m.shape
     groups = []
     for row_index, col_index in _components(m):
         nr, nc = row_index.shape[1], col_index.shape[1]
-        _, s, vh = np.linalg.svd(m[row_index[:, :, None], col_index[:, None, :]],
-                                 full_matrices=nr < nc)
+        blocks = m[row_index[:, :, None], col_index[:, None, :]]
+        if vectors:
+            _, s, vh = np.linalg.svd(blocks, full_matrices=nr < nc)
+        else:
+            s, vh = np.linalg.svd(blocks, compute_uv=False), None
         groups.append((col_index, s, vh))
 
     sigma = np.zeros(min(rows, cols))
@@ -111,14 +129,16 @@ def _svd_split(matrix: np.ndarray, tol: float):
     small = sigma <= thresh
     dim = cols - int(np.count_nonzero(~small))
 
-    basis = np.zeros((cols, dim), dtype=complex)
-    filled = 0
-    for col_index, s, vh in groups:
-        n_kept = np.count_nonzero(s > thresh, axis=1)
-        block, row = np.nonzero(np.arange(vh.shape[1]) >= n_kept[:, None])
-        slots = filled + np.arange(block.size)
-        basis[col_index[block], slots[:, None]] = vh[block, row].conj()
-        filled += block.size
+    basis = None
+    if vectors:
+        basis = np.zeros((cols, dim), dtype=complex)
+        filled = 0
+        for col_index, s, vh in groups:
+            n_kept = np.count_nonzero(s > thresh, axis=1)
+            block, row = np.nonzero(np.arange(vh.shape[1]) >= n_kept[:, None])
+            slots = filled + np.arange(block.size)
+            basis[col_index[block], slots[:, None]] = vh[block, row].conj()
+            filled += block.size
 
     kept = sigma[~small]
     rejected = sigma[small]
@@ -133,10 +153,11 @@ def kernel_dim(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """SVD kernel dimension of one matrix at relative threshold tol.
 
     Singular values at most tol times the largest one count as kernel; the
-    SVD is taken per connected block of the matrix's sparsity graph, with
-    the threshold set by the largest singular value of all blocks.
+    values-only SVD is taken per connected block of the matrix's sparsity
+    graph, with the threshold set by the largest singular value of all
+    blocks.
     """
-    dim, _, _, _ = _svd_split(matrix, tol)
+    dim, _, _, _ = _svd_split(matrix, tol, vectors=False)
     return dim
 
 
@@ -153,26 +174,25 @@ def stabilized_kernel_dim(
     bands, with the prefix property: the matrix for a larger n contains every
     smaller one as its leading block.  Raises UnstabilizedError when the
     per-size dimensions disagree, ResidualFailureError when a candidate
-    kernel vector fails to annihilate the next-larger truncation.
+    kernel vector fails to annihilate the next-larger truncation.  Every
+    size but the largest takes a values-only SVD; the largest takes kernel
+    vectors exactly when the size below it has a kernel (see the module
+    docstring for why that reads every vector the residual check needs).
     """
     sizes = tuple(int(n) for n in sizes)
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be at least two strictly increasing truncation sizes")
 
-    dims: list[int] = []
-    sigma_top: np.ndarray | None = None
-    basis_top: np.ndarray | None = None
-    gap_top = np.inf
-    for n in sizes:
-        dim, sigma, basis, gap = _svd_split(builder(n), tol)
-        dims.append(dim)
-        sigma_top, basis_top, gap_top = sigma, basis, gap
+    dims = [_svd_split(builder(n), tol, vectors=False)[0] for n in sizes[:-1]]
+    # a top kernel with none below cannot stabilize, so needs no vectors
+    dim, sigma_top, basis_top, gap_top = _svd_split(builder(sizes[-1]), tol,
+                                                    vectors=dims[-1] > 0)
+    dims.append(dim)
 
     if len(set(dims)) != 1:
         raise UnstabilizedError(
             f"{label} dimension does not stabilize across sizes {sizes}: got {dims}")
 
-    dim = dims[-1]
     residual = 0.0
     if dim > 0:
         check = np.asarray(builder(sizes[-1] + 1), dtype=complex)

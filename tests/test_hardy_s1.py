@@ -80,6 +80,45 @@ class TestTruncationStructure:
             toeplitz_rect_s1(z_power(1), 0)
 
 
+def loop_rect_s1(a, n_dom):
+    """Reference truncation: the per-block loop that toeplitz_rect_s1 vectorizes."""
+    r = a.rank
+    n_cod = n_dom + max(a.k_max, 0)
+    mat = np.zeros((n_cod * r, n_dom * r), dtype=complex)
+    for k, c in a.terms.items():
+        for n in range(n_dom):
+            m = n + k
+            if 0 <= m < n_cod:
+                mat[m * r:(m + 1) * r, n * r:(n + 1) * r] = c
+    return mat
+
+
+def random_laurent(rank, exponents, seed):
+    rng = np.random.default_rng(seed)
+    return LaurentSymbol({k: rng.standard_normal((rank, rank))
+                          + 1j * rng.standard_normal((rank, rank)) for k in exponents})
+
+
+# exponent sets: both signs, k_max < 0, k_min > 0, and terms longer than the
+# smaller domains, which fall outside the truncation in full
+LOOP_EXPONENTS = {
+    "mixed": (-2, 0, 3),
+    "negative": (-3, -1),
+    "positive": (1, 4),
+    "wide": (-9, -1, 0, 8),
+}
+
+
+@pytest.mark.parametrize("n_dom", [1, 7, 65])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("exponents", sorted(LOOP_EXPONENTS))
+def test_truncation_equals_the_per_block_loop(exponents, rank, n_dom):
+    a = random_laurent(rank, LOOP_EXPONENTS[exponents], seed=rank)
+    matrix = toeplitz_rect_s1(a, n_dom).matrix
+    assert type(matrix) is np.ndarray
+    assert np.array_equal(matrix, loop_rect_s1(a, n_dom))
+
+
 class TestAnalyticIndex:
     def test_monomial_dims(self):
         for m in (-4, -1, 0, 2, 5):

@@ -1,14 +1,23 @@
 """Kernel engine: SVD dimension counting, stabilization, residual validation."""
+import re
+
 import numpy as np
 import pytest
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from toeplitz_lab import kernel
 from toeplitz_lab.errors import ResidualFailureError, UnstabilizedError
-from toeplitz_lab.families import s3_representative
-from toeplitz_lab.hardy_s3 import analytic_index_s3
-from toeplitz_lab.kernel import (DEFAULT_TOL, AnalyticIndex, _svd_split,
-                                 analytic_index_from_builders, kernel_dim,
-                                 stabilized_kernel_dim)
+from toeplitz_lab.families import (constant_sandwich, homotopy_path,
+                                   random_matrix_symbol, random_scalar_symbol,
+                                   s3_representative, z_power)
+from toeplitz_lab.hardy_s1 import analytic_index_s1, toeplitz_rect_s1
+from toeplitz_lab.hardy_s3 import analytic_index_s3, toeplitz_rect_s3
+from toeplitz_lab.kernel import (DEFAULT_TOL, AnalyticIndex, _components,
+                                 _svd_split, analytic_index_from_builders,
+                                 kernel_dim, stabilized_kernel_dim)
+from toeplitz_lab.symbols import (S1, LaurentSymbol, adjoint, direct_sum,
+                                  identity, multiply)
 
 
 def shift_matrix(n, rows=None):
@@ -18,6 +27,21 @@ def shift_matrix(n, rows=None):
     for i in range(min(n, rows - 1)):
         m[i + 1, i] = 1.0
     return m
+
+
+@pytest.fixture
+def vector_svd_shapes(monkeypatch):
+    """Shapes of the stacks that np.linalg.svd, as kernel.py calls it, decomposes with vectors."""
+    svd = np.linalg.svd
+    shapes = []
+
+    def counted_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(kernel.np.linalg, "svd", counted_svd)
+    return shapes
 
 
 class TestKernelDim:
@@ -74,15 +98,23 @@ class TestStabilized:
         assert report.dim == 1
         assert report.residual <= 1e-12
 
-    def test_disagreeing_dims_raise(self):
+    def test_disagreeing_dims_raise(self, vector_svd_shapes):
+        # the size below the top has no kernel, so the top SVD is values-only;
+        # its kernel cannot stabilize, and no residual truncation is built
+        built = []
+
         def builder(n):
+            built.append(n)
             d = np.ones(n)
             if n >= 8:
                 d[-1] = 0.0
             return np.diag(d)
 
-        with pytest.raises(UnstabilizedError, match="does not stabilize"):
+        message = "kernel dimension does not stabilize across sizes (4, 8): got [0, 1]"
+        with pytest.raises(UnstabilizedError, match=f"^{re.escape(message)}$"):
             stabilized_kernel_dim(builder, (4, 8))
+        assert built == [4, 8]
+        assert vector_svd_shapes == []
 
     def test_square_truncation_artifact_caught_by_residual(self):
         # The classic trap: square truncations of the forward shift have a
@@ -215,8 +247,15 @@ BLOCK_CASES = {
 }
 
 
+def block_case_matrix(case, seed):
+    rng = np.random.default_rng(seed)
+    shapes, zero_rows, zero_cols = BLOCK_CASES[case]
+    return permuted_blocks(rng, [low_rank(rng, *shape) for shape in shapes],
+                           zero_rows, zero_cols)
+
+
 def assert_matches_dense(matrix, tol):
-    dim, sigma, basis, gap = _svd_split(matrix, tol)
+    dim, sigma, basis, gap = _svd_split(matrix, tol, vectors=True)
     ref_dim, ref_sigma, ref_basis, ref_gap = dense_svd_split(matrix, tol)
     assert dim == ref_dim
     assert basis.shape == (matrix.shape[1], dim)
@@ -226,10 +265,15 @@ def assert_matches_dense(matrix, tol):
     projector = basis @ basis.conj().T
     ref_projector = ref_basis @ ref_basis.conj().T
     assert np.max(np.abs(projector - ref_projector), initial=0.0) <= 1e-10
-    if ref_gap < 1e12:
-        assert gap == pytest.approx(ref_gap, rel=1e-9)
-    else:
-        assert gap >= 1e12
+    # the values-only split reads the same dimension, values and gap, and no basis
+    values_dim, values_sigma, values_basis, values_gap = _svd_split(matrix, tol, vectors=False)
+    assert values_dim == ref_dim and values_basis is None
+    assert np.max(np.abs(values_sigma - ref_sigma), initial=0.0) <= 1e-12 * scale
+    for split_gap in (gap, values_gap):
+        if ref_gap < 1e12:
+            assert split_gap == pytest.approx(ref_gap, rel=1e-9)
+        else:
+            assert split_gap >= 1e12
     return dim, gap
 
 
@@ -237,10 +281,7 @@ class TestBlockSplitAgainstDense:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
     def test_permuted_block_diagonal(self, case, seed):
-        rng = np.random.default_rng(seed)
-        shapes, zero_rows, zero_cols = BLOCK_CASES[case]
-        blocks = [low_rank(rng, *shape) for shape in shapes]
-        assert_matches_dense(permuted_blocks(rng, blocks, zero_rows, zero_cols), DEFAULT_TOL)
+        assert_matches_dense(block_case_matrix(case, seed), DEFAULT_TOL)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_threshold_is_taken_across_blocks(self, seed):
@@ -261,8 +302,139 @@ def test_representative_kernel_reports_match_dense(m, monkeypatch):
     sym, sizes = s3_representative(m)
     result = analytic_index_s3(sym, sizes=sizes)
     with monkeypatch.context() as patch:
-        patch.setattr(kernel, "_svd_split", dense_svd_split)
+        # every SVD the stabilization takes, values-only or not, goes dense
+        patch.setattr(kernel, "_svd_split",
+                      lambda matrix, tol, vectors: dense_svd_split(matrix, tol))
         reference = analytic_index_s3(sym, sizes=sizes)
     for report, ref in ((result.ker, reference.ker), (result.coker, reference.coker)):
         assert (report.dim, report.dims, report.sizes) == (ref.dim, ref.dims, ref.sizes)
         assert np.max(np.abs(report.singular_values - ref.singular_values)) <= 1e-12
+
+
+def unique_pairs_components(m):
+    """Reference: _components grouping block shapes by np.unique over (rows, cols) pairs."""
+    rows, cols = m.shape
+    r, c = np.nonzero(m)
+    graph = coo_array((np.ones(r.size), (r, rows + c)), shape=(rows + cols, rows + cols))
+    count, labels = connected_components(graph, directed=False)
+    row_label, col_label = labels[:rows], labels[rows:]
+    row_order = np.argsort(row_label, kind="stable")
+    col_order = np.argsort(col_label, kind="stable")
+    n_rows = np.bincount(row_label, minlength=count)
+    n_cols = np.bincount(col_label, minlength=count)
+    row_start = np.cumsum(n_rows) - n_rows
+    col_start = np.cumsum(n_cols) - n_cols
+    shapes, group = np.unique(np.stack([n_rows, n_cols], axis=1), axis=0, return_inverse=True)
+    for k, (nr, nc) in enumerate(shapes):
+        blocks = np.flatnonzero(group == k)
+        yield (row_order[row_start[blocks, None] + np.arange(nr)],
+               col_order[col_start[blocks, None] + np.arange(nc)])
+
+
+def s3_top_truncation(m):
+    sym, sizes = s3_representative(m)
+    return toeplitz_rect_s3(sym, sizes[-1]).matrix
+
+
+# name -> matrix factory; truncations of one generic symbol (one component),
+# of monomials (many) and of S3 weight-space symbols (hundreds of blocks)
+COMPONENT_CASES = {
+    **{name: lambda name=name: block_case_matrix(name, seed=0) for name in BLOCK_CASES},
+    "s1_random_rank3": lambda: toeplitz_rect_s1(
+        random_matrix_symbol(np.random.default_rng(7), rank=3)[0], 32).matrix,
+    "s1_diag_z2_zm1": lambda: toeplitz_rect_s1(direct_sum(z_power(2), z_power(-1)), 16).matrix,
+    "s3_m-3": lambda: s3_top_truncation(-3),
+    "s3_m1": lambda: s3_top_truncation(1),
+    "s3_m2": lambda: s3_top_truncation(2),
+    "s3_sandwich_m2": lambda: toeplitz_rect_s3(
+        constant_sandwich(s3_representative(2)[0], np.random.default_rng(7)), 8).matrix,
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPONENT_CASES))
+def test_components_match_the_pairwise_grouping(case):
+    m = COMPONENT_CASES[case]()
+    got = list(_components(m))
+    ref = list(unique_pairs_components(m))
+    assert len(got) == len(ref)
+    for (rows, cols), (ref_rows, ref_cols) in zip(got, ref):
+        assert np.array_equal(rows, ref_rows) and rows.dtype == ref_rows.dtype
+        assert np.array_equal(cols, ref_cols) and cols.dtype == ref_cols.dtype
+
+
+def random_coefficients(rng, rank, scale):
+    return scale * (rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank)))
+
+
+def banded_family(rank, dominant):
+    """Truncations of a generic three-term circle symbol whose `dominant` term wins.
+
+    Every coefficient is dense and nonzero, so each truncation is one
+    connected component.  A dominant z^0 term gives no kernel, a dominant
+    z^-1 term a kernel of dimension rank.
+    """
+    rng = np.random.default_rng(rank)
+    terms = {k: random_coefficients(rng, rank, 0.05) for k in (-1, 0, 1)}
+    terms[dominant] = terms[dominant] + 3.0 * np.eye(rank)
+    a = LaurentSymbol(terms)
+    return lambda n: toeplitz_rect_s1(a, n).matrix
+
+
+@pytest.mark.parametrize("dominant, dim", [(0, 0), (-1, 2)])
+def test_vectors_are_taken_once_at_the_top_size_only_for_a_kernel(dominant, dim,
+                                                                 vector_svd_shapes):
+    builder = banded_family(2, dominant)
+    report = stabilized_kernel_dim(builder, (16, 24, 32))
+    assert report.dims == (dim, dim, dim)
+    top = (1,) + builder(32).shape
+    assert vector_svd_shapes == ([top] if dim else [])
+
+
+def all_vectors_split(matrix, tol, vectors):
+    """Reference: every SVD of the stabilization takes singular vectors."""
+    return _svd_split(matrix, tol, vectors=True)
+
+
+def assert_same_kernel_reports(report, ref):
+    assert (report.dim, report.dims, report.sizes) == (ref.dim, ref.dims, ref.sizes)
+    assert report.spectral_gap == ref.spectral_gap
+    assert report.residual == ref.residual
+    assert report.singular_values.shape == ref.singular_values.shape
+    assert np.max(np.abs(report.singular_values - ref.singular_values),
+                  initial=0.0) <= 1e-12
+
+
+def verify_like_cases():
+    """(name, analytic_index call) pairs drawn like the verify suite's symbols."""
+    rng = np.random.default_rng(20260816)
+    cases = []
+    for rank in (1, 2, 3):
+        a, _ = random_matrix_symbol(rng, rank=rank)
+        b, _ = random_matrix_symbol(rng, rank=rank)
+        cases += [(f"a{rank}", a), (f"a{rank}*", adjoint(a)), (f"a{rank}b{rank}", multiply(a, b)),
+                  (f"a{rank}+I2", direct_sum(a, identity(S1, 2)))]
+        path = homotopy_path(a, rng)
+        cases += [(f"a{rank}(t={t})", path(t)) for t in (0.5, 1.0)]
+    runs = [(name, lambda a=a: analytic_index_s1(a, trunc=32)) for name, a in cases]
+    runs += [(f"z^{m}", lambda m=m: analytic_index_s1(z_power(m), trunc=16))
+             for m in range(-3, 4)]
+    for k in range(4):
+        f, _ = random_scalar_symbol(rng)
+        runs.append((f"scalar{k}", lambda f=f: analytic_index_s1(f, trunc=64)))
+    for m in range(-3, 4):
+        sym, sizes = s3_representative(m)
+        runs.append((f"s3_m{m}", lambda sym=sym, sizes=sizes: analytic_index_s3(sym, sizes=sizes)))
+    return runs
+
+
+VERIFY_LIKE = verify_like_cases()
+
+
+@pytest.mark.parametrize("name, run", VERIFY_LIKE, ids=[name for name, _ in VERIFY_LIKE])
+def test_reports_match_taking_vectors_at_every_size(name, run, monkeypatch):
+    result = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "_svd_split", all_vectors_split)
+        reference = run()
+    assert_same_kernel_reports(result.ker, reference.ker)
+    assert_same_kernel_reports(result.coker, reference.coker)

@@ -34,6 +34,14 @@ MATRIX_INTERIOR_RADII = (0.15, 0.50)
 MATRIX_EXTERIOR_RADII = (2.00, 4.00)
 MATRIX_MAX_ROOTS_PER_ENTRY = 2
 MATRIX_WINDOW = 4
+MATRIX_MAX_RANK = 3
+
+# Singular values of the constant factors that sandwich a symbol: condition
+# number at most 2, so kernel detection margins survive the sandwich.
+SANDWICH_SINGULAR_VALUES = (0.7, 1.4)
+
+# Norm of the generator X of a homotopy path t -> exp(tX) a.
+HOMOTOPY_STRENGTH = 0.4
 
 
 def z_power(m: int, rank: int = 1) -> Symbol:
@@ -90,17 +98,16 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def well_conditioned_matrix(rng: np.random.Generator, n: int,
-                            s_min: float = 0.7, s_max: float = 1.4) -> np.ndarray:
-    """Random invertible matrix with singular values in [s_min, s_max].
+def well_conditioned_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Random invertible matrix with singular values in SANDWICH_SINGULAR_VALUES.
 
-    Condition number is capped at s_max / s_min, so sandwiching a symbol with
+    Condition number is capped at their ratio, so sandwiching a symbol with
     these factors perturbs kernel singular values by at most that factor —
     detection margins survive.
     """
     u = haar_unitary(rng, n)
     v = haar_unitary(rng, n)
-    s = rng.uniform(s_min, s_max, size=n)
+    s = rng.uniform(*SANDWICH_SINGULAR_VALUES, size=n)
     return u @ np.diag(s) @ v
 
 
@@ -144,7 +151,7 @@ def diag_laurent(entries: Sequence[Symbol]) -> Symbol:
     return out
 
 
-def random_matrix_symbol(rng: np.random.Generator, max_rank: int = 3,
+def random_matrix_symbol(rng: np.random.Generator,
                          rank: int | None = None) -> tuple[Symbol, int]:
     """Random invertible matrix circle symbol with its index known by construction.
 
@@ -156,9 +163,9 @@ def random_matrix_symbol(rng: np.random.Generator, max_rank: int = 3,
     of the per-entry margins (unitaries have unimodular determinant).
 
     rank pins the matrix size (needed for product pairs); by default it is
-    drawn uniformly from 1..max_rank.
+    drawn uniformly from 1..MATRIX_MAX_RANK.
     """
-    rank = int(rng.integers(1, max_rank + 1)) if rank is None else int(rank)
+    rank = int(rng.integers(1, MATRIX_MAX_RANK + 1)) if rank is None else int(rank)
     entries, winding_sum = [], 0
     for _ in range(rank):
         n_roots = int(rng.integers(0, MATRIX_MAX_ROOTS_PER_ENTRY + 1))
@@ -185,14 +192,14 @@ def constant_sandwich(a: Symbol, rng: np.random.Generator) -> Symbol:
     return multiply(left, multiply(a, right))
 
 
-def homotopy_path(a: Symbol, rng: np.random.Generator, strength: float = 0.4):
-    """Returns t -> exp(tX) a for a fixed random X with norm about `strength`.
+def homotopy_path(a: Symbol, rng: np.random.Generator):
+    """Returns t -> exp(tX) a for a fixed random X with norm HOMOTOPY_STRENGTH.
 
     A path of symbols through constant invertible factors: every point is
     invertible, so the Fredholm index must be constant along it.
     """
     x = rng.standard_normal((a.rank, a.rank)) + 1j * rng.standard_normal((a.rank, a.rank))
-    x *= strength / np.linalg.norm(x, 2)
+    x *= HOMOTOPY_STRENGTH / np.linalg.norm(x, 2)
 
     def at(t: float) -> Symbol:
         return multiply(constant(a.manifold, scipy.linalg.expm(float(t) * x)), a)

@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .kernel import (DEFAULT_RESIDUAL_TOL, DEFAULT_TOL, AnalyticIndex,
-                     analytic_index_from_builders)
-from .symbols import Symbol, adjoint, require_invertible
+                     analytic_index_from_truncations)
+from .symbols import S1, Symbol
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,8 @@ class S1Truncation:
 
 def toeplitz_rect_s1(a: Symbol, domain_size: int) -> S1Truncation:
     """Build the image-exact rectangular truncation with the given domain size."""
+    if a.manifold is not S1:
+        raise ValueError("toeplitz_rect_s1 is defined for circle symbols only")
     n_dom = int(domain_size)
     if n_dom < 1:
         raise ValueError("domain_size must be positive")
@@ -52,11 +54,6 @@ def toeplitz_rect_s1(a: Symbol, domain_size: int) -> S1Truncation:
     return S1Truncation(matrix=mat, domain_size=n_dom, codomain_size=n_cod, rank=r)
 
 
-def default_sizes_s1(trunc: int) -> tuple[int, int]:
-    """Stabilization schedule on the circle: compare N against 2N."""
-    return (int(trunc), 2 * int(trunc))
-
-
 def analytic_index_s1(
     a: Symbol,
     trunc: int = 64,
@@ -64,21 +61,12 @@ def analytic_index_s1(
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
     sizes: Sequence[int] | None = None,
 ) -> AnalyticIndex:
-    """Stabilized Fredholm index of T_a on H^2(S1).
+    """Stabilized Fredholm index of T_a on H^2(S1), by kernel.analytic_index_from_truncations.
 
-    The kernel dimension comes from the symbol's own truncations, the
-    cokernel dimension from the adjoint symbol's truncations (coker T_a is
-    conjugate-isomorphic to ker T_{a*}).  The symbol must clear the sampled
-    invertibility margin first; otherwise it is rejected as non-Fredholm.
+    The schedule compares domain sizes N = trunc and 2N unless sizes is given.
     """
-    require_invertible(a)
     if sizes is None:
-        sizes = default_sizes_s1(trunc)
-    a_star = adjoint(a)
-    return analytic_index_from_builders(
-        ker_builder=lambda n: toeplitz_rect_s1(a, n).matrix,
-        coker_builder=lambda n: toeplitz_rect_s1(a_star, n).matrix,
-        sizes=sizes,
-        tol=tol,
-        residual_tol=residual_tol,
-    )
+        sizes = (int(trunc), 2 * int(trunc))
+    # looked up at call time, so a wrapper bound in its place on this module
+    # (the traced benchmark binds one) sees every build
+    return analytic_index_from_truncations(a, toeplitz_rect_s1, sizes, tol, residual_tol)

@@ -22,8 +22,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .kernel import (DEFAULT_RESIDUAL_TOL, DEFAULT_TOL, AnalyticIndex,
-                     analytic_index_from_builders)
-from .symbols import Symbol, adjoint, require_invertible
+                     analytic_index_from_truncations)
+from .symbols import S3, Symbol
 
 
 def band_dim(band: int) -> int:
@@ -69,17 +69,11 @@ class S3Truncation:
     codomain_band: int
     rank: int
 
-    @property
-    def domain_dim(self) -> int:
-        return band_dim(self.domain_band) * self.rank
-
-    @property
-    def codomain_dim(self) -> int:
-        return band_dim(self.codomain_band) * self.rank
-
 
 def toeplitz_rect_s3(a: Symbol, domain_band: int) -> S3Truncation:
     """Build the image-exact rectangular truncation with the given domain band."""
+    if a.manifold is not S3:
+        raise ValueError("toeplitz_rect_s3 is defined for three-sphere symbols only")
     n_band = int(domain_band)
     if n_band < 0:
         raise ValueError("domain_band must be non-negative")
@@ -110,11 +104,6 @@ def toeplitz_rect_s3(a: Symbol, domain_band: int) -> S3Truncation:
     return S3Truncation(matrix=mat, domain_band=n_band, codomain_band=m_band, rank=r)
 
 
-def default_sizes_s3(trunc: int) -> tuple[int, int]:
-    """Stabilization schedule on the three-sphere: compare band N against N + 4."""
-    return (int(trunc), int(trunc) + 4)
-
-
 def analytic_index_s3(
     a: Symbol,
     trunc: int = 12,
@@ -122,20 +111,11 @@ def analytic_index_s3(
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
     sizes: Sequence[int] | None = None,
 ) -> AnalyticIndex:
-    """Stabilized Fredholm index of T_a on H^2(S3).
+    """Stabilized Fredholm index of T_a on H^2(S3), by kernel.analytic_index_from_truncations.
 
-    Kernel from the symbol's own truncations, cokernel from the adjoint
-    symbol's truncations, both image-exact rectangular.  The symbol must
-    clear the sampled invertibility margin on the Hopf grid first.
+    The schedule compares domain bands N = trunc and N + 4 unless sizes is given.
     """
-    require_invertible(a)
     if sizes is None:
-        sizes = default_sizes_s3(trunc)
-    a_star = adjoint(a)
-    return analytic_index_from_builders(
-        ker_builder=lambda n: toeplitz_rect_s3(a, n).matrix,
-        coker_builder=lambda n: toeplitz_rect_s3(a_star, n).matrix,
-        sizes=sizes,
-        tol=tol,
-        residual_tol=residual_tol,
-    )
+        sizes = (int(trunc), int(trunc) + 4)
+    # looked up at call time, as in hardy_s1.analytic_index_s1
+    return analytic_index_from_truncations(a, toeplitz_rect_s3, sizes, tol, residual_tol)

@@ -46,6 +46,7 @@ from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ResidualFailureError, UnstabilizedError
+from .symbols import Symbol, adjoint, require_invertible
 
 DEFAULT_TOL = 1e-8
 DEFAULT_RESIDUAL_TOL = 1e-6
@@ -252,4 +253,31 @@ def analytic_index_from_builders(
         sizes=tuple(int(n) for n in sizes),
         ker=ker,
         coker=coker,
+    )
+
+
+def analytic_index_from_truncations(
+    a: Symbol,
+    truncate: Callable,
+    sizes: Sequence[int],
+    tol: float,
+    residual_tol: float,
+) -> AnalyticIndex:
+    """Stabilized Fredholm index of T_a from its manifold's truncation builder.
+
+    truncate(a, n) returns the image-exact truncation of T_a with domain size
+    n, its matrix in .matrix.  The kernel dimension comes from the symbol's
+    own truncations, the cokernel dimension from the adjoint symbol's
+    truncations (coker T_a is conjugate-isomorphic to ker T_{a*}).  The
+    symbol must clear the sampled invertibility margin first; otherwise it is
+    rejected as non-Fredholm.
+    """
+    require_invertible(a)
+    a_star = adjoint(a)
+    return analytic_index_from_builders(
+        ker_builder=lambda n: truncate(a, n).matrix,
+        coker_builder=lambda n: truncate(a_star, n).matrix,
+        sizes=sizes,
+        tol=tol,
+        residual_tol=residual_tol,
     )

@@ -12,13 +12,11 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .hardy_s1 import analytic_index_s1
 from .hardy_s3 import analytic_index_s3
 from .kernel import DEFAULT_RESIDUAL_TOL, DEFAULT_TOL
 from .symbols import S1, Symbol, require_invertible
-from .topology import INTEGRALITY_TOL, _certified_chern, chern_ladder
+from .topology import _certified_chern, chern_ladder
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,7 @@ def compute_index_report(
     analytic = analytic_index(symbol, tol=tol, residual_tol=residual_tol, **truncation)
     t1 = time.perf_counter()
     # topological_index without its gate: the analytic route has just passed it
-    chern = _certified_chern(symbol, grid, theta_nodes, phi_nodes, INTEGRALITY_TOL)
+    chern = _certified_chern(symbol, grid, theta_nodes, phi_nodes)
     t2 = time.perf_counter()
     return IndexReport(
         manifold=symbol.manifold.name,
@@ -167,7 +165,6 @@ def convergence_text(rows: list[ConvergenceRow]) -> str:
 
 
 def final_delta(rows: list[ConvergenceRow]) -> float:
-    if len(rows) < 2 or rows[-1].delta is None:
+    if len(rows) < 2:
         raise ValueError("convergence table needs at least two rows")
-    deltas = [abs(np.float64(r.delta)) for r in rows[1:]]
-    return float(deltas[-1])
+    return float(rows[-1].delta)

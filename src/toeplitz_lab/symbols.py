@@ -199,13 +199,9 @@ def constant(manifold: Manifold, matrix) -> Symbol:
     return Symbol(manifold, {manifold.zero: matrix})
 
 
-# Per-manifold spellings of the constructors, kept for existing callers.
-LaurentSymbol = partial(Symbol, S1)
-S3Symbol = partial(Symbol, S3)
+# The benchmark's workloads (perfbench/workloads.py) import this spelling;
+# it goes when they change to identity(S1, r) in a change to the benchmark.
 laurent_identity = partial(identity, S1)
-s3_identity = partial(identity, S3)
-laurent_constant = partial(constant, S1)
-s3_constant = partial(constant, S3)
 
 
 def multiply(a: Symbol, b: Symbol) -> Symbol:
@@ -408,19 +404,19 @@ def margin_grid_size(a: Symbol) -> int:
     return max(16, 4 * (a.manifold.degree(a) + 2))
 
 
-def require_invertible(a: Symbol, threshold: float = MARGIN_THRESHOLD,
-                       grid_size: int | None = None) -> float:
+def require_invertible(a: Symbol) -> float:
     """Gate for index pipelines: reject symbols whose determinant gets too small.
 
-    Returns the sampled margin; raises SymbolError below threshold, where the
-    symbol is not safely Fredholm and no index claim should be made.
+    Returns the margin sampled on the margin_grid_size(a) grid; raises
+    SymbolError below MARGIN_THRESHOLD, where the symbol is not safely
+    Fredholm and no index claim should be made.
     """
-    gs = margin_grid_size(a) if grid_size is None else int(grid_size)
+    gs = margin_grid_size(a)
     margin = invertibility_margin(a, gs)
-    if margin < threshold:
+    if margin < MARGIN_THRESHOLD:
         raise SymbolError(
             f"symbol is not invertible enough on the manifold: sampled "
-            f"|det| margin {margin:.3e} < {threshold:.0e} on a {gs}-point grid")
+            f"|det| margin {margin:.3e} < {MARGIN_THRESHOLD:.0e} on a {gs}-point grid")
     return margin
 
 

@@ -260,28 +260,26 @@ def topological_index(
     grid: int = 512,
     theta_nodes: int = 24,
     phi_nodes: int = 24,
-    integrality_tol: float = INTEGRALITY_TOL,
 ) -> ChernValue:
     """Index-theorem pairing (ch(a) cup Td)[M] as a certified integer.
 
     Dispatches on the manifold, gates on the sampled invertibility margin,
     and accepts the quadrature only when the refined value sits within
-    integrality_tol of an integer (imaginary part included).  The Fredholm
+    INTEGRALITY_TOL of an integer (imaginary part included).  The Fredholm
     index of the Toeplitz operator equals the rounded value.
     """
     require_invertible(a)
-    return _certified_chern(a, grid, theta_nodes, phi_nodes, integrality_tol)
+    return _certified_chern(a, grid, theta_nodes, phi_nodes)
 
 
-def _certified_chern(a: Symbol, grid: int, theta_nodes: int, phi_nodes: int,
-                     integrality_tol: float) -> ChernValue:
+def _certified_chern(a: Symbol, grid: int, theta_nodes: int, phi_nodes: int) -> ChernValue:
     """topological_index after its invertibility gate, for callers that gated a already."""
     report = chern(a, grid=grid, theta_nodes=theta_nodes, phi_nodes=phi_nodes)
-    if report.integrality_defect > integrality_tol or \
-            abs(report.refined.imag) > integrality_tol:
+    if report.integrality_defect > INTEGRALITY_TOL or \
+            abs(report.refined.imag) > INTEGRALITY_TOL:
         raise NonIntegralChernError(
             f"Chern quadrature does not certify an integer: refined value "
             f"{report.refined:.6g} has integrality defect "
-            f"{report.integrality_defect:.3e} (tolerance {integrality_tol:.0e}); "
+            f"{report.integrality_defect:.3e} (tolerance {INTEGRALITY_TOL:.0e}); "
             f"raise the resolution or check the symbol")
     return report

@@ -15,10 +15,9 @@ from toeplitz_lab.families import (constant_sandwich, homotopy_path,
                                    z_power)
 from toeplitz_lab.hardy_s1 import analytic_index_s1
 from toeplitz_lab.hardy_s3 import analytic_index_s3, monomial_norm_sq
-from toeplitz_lab.symbols import (HopfPoint, adjoint, direct_sum,
-                                  eval_hopf_grid, hopf_partials,
-                                  invertibility_margin, laurent_identity,
-                                  multiply)
+from toeplitz_lab.symbols import (S1, HopfPoint, adjoint, direct_sum,
+                                  eval_hopf_grid, hopf_partials, identity,
+                                  invertibility_margin, multiply)
 from toeplitz_lab.topology import (chern_s1, chern_s3, six_term_trace,
                                    topological_index, winding_argument,
                                    winding_roots)
@@ -87,7 +86,7 @@ def test_criterion_3_matrix_identity_suite():
             assert got_ab == ia + ib, (i, got_ab, ia, ib)
             got_star = analytic_index_s1(adjoint(a), trunc=32).index
             assert got_star == -ia, (i, got_star, ia)
-            padded = direct_sum(a, laurent_identity(2))
+            padded = direct_sum(a, identity(S1, 2))
             got_pad = analytic_index_s1(padded, trunc=32).index
             assert got_pad == ia, (i, got_pad, ia)
             path = homotopy_path(a, rng)

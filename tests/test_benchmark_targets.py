@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from toeplitz_lab import kernel, topology
+from toeplitz_lab import hardy_s1, hardy_s3, kernel, topology
 from toeplitz_lab.families import s3_representative, su2_symbol, z_power
 from toeplitz_lab.hardy_s1 import toeplitz_rect_s1
 from toeplitz_lab.hardy_s3 import toeplitz_rect_s3
@@ -27,7 +27,7 @@ HOOK_PARAMETERS = {
 }
 
 
-def _load_targets() -> dict:
+def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = spans  # its dataclasses look their module up
@@ -35,10 +35,11 @@ def _load_targets() -> dict:
         spec.loader.exec_module(spans)
     finally:
         del sys.modules[spec.name]
-    return spans.TARGETS
+    return spans
 
 
-TARGETS = _load_targets()
+spans = _load_spans()
+TARGETS = spans.TARGETS
 
 
 def _resolve(module: str, attr: str):
@@ -83,3 +84,22 @@ def test_chern_s3_evaluates_the_points_its_hook_counts(monkeypatch, theta_nodes,
     monkeypatch.setattr(topology, "eval_hopf_grid", counted)
     topology.chern_s3(s3_representative(2)[0], theta_nodes, phi_nodes)
     assert sum(points) == 9 * theta_nodes * phi_nodes ** 2
+
+
+@pytest.mark.parametrize("m, call", [
+    ("s1", lambda: hardy_s1.analytic_index_s1(z_power(2), trunc=8)),
+    ("s3", lambda: hardy_s3.analytic_index_s3(su2_symbol(), sizes=(4, 8))),
+], ids=["s1", "s3"])
+def test_tracer_sees_the_programs_own_calls(m, call):
+    # the wrappers must reach the builder, the gate and the stabilizer through
+    # names the tracer rebinds; one bound at import time would go uncounted
+    with spans.Tracer() as tracer:
+        call()
+    layers = tracer.layers
+    assert layers[f"hardy_{m}.analytic_index_{m}"].calls == 1
+    assert layers["symbols.require_invertible"].calls == 1
+    stabilize = layers["kernel.stabilized_kernel_dim"]
+    assert stabilize.calls == 2
+    assert (stabilize.counts["svd_count"], stabilize.counts["residual_checks"]) == (4, 1)
+    # kernel and cokernel at both sizes, and one residual check for the cokernel
+    assert layers[f"hardy_{m}.toeplitz_rect_{m}"].calls == 5

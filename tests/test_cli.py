@@ -10,7 +10,7 @@ import pytest
 from toeplitz_lab.cli import main
 from toeplitz_lab.families import z_power
 from toeplitz_lab.symbol_io import save_symbol
-from toeplitz_lab.symbols import LaurentSymbol
+from toeplitz_lab.symbols import S1, S3, Symbol
 
 SYMBOLS = os.path.join(os.path.dirname(__file__), "..", "symbols")
 
@@ -53,15 +53,14 @@ class TestIndexCommand:
 
     def test_noninvertible_s3_symbol_exits_3(self, tmp_path, capsys):
         # z1 alone vanishes on the circle z1 = 0 of the sphere
-        from toeplitz_lab.symbols import S3Symbol
         path = str(tmp_path / "z1.json")
-        save_symbol(S3Symbol({(1, 0, 0, 0): [[1.0]]}, rank=1), path)
+        save_symbol(Symbol(S3, {(1, 0, 0, 0): [[1.0]]}, rank=1), path)
         assert main(["index", path]) == 3
         assert "invertib" in capsys.readouterr().err
 
     def test_near_singular_circle_symbol_exits_3(self, tmp_path, capsys):
         path = str(tmp_path / "near.json")
-        save_symbol(LaurentSymbol({1: [[1.0]], 0: [[-(1 + 1e-9)]]}), path)
+        save_symbol(Symbol(S1, {1: [[1.0]], 0: [[-(1 + 1e-9)]]}), path)
         assert main(["index", path]) == 3
         assert "margin" in capsys.readouterr().err
 
@@ -71,7 +70,7 @@ class TestIndexCommand:
         # circle; the refined 1024-point Chern grid lands on it
         path = str(tmp_path / "root_on_grid.json")
         root = complex(np.exp(2j * np.pi / 1024))
-        save_symbol(LaurentSymbol({1: [[1.0]], 0: [[-root]]}), path)
+        save_symbol(Symbol(S1, {1: [[1.0]], 0: [[-root]]}), path)
         assert main([command, path]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "quadrature node" in err
@@ -132,7 +131,7 @@ class TestWindingCommand:
 
     def test_identically_singular_matrix_symbol_exits_3(self, tmp_path, capsys):
         path = str(tmp_path / "singular.json")
-        save_symbol(LaurentSymbol({0: [[1, 1], [1, 1]], 1: [[1, 1], [1, 1]]}), path)
+        save_symbol(Symbol(S1, {0: [[1, 1], [1, 1]], 1: [[1, 1], [1, 1]]}), path)
         assert main(["winding", path]) == 3
         assert "invertib" in capsys.readouterr().err
 

@@ -4,15 +4,14 @@ import pytest
 
 from toeplitz_lab.errors import SymbolError
 from toeplitz_lab.families import diag_laurent, z_power
-from toeplitz_lab.hardy_s1 import (S1Truncation, analytic_index_s1,
-                                   default_sizes_s1, toeplitz_rect_s1)
-from toeplitz_lab.symbols import LaurentSymbol, adjoint, eval_circle, multiply
+from toeplitz_lab.hardy_s1 import S1Truncation, analytic_index_s1, toeplitz_rect_s1
+from toeplitz_lab.symbols import S1, Symbol, adjoint, eval_circle, multiply
 
 
 class TestTruncationStructure:
     def test_symmetric_band_example(self):
         # a = z + z^-1, domain degrees {0, 1}: codomain must include degree 2
-        a = LaurentSymbol({1: [[1.0]], -1: [[1.0]]})
+        a = Symbol(S1, {1: [[1.0]], -1: [[1.0]]})
         t = toeplitz_rect_s1(a, 2)
         assert (t.domain_size, t.codomain_size) == (2, 3)
         assert np.array_equal(t.matrix, np.array([[0, 1], [1, 0], [0, 1]], dtype=complex))
@@ -23,7 +22,7 @@ class TestTruncationStructure:
 
     def test_block_interleaving(self):
         c = np.array([[1, 2], [3, 4]], dtype=complex)
-        a = LaurentSymbol({1: c})
+        a = Symbol(S1, {1: c})
         t = toeplitz_rect_s1(a, 2)
         assert t.matrix.shape == (6, 4)
         assert np.array_equal(t.matrix[2:4, 0:2], c)
@@ -32,7 +31,7 @@ class TestTruncationStructure:
 
     def test_prefix_property(self):
         rng = np.random.default_rng(2)
-        a = LaurentSymbol({k: rng.standard_normal((2, 2)) for k in (-2, 0, 3)})
+        a = Symbol(S1, {k: rng.standard_normal((2, 2)) for k in (-2, 0, 3)})
         small = toeplitz_rect_s1(a, 4)
         large = toeplitz_rect_s1(a, 9)
         rows, cols = small.matrix.shape
@@ -42,8 +41,8 @@ class TestTruncationStructure:
         # the adjoint symbol's own truncation contains the conjugate
         # transpose of the original truncation as its leading block, exactly
         rng = np.random.default_rng(4)
-        a = LaurentSymbol({k: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                           for k in (-2, 1, 3)})
+        a = Symbol(S1, {k: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                         for k in (-2, 1, 3)})
         n = 5
         t = toeplitz_rect_s1(a, n)
         t_star = toeplitz_rect_s1(adjoint(a), t.codomain_size)
@@ -54,8 +53,8 @@ class TestTruncationStructure:
         # grid, multiply by each basis function, and read Fourier
         # coefficients of the product off an FFT
         rng = np.random.default_rng(7)
-        a = LaurentSymbol({k: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                           for k in (-2, -1, 1, 3)})
+        a = Symbol(S1, {k: rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                         for k in (-2, -1, 1, 3)})
         n_dom, grid = 5, 128
         t = toeplitz_rect_s1(a, n_dom)
         z = np.exp(2j * np.pi * np.arange(grid) / grid)
@@ -95,8 +94,8 @@ def loop_rect_s1(a, n_dom):
 
 def random_laurent(rank, exponents, seed):
     rng = np.random.default_rng(seed)
-    return LaurentSymbol({k: rng.standard_normal((rank, rank))
-                          + 1j * rng.standard_normal((rank, rank)) for k in exponents})
+    return Symbol(S1, {k: rng.standard_normal((rank, rank))
+                        + 1j * rng.standard_normal((rank, rank)) for k in exponents})
 
 
 # exponent sets: both signs, k_max < 0, k_min > 0, and terms longer than the
@@ -128,7 +127,7 @@ class TestAnalyticIndex:
             assert res.coker_dim == max(m, 0)
 
     def test_default_size_schedule(self):
-        assert default_sizes_s1(64) == (64, 128)
+        assert analytic_index_s1(z_power(1)).sizes == (64, 128)
         res = analytic_index_s1(z_power(1), trunc=24)
         assert res.sizes == (24, 48)
 
@@ -138,15 +137,15 @@ class TestAnalyticIndex:
         assert (res.index, res.ker_dim, res.coker_dim) == (1, 2, 1)
 
     def test_root_location_decides_index(self):
-        inner = multiply(z_power(0), LaurentSymbol({1: [[1.0]], 0: [[-0.4]]}))
-        outer = LaurentSymbol({1: [[1.0]], 0: [[-2.5]]})
+        inner = multiply(z_power(0), Symbol(S1, {1: [[1.0]], 0: [[-0.4]]}))
+        outer = Symbol(S1, {1: [[1.0]], 0: [[-2.5]]})
         assert analytic_index_s1(inner, trunc=32).index == -1
         assert analytic_index_s1(outer, trunc=32).index == 0
 
     def test_near_singular_symbol_rejected_by_margin(self):
         # a root a hair outside the circle: truncations would stabilize to
         # dims 0/0, so the invertibility gate is what must catch this
-        f = LaurentSymbol({1: [[1.0]], 0: [[-(1 + 1e-9)]]})
+        f = Symbol(S1, {1: [[1.0]], 0: [[-(1 + 1e-9)]]})
         with pytest.raises(SymbolError, match="margin"):
             analytic_index_s1(f, trunc=16)
 

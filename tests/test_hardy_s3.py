@@ -7,10 +7,9 @@ from toeplitz_lab.errors import SymbolError
 from toeplitz_lab.families import (constant_sandwich, s3_representative,
                                    su2_power, su2_symbol)
 from toeplitz_lab.hardy_s3 import (S3Truncation, analytic_index_s3, band_dim,
-                                   default_sizes_s3, monomial_norm_sq,
-                                   monomial_position, monomials_up_to,
-                                   toeplitz_rect_s3)
-from toeplitz_lab.symbols import S3Symbol, adjoint, s3_identity, transpose
+                                   monomial_norm_sq, monomial_position,
+                                   monomials_up_to, toeplitz_rect_s3)
+from toeplitz_lab.symbols import S3, Symbol, adjoint, identity, transpose
 
 
 class TestMonomialBasis:
@@ -43,7 +42,7 @@ class TestMonomialBasis:
 class TestTruncationStructure:
     def test_holomorphic_shift_weights(self):
         # T_{z1} u_{a,b} = sqrt((a+1)/(a+b+2)) u_{a+1,b}
-        z1 = S3Symbol({(1, 0, 0, 0): [[1.0]]})
+        z1 = Symbol(S3, {(1, 0, 0, 0): [[1.0]]})
         t = toeplitz_rect_s3(z1, 2)
         a, b = monomials_up_to(2)
         for col in range(a.size):
@@ -56,7 +55,7 @@ class TestTruncationStructure:
 
     def test_antiholomorphic_shift_weights(self):
         # T_{z2bar} u_{a,b} = sqrt(b/(a+b+1)) u_{a,b-1}, killing b = 0
-        z2bar = S3Symbol({(0, 0, 0, 1): [[1.0]]})
+        z2bar = Symbol(S3, {(0, 0, 0, 1): [[1.0]]})
         t = toeplitz_rect_s3(z2bar, 2)
         a, b = monomials_up_to(2)
         assert t.codomain_band == 2  # no upward shift
@@ -72,13 +71,11 @@ class TestTruncationStructure:
         t = toeplitz_rect_s3(su2_power(2), 3)
         assert t.codomain_band == 5
         assert t.matrix.shape == (band_dim(5) * 2, band_dim(3) * 2)
-        assert t.domain_dim == band_dim(3) * 2
-        assert t.codomain_dim == band_dim(5) * 2
 
     def test_sphere_relation_respected(self):
         # |z1|^2 + |z2|^2 = 1 on the sphere, and the quantization knows it:
         # the truncation of that symbol is exactly the identity block
-        rel = S3Symbol({(1, 0, 1, 0): [[1.0]], (0, 1, 0, 1): [[1.0]]})
+        rel = Symbol(S3, {(1, 0, 1, 0): [[1.0]], (0, 1, 0, 1): [[1.0]]})
         t = toeplitz_rect_s3(rel, 8)
         assert t.matrix.shape == (45, 45)
         assert np.allclose(t.matrix, np.eye(45), atol=1e-12)
@@ -101,7 +98,7 @@ class TestTruncationStructure:
         assert np.array_equal(t_star.matrix[:lead, :], t.matrix.conj().T)
 
     def test_returns_dataclass(self):
-        t = toeplitz_rect_s3(s3_identity(1), 4)
+        t = toeplitz_rect_s3(identity(S3, 1), 4)
         assert isinstance(t, S3Truncation)
         assert np.allclose(t.matrix, np.eye(band_dim(4)))
 
@@ -162,15 +159,15 @@ class TestAnalyticIndex:
         assert np.all(t.matrix[:, 1] == 0)
 
     def test_identity_index_zero(self):
-        res = analytic_index_s3(s3_identity(2), sizes=(4, 6))
+        res = analytic_index_s3(identity(S3, 2), sizes=(4, 6))
         assert (res.index, res.ker_dim, res.coker_dim) == (0, 0, 0)
 
     def test_vanishing_symbol_rejected(self):
-        z1 = S3Symbol({(1, 0, 0, 0): [[1.0]]})
+        z1 = Symbol(S3, {(1, 0, 0, 0): [[1.0]]})
         with pytest.raises(SymbolError, match="margin"):
             analytic_index_s3(z1, trunc=4)
 
     def test_default_size_schedule(self):
-        assert default_sizes_s3(12) == (12, 16)
-        res = analytic_index_s3(s3_identity(1), trunc=4)
+        assert analytic_index_s3(identity(S3, 1)).sizes == (12, 16)
+        res = analytic_index_s3(identity(S3, 1), trunc=4)
         assert res.sizes == (4, 8)

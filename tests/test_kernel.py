@@ -10,14 +10,14 @@ from toeplitz_lab import kernel
 from toeplitz_lab.errors import ResidualFailureError, UnstabilizedError
 from toeplitz_lab.families import (constant_sandwich, homotopy_path,
                                    random_matrix_symbol, random_scalar_symbol,
-                                   s3_representative, z_power)
+                                   s3_representative, su2_symbol, z_power)
 from toeplitz_lab.hardy_s1 import analytic_index_s1, toeplitz_rect_s1
 from toeplitz_lab.hardy_s3 import analytic_index_s3, toeplitz_rect_s3
 from toeplitz_lab.kernel import (DEFAULT_TOL, AnalyticIndex, _components,
                                  _svd_split, analytic_index_from_builders,
                                  kernel_dim, stabilized_kernel_dim)
-from toeplitz_lab.symbols import (S1, LaurentSymbol, adjoint, direct_sum,
-                                  identity, multiply)
+from toeplitz_lab.symbols import (S1, Symbol, adjoint, direct_sum, identity,
+                                  multiply)
 
 
 def shift_matrix(n, rows=None):
@@ -376,7 +376,7 @@ def banded_family(rank, dominant):
     rng = np.random.default_rng(rank)
     terms = {k: random_coefficients(rng, rank, 0.05) for k in (-1, 0, 1)}
     terms[dominant] = terms[dominant] + 3.0 * np.eye(rank)
-    a = LaurentSymbol(terms)
+    a = Symbol(S1, terms)
     return lambda n: toeplitz_rect_s1(a, n).matrix
 
 
@@ -438,3 +438,14 @@ def test_reports_match_taking_vectors_at_every_size(name, run, monkeypatch):
         reference = run()
     assert_same_kernel_reports(result.ker, reference.ker)
     assert_same_kernel_reports(result.coker, reference.coker)
+
+
+@pytest.mark.parametrize("call, manifold", [
+    (lambda: toeplitz_rect_s1(su2_symbol(), 4), "circle"),
+    (lambda: analytic_index_s1(su2_symbol(), trunc=4), "circle"),
+    (lambda: toeplitz_rect_s3(z_power(1), 4), "three-sphere"),
+    (lambda: analytic_index_s3(z_power(1), trunc=4), "three-sphere"),
+], ids=["toeplitz_rect_s1", "analytic_index_s1", "toeplitz_rect_s3", "analytic_index_s3"])
+def test_wrong_manifold_symbol_is_a_value_error(call, manifold):
+    with pytest.raises(ValueError, match=f"defined for {manifold} symbols only"):
+        call()

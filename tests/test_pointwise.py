@@ -12,7 +12,7 @@ import pytest
 
 from toeplitz_lab.errors import SymbolError
 from toeplitz_lab.families import constant_sandwich, s3_representative, su2_symbol, z_power
-from toeplitz_lab.symbols import (S3Symbol, eval_hopf_grid, pointwise_matmul,
+from toeplitz_lab.symbols import (S3, Symbol, eval_hopf_grid, pointwise_matmul,
                                   unitarity_defect)
 from toeplitz_lab.topology import S3_ORIENTATION_SIGN, THETA_CHUNK, _chern_s3_raw
 
@@ -106,7 +106,7 @@ def test_raw_chern_agrees_with_the_stacked_reference(m, theta_nodes):
 
 def test_singular_node_raises_symbol_error():
     # the one Gauss-Legendre theta node is pi/4; z1 - cos(pi/4) vanishes there at phi1 = 0
-    a = S3Symbol({(1, 0, 0, 0): [[1.0]], (0, 0, 0, 0): [[-np.cos(np.pi / 4)]]})
+    a = Symbol(S3, {(1, 0, 0, 0): [[1.0]], (0, 0, 0, 0): [[-np.cos(np.pi / 4)]]})
     with pytest.raises(SymbolError, match="singular at a quadrature node"):
         _chern_s3_raw(a, 1, 4, unitary=False)
 

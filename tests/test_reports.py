@@ -4,14 +4,14 @@ import os
 import numpy as np
 import pytest
 
-from toeplitz_lab import hardy_s1, hardy_s3, reports, symbols, topology
+from toeplitz_lab import hardy_s1, hardy_s3, kernel, reports, symbols, topology
 from toeplitz_lab.families import su2_symbol, z_power
 from toeplitz_lab.reports import (compute_index_report, convergence_table,
                                   convergence_text, convergence_to_csv,
                                   convergence_to_dict, final_delta,
                                   index_report_text, index_report_to_dict)
 from toeplitz_lab.symbol_io import load_symbol
-from toeplitz_lab.symbols import LaurentSymbol
+from toeplitz_lab.symbols import S1, Symbol
 
 SYMBOLS = os.path.join(os.path.dirname(__file__), "..", "symbols")
 
@@ -69,7 +69,7 @@ class TestIndexReport:
             calls.append(a)
             return symbols.require_invertible(a, *args, **kwargs)
 
-        for module in (hardy_s1, hardy_s3, reports, topology):
+        for module in (kernel, reports, topology):
             monkeypatch.setattr(module, "require_invertible", counted)
         doc = index_report_to_dict(compute_index_report(symbol, trunc=trunc, **quadrature))
         assert calls == [symbol]
@@ -105,7 +105,7 @@ class TestConvergence:
         assert rows[-1].value.real == pytest.approx(1.0, abs=1e-12)
 
     def test_s1_nontrivial_symbol_decays_monotonically(self):
-        a = LaurentSymbol({1: [[1.0]], 0: [[-0.3]], -2: [[0.05]]})
+        a = Symbol(S1, {1: [[1.0]], 0: [[-0.3]], -2: [[0.05]]})
         rows = convergence_table(a, grid=16, steps=4)
         deltas = [r.delta for r in rows[1:]]
         assert all(d >= 0 for d in deltas)

@@ -1,6 +1,9 @@
 """Symbol file format: round trips, canonical serialization, parse rejection."""
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from toeplitz_lab.symbol_io import (atomic_write_text, load_symbol,
                                     parse_symbol, save_symbol,
                                     serialize_symbol, symbol_from_dict,
                                     symbol_to_dict)
-from toeplitz_lab.symbols import LaurentSymbol, S3Symbol
+from toeplitz_lab.symbols import S1, S3, Symbol
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 
@@ -28,7 +31,7 @@ def laurent_symbols(draw):
                            min_size=rank, max_size=rank))
         terms[k] = np.array(re) + 1j * draw(finite)
     try:
-        return LaurentSymbol(terms, rank=rank)
+        return Symbol(S1, terms, rank=rank)
     except ValueError:
         return z_power(0, rank=rank)  # all-zero draw: substitute the identity
 
@@ -44,9 +47,9 @@ def s3_symbols(draw):
                            min_size=rank, max_size=rank))
         terms[key] = np.array(re) * (1 + 0.5j)
     try:
-        return S3Symbol(terms, rank=rank)
+        return Symbol(S3, terms, rank=rank)
     except ValueError:
-        return S3Symbol({(0, 0, 0, 0): np.eye(rank)}, rank=rank)
+        return Symbol(S3, {(0, 0, 0, 0): np.eye(rank)}, rank=rank)
 
 
 class TestRoundTrip:
@@ -178,8 +181,25 @@ class TestParseRejection:
             assert serialize_symbol(sym) == open(path).read()
 
     def test_complex_pairs_follow_re_im_order(self):
-        sym = LaurentSymbol({2: [[1.5 - 0.25j]]})
+        sym = Symbol(S1, {2: [[1.5 - 0.25j]]})
         doc = symbol_to_dict(sym)
         assert doc["terms"][0]["matrix"][0][0] == [1.5, -0.25]
         text = serialize_symbol(sym)
         assert json.loads(text)["terms"][0]["k"] == 2
+
+
+def test_make_symbols_reproduces_the_shipped_files(tmp_path):
+    # scripts/make_symbols.py writes to ../symbols beside itself and imports
+    # the package from ../src, so a copy under tmp_path regenerates them there
+    repo = os.path.join(os.path.dirname(__file__), "..")
+    (tmp_path / "scripts").mkdir()
+    shutil.copy(os.path.join(repo, "scripts", "make_symbols.py"), tmp_path / "scripts")
+    os.symlink(os.path.abspath(os.path.join(repo, "src")), tmp_path / "src")
+    subprocess.run([sys.executable, str(tmp_path / "scripts" / "make_symbols.py")],
+                   cwd=tmp_path, check=True, capture_output=True)
+    shipped = sorted(os.listdir(os.path.join(repo, "symbols")))
+    assert len(shipped) == 13
+    assert sorted(os.listdir(tmp_path / "symbols")) == shipped
+    for name in shipped:
+        with open(os.path.join(repo, "symbols", name), "rb") as handle:
+            assert (tmp_path / "symbols" / name).read_bytes() == handle.read(), name

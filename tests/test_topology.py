@@ -8,7 +8,7 @@ from toeplitz_lab.errors import (NonIntegralChernError, SymbolError,
                                  UndersampledError)
 from toeplitz_lab.families import (constant_sandwich, diag_laurent, su2_power,
                                    su2_symbol, z_power)
-from toeplitz_lab.symbols import (HopfPoint, LaurentSymbol, adjoint,
+from toeplitz_lab.symbols import (S1, HopfPoint, Symbol, adjoint,
                                   det_laurent, evaluate, hopf_partials,
                                   multiply, transpose)
 from toeplitz_lab.topology import (S3_ORIENTATION_SIGN, ChernValue, chern_s1,
@@ -17,9 +17,9 @@ from toeplitz_lab.topology import (S3_ORIENTATION_SIGN, ChernValue, chern_s1,
 
 
 def root_product(shift, roots):
-    f = LaurentSymbol({shift: [[1.0]]})
+    f = Symbol(S1, {shift: [[1.0]]})
     for rho in roots:
-        f = multiply(f, LaurentSymbol({1: [[1.0]], 0: [[-rho]]}))
+        f = multiply(f, Symbol(S1, {1: [[1.0]], 0: [[-rho]]}))
     return f
 
 
@@ -52,12 +52,12 @@ class TestWindingOracles:
         assert winding_argument(f) == expected
 
     def test_zero_on_circle_rejected(self):
-        f = LaurentSymbol({1: [[1.0]], 0: [[-1.0]]})  # z - 1
+        f = Symbol(S1, {1: [[1.0]], 0: [[-1.0]]})  # z - 1
         with pytest.raises(SymbolError, match="vanishes"):
             winding_argument(f)
 
     def test_root_near_circle_rejected(self):
-        f = LaurentSymbol({1: [[1.0]], 0: [[-(1 + 1e-9)]]})
+        f = Symbol(S1, {1: [[1.0]], 0: [[-(1 + 1e-9)]]})
         with pytest.raises(SymbolError, match="circle"):
             winding_roots(f)
 
@@ -96,7 +96,7 @@ class TestChernS1:
         assert both == pytest.approx(chern_s1(f).refined + chern_s1(g).refined, abs=1e-10)
 
     def test_constant_symbol_is_zero(self):
-        ch = chern_s1(LaurentSymbol({0: [[2.0, 1.0], [0.0, 3.0]]}))
+        ch = chern_s1(Symbol(S1, {0: [[2.0, 1.0], [0.0, 3.0]]}))
         assert ch.refined == 0 and ch.rounded == 0
 
     def test_grid_validation(self):
@@ -165,12 +165,12 @@ class TestTopologicalIndex:
 
     def test_margin_gate(self):
         with pytest.raises(SymbolError):
-            topological_index(LaurentSymbol({1: [[1.0]], 0: [[-1.0]]}))
+            topological_index(Symbol(S1, {1: [[1.0]], 0: [[-1.0]]}))
 
     def test_integrality_gate(self):
         # a root close to the circle needs more than 16 grid points: the
         # quadrature converges too slowly to certify an integer there
-        f = LaurentSymbol({1: [[1.0]], 0: [[-0.96]]})
+        f = Symbol(S1, {1: [[1.0]], 0: [[-0.96]]})
         with pytest.raises(NonIntegralChernError, match="integer"):
             topological_index(f, grid=16)
         assert topological_index(f, grid=1024).rounded == -1

@@ -34,10 +34,23 @@ has none either, and no basis is read, or the sizes disagree, and
 stabilization fails before any residual check.  If it has one, the largest
 truncation's SVD is the same as when every size takes vectors.  No truncation
 is decomposed twice.
+
+Every SVD, and the residual check's product, runs on one BLAS thread, and
+the caller's thread count is restored afterwards.  The engine's products are
+small (S1 truncations of about 100 to 400 columns, torus-equivariant S3
+blocks of a few dozen): a second OpenBLAS thread slows them down, and once
+woken it keeps a core busy after the call.  With one thread their rounding,
+and so the reported gaps and residuals, no longer depends on the caller's
+thread count either.
 """
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
+import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -51,6 +64,61 @@ from .symbols import Symbol, adjoint, require_invertible
 DEFAULT_TOL = 1e-8
 DEFAULT_RESIDUAL_TOL = 1e-6
 GAP_WARN_RATIO = 1e3
+
+
+def _bundled_openblas():
+    """numpy's bundled OpenBLAS, if numpy links it, else None.
+
+    numpy wheels ship it as numpy.libs/libscipy_openblas64_*.so; loading that
+    path again returns the library numpy already uses.  A numpy built against
+    another BLAS has no such file or lacks the thread-count symbols.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = (lib.scipy_openblas_get_num_threads64_,
+                         lib.scipy_openblas_set_num_threads64_)
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+_OPENBLAS = _bundled_openblas()
+_blas_lock = threading.Lock()
+_blas_holders = 0
+_blas_caller_threads = 0
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the caller's count.
+
+    The count is process-wide, so nested and concurrent holders share one
+    change: the first to enter saves the caller's count and sets 1, the last
+    to leave puts the saved count back, on return or on an exception.
+    Without numpy's bundled OpenBLAS (another BLAS build) it does nothing.
+    """
+    global _blas_holders, _blas_caller_threads
+    lib = _OPENBLAS
+    if lib is None:
+        yield
+        return
+    with _blas_lock:
+        if _blas_holders == 0:
+            _blas_caller_threads = lib.scipy_openblas_get_num_threads64_()
+            lib.scipy_openblas_set_num_threads64_(1)
+        _blas_holders += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                lib.scipy_openblas_set_num_threads64_(_blas_caller_threads)
 
 
 @dataclass(frozen=True)
@@ -109,19 +177,21 @@ def _svd_split(matrix: np.ndarray, tol: float, vectors: bool):
     values only.  With vectors true the block SVDs also take the right
     singular vectors, and the kernel basis holds each block's kernel right
     singular vectors, zero-extended into the block's columns; with vectors
-    false the SVDs are values-only and the kernel basis is None.
+    false the SVDs are values-only and the kernel basis is None.  The SVDs
+    run on one BLAS thread (see the module docstring).
     """
     m = np.asarray(matrix, dtype=complex)
     rows, cols = m.shape
     groups = []
-    for row_index, col_index in _components(m):
-        nr, nc = row_index.shape[1], col_index.shape[1]
-        blocks = m[row_index[:, :, None], col_index[:, None, :]]
-        if vectors:
-            _, s, vh = np.linalg.svd(blocks, full_matrices=nr < nc)
-        else:
-            s, vh = np.linalg.svd(blocks, compute_uv=False), None
-        groups.append((col_index, s, vh))
+    with one_blas_thread():
+        for row_index, col_index in _components(m):
+            nr, nc = row_index.shape[1], col_index.shape[1]
+            blocks = m[row_index[:, :, None], col_index[:, None, :]]
+            if vectors:
+                _, s, vh = np.linalg.svd(blocks, full_matrices=nr < nc)
+            else:
+                s, vh = np.linalg.svd(blocks, compute_uv=False), None
+            groups.append((col_index, s, vh))
 
     sigma = np.zeros(min(rows, cols))
     values = np.concatenate([s.ravel() for _, s, _ in groups]) if groups else sigma[:0]
@@ -196,10 +266,11 @@ def stabilized_kernel_dim(
 
     residual = 0.0
     if dim > 0:
-        check = np.asarray(builder(sizes[-1] + 1), dtype=complex)
-        padded = np.zeros((check.shape[1], dim), dtype=complex)
-        padded[:basis_top.shape[0], :] = basis_top
-        image = check @ padded
+        with one_blas_thread():
+            check = np.asarray(builder(sizes[-1] + 1), dtype=complex)
+            padded = np.zeros((check.shape[1], dim), dtype=complex)
+            padded[:basis_top.shape[0], :] = basis_top
+            image = check @ padded
         residual = float(np.max(np.linalg.norm(image, axis=0)))
         if residual > residual_tol:
             raise ResidualFailureError(

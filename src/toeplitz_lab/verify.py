@@ -8,10 +8,22 @@ same seed and counts produce byte-identical serialized output.
 
 A property failure never aborts the suite; it is recorded with the offending
 symbol serialized inline so the case can be replayed from the report alone.
+
+Symbols are drawn serially from the one seeded stream; the cases then run in
+a pool of forked worker processes, one per usable CPU, each case on one BLAS
+thread.  Every case reports what it changed in its property's result, and
+the parent merges those changes in draw order, so the report does not depend
+on the number of workers.  Fork lets the workers run the cases' closures,
+which cannot be pickled: a worker inherits the case list and receives only
+an index.
 """
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +32,8 @@ from .families import (homotopy_path, random_matrix_symbol,
                        random_scalar_symbol, su2_symbol, z_power)
 from .hardy_s1 import analytic_index_s1
 from .hardy_s3 import analytic_index_s3
-from .kernel import DEFAULT_RESIDUAL_TOL, DEFAULT_TOL
+from .errors import NumericsError
+from .kernel import DEFAULT_RESIDUAL_TOL, DEFAULT_TOL, one_blas_thread
 from .symbols import S1, Symbol, adjoint, det_laurent, direct_sum, identity, multiply
 from .symbol_io import symbol_to_dict
 from .topology import chern_s1, chern_s3, winding_argument, winding_roots
@@ -64,6 +77,66 @@ def _guard(result: PropertyResult, symbol: Symbol, fn) -> None:
             result.failing_symbol = symbol_to_dict(symbol)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on, which bounds the number of workers."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_worker_cases: list = []
+
+
+def _start_worker(cases: list) -> None:
+    """Pool initializer: keep the run's case list, inherited through fork."""
+    global _worker_cases
+    _worker_cases = cases
+
+
+def _run_case(i: int):
+    """Run case i in a worker; return what it changed in its property's result.
+
+    The worker's copy of the result is reset first, so the returned cases,
+    passed, failures and first failing symbol are this case's alone.  The case
+    runs on one BLAS thread: the other workers hold the other CPUs.
+    """
+    result, symbol, fn = _worker_cases[i]
+    result.cases, result.passed, result.failures, result.failing_symbol = 0, True, [], None
+    with one_blas_thread():
+        _guard(result, symbol, fn)
+    return result.cases, result.passed, result.failures, result.failing_symbol
+
+
+def _run_cases(cases: list) -> None:
+    """Run every (result, symbol, fn) case in a fork pool; merge in draw order.
+
+    Failures only append and the first failing symbol wins, so merging the
+    cases' changes in draw order gives the report a serial run would.  A
+    worker that dies breaks the pool; that is a NumericsError naming how many
+    cases went unevaluated, never a hang or a partial report.
+    """
+    pool = ProcessPoolExecutor(max_workers=min(_cpu_count(), len(cases)),
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=(cases,))
+    futures = []
+    try:
+        for i in range(len(cases)):
+            futures.append(pool.submit(_run_case, i))
+        changes = [future.result() for future in futures]
+    except BrokenProcessPool as exc:
+        evaluated = sum(1 for future in futures if future.exception() is None)
+        raise NumericsError(f"a verify worker process died: {len(cases) - evaluated} of "
+                            f"{len(cases)} cases went unevaluated ({exc})") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
+    for (result, _, _), (n, passed, failures, failing_symbol) in zip(cases, changes):
+        result.cases += n
+        result.passed = result.passed and passed
+        result.failures.extend(failures)
+        if result.failing_symbol is None:
+            result.failing_symbol = failing_symbol
+
+
 def run_verify(
     seed: int = 0,
     scalar_cases: int = 8,
@@ -72,9 +145,15 @@ def run_verify(
     tol: float = DEFAULT_TOL,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> VerifyReport:
-    """Execute the full property suite with one randomness stream."""
+    """Execute the full property suite with one randomness stream.
+
+    Every symbol is drawn before any case runs; the cases then run in a
+    process pool (see the module docstring).  Raises NumericsError when a
+    worker process dies.
+    """
     rng = np.random.default_rng(seed)
     properties: list[PropertyResult] = []
+    cases: list = []  # (result, symbol, fn) in draw order
 
     def index32(a: Symbol) -> int:
         return analytic_index_s1(a, trunc=32, tol=tol, residual_tol=residual_tol).index
@@ -90,7 +169,7 @@ def run_verify(
             _check(noether, res.ker_dim == max(-m, 0) and res.coker_dim == max(m, 0),
                    f"z^{m} dims (ker {res.ker_dim}, coker {res.coker_dim})", f)
 
-        _guard(noether, f, case)
+        cases.append((noether, f, case))
     properties.append(noether)
 
     # 2. Oracle agreement on random scalar symbols: analytic index vs both
@@ -112,7 +191,7 @@ def run_verify(
                    f"analytic {res.index} != -winding {-true_winding}", f)
             _check(oracle, ch.rounded == -true_winding,
                    f"chern {ch.rounded} != -winding {-true_winding}", f)
-        _guard(oracle, f, case)
+        cases.append((oracle, f, case))
     properties.append(oracle)
 
     # 3. Additivity: index(ab) = index(a) + index(b) for matrix symbols.
@@ -131,7 +210,7 @@ def run_verify(
             _check(additivity, got_b == ib, f"index(b) {got_b} != constructed {ib}", b)
             _check(additivity, got_ab == got_a + got_b,
                    f"index(ab) {got_ab} != {got_a} + {got_b}", ab)
-        _guard(additivity, ab, case)
+        cases.append((additivity, ab, case))
     properties.append(additivity)
 
     # 4. Adjoint antisymmetry: index(a*) = -index(a).
@@ -145,7 +224,7 @@ def run_verify(
             got_star = index32(a_star)
             _check(adj, got == ia, f"index(a) {got} != constructed {ia}", a)
             _check(adj, got_star == -got, f"index(a*) {got_star} != {-got}", a_star)
-        _guard(adj, a, case)
+        cases.append((adj, a, case))
     properties.append(adj)
 
     # 5. Direct-sum stability: padding with an identity block never moves the
@@ -164,7 +243,7 @@ def run_verify(
             _check(stab, got == ia, f"index(a) {got} != constructed {ia}", a)
             _check(stab, got_pad == got, f"index(a + I) {got_pad} != {got}", padded)
             _check(stab, got_sum == ia + ib, f"index(a + b) {got_sum} != {ia + ib}", sum_ab)
-        _guard(stab, sum_ab, case)
+        cases.append((stab, sum_ab, case))
     properties.append(stab)
 
     # 6. Homotopy invariance along invertible constant-factor paths.
@@ -177,7 +256,7 @@ def run_verify(
         def case(a_t=a_t, t=t, ia=ia):
             got = index32(a_t)
             _check(homotopy, got == ia, f"index at t={t:.2f} is {got}, want {ia}", a_t)
-        _guard(homotopy, a_t, case)
+        cases.append((homotopy, a_t, case))
     properties.append(homotopy)
 
     # 7. Three-sphere calibration: the SU(2) generator has index -1 on both
@@ -193,7 +272,7 @@ def run_verify(
                f"dims (ker {res.ker_dim}, coker {res.coker_dim}), want (0, 1)", gamma)
         _check(calib, ch.rounded == -1,
                f"chern value {ch.refined:.6f} rounds to {ch.rounded}, want -1", gamma)
-    _guard(calib, gamma, s3_case)
+    cases.append((calib, gamma, s3_case))
 
     scalar_det = PropertyResult("noether-matrix-determinant", True, 0)
     for _ in range(max(2, matrix_cases // 2)):
@@ -204,10 +283,11 @@ def run_verify(
             w = winding_roots(det)
             _check(scalar_det, -w == ia,
                    f"-winding(det) {-w} != constructed index {ia}", a)
-        _guard(scalar_det, a, case)
+        cases.append((scalar_det, a, case))
     properties.append(scalar_det)
     properties.append(calib)
 
+    _run_cases(cases)
     counts = {"scalar_cases": scalar_cases, "matrix_cases": matrix_cases,
               "homotopy_samples": homotopy_samples}
     tolerances = {"kernel_tol": tol, "residual_tol": residual_tol}

@@ -13,6 +13,8 @@ only for a change that means to alter those documents:
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -74,6 +76,26 @@ def test_golden_file_covers_every_shipped_symbol():
 def test_shipped_symbol_index_document(name, tmp_path, capsys):
     outcome = index_outcome(name, str(tmp_path / "index.json"))
     assert settled(outcome) == settled(load_golden()[name])
+
+
+def test_index_document_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the engine runs its SVDs on one thread whatever the caller's count, so
+    # the rounding-level gap and residual digits match too
+    src = os.path.join(HERE, "..", "src")
+    documents = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"index-{threads}.json"
+        subprocess.run([sys.executable, "-m", "toeplitz_lab", "index",
+                        os.path.join(SYMBOLS, "s1_random_rank3.json"), "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        document = json.loads(out.read_text())
+        del document["timings_ms"]
+        documents.append(json.dumps(document, sort_keys=True))
+    assert documents[0] == documents[1]
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Kernel engine: SVD dimension counting, stabilization, residual validation."""
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -449,3 +451,156 @@ def test_reports_match_taking_vectors_at_every_size(name, run, monkeypatch):
 def test_wrong_manifold_symbol_is_a_value_error(call, manifold):
     with pytest.raises(ValueError, match=f"defined for {manifold} symbols only"):
         call()
+
+
+needs_openblas = pytest.mark.skipif(kernel._OPENBLAS is None,
+                                    reason="numpy does not link its bundled OpenBLAS")
+
+
+def blas_threads():
+    return kernel._OPENBLAS.scipy_openblas_get_num_threads64_()
+
+
+@pytest.fixture
+def caller_threads():
+    """Set the caller's OpenBLAS thread count for one test, then restore it."""
+    lib = kernel._OPENBLAS
+    before = lib.scipy_openblas_get_num_threads64_()
+    yield lib.scipy_openblas_set_num_threads64_
+    lib.scipy_openblas_set_num_threads64_(before)
+
+
+def z_minus(rho):
+    return Symbol(S1, {0: -rho, 1: 1.0})
+
+
+ENGINE_CALLS = {
+    "analytic index": (lambda: analytic_index_s1(random_matrix_symbol(
+        np.random.default_rng(3), rank=2)[0], trunc=32), None),
+    # z - 0.8: its cokernel's singular value 0.8^n is above the threshold at 64 only
+    "unstabilized": (lambda: analytic_index_s1(z_minus(0.8)), UnstabilizedError),
+    "residual failure": (lambda: stabilized_kernel_dim(
+        lambda n: shift_matrix(n, rows=n), (8, 16)), ResidualFailureError),
+    # raised by the SVD itself, inside the guard
+    "svd failure": (lambda: kernel_dim(np.full((4, 3), np.nan)), np.linalg.LinAlgError),
+}
+
+
+@needs_openblas
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(ENGINE_CALLS))
+def test_engine_restores_the_callers_blas_threads(name, threads, caller_threads):
+    call, raises = ENGINE_CALLS[name]
+    caller_threads(threads)
+    if raises is None:
+        call()
+    else:
+        with pytest.raises(raises):
+            call()
+    assert blas_threads() == threads
+
+
+@needs_openblas
+def test_every_engine_svd_runs_on_one_blas_thread(caller_threads, monkeypatch):
+    svd = np.linalg.svd
+    seen = []
+
+    def counted_svd(*args, **kwargs):
+        seen.append(blas_threads())
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(kernel.np.linalg, "svd", counted_svd)
+    caller_threads(2)
+    analytic_index_s1(z_power(2), trunc=16)
+    assert seen and set(seen) == {1}
+
+
+@needs_openblas
+def test_the_residual_check_runs_on_one_blas_thread(caller_threads):
+    seen = {}
+
+    def builder(n):
+        seen[n] = blas_threads()
+        return shift_matrix(n).T
+
+    caller_threads(2)
+    assert stabilized_kernel_dim(builder, (8, 16)).dim == 1
+    assert seen[17] == 1
+
+
+@needs_openblas
+def test_overlapping_holders_share_one_change(caller_threads):
+    # a holder leaves while another still holds: the count stays 1 until the
+    # last one leaves, and then it is the caller's again
+    caller_threads(2)
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = []
+
+    def first():
+        with kernel.one_blas_thread():
+            a_in.set()
+            b_in.wait(10)
+        a_out.set()
+
+    def second():
+        a_in.wait(10)
+        with kernel.one_blas_thread():
+            b_in.set()
+            a_out.wait(10)
+            seen.append(blas_threads())
+
+    threads = [threading.Thread(target=first), threading.Thread(target=second)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [1]
+    assert blas_threads() == 2
+
+    with kernel.one_blas_thread():
+        with kernel.one_blas_thread():
+            assert blas_threads() == 1
+        assert blas_threads() == 1
+    assert blas_threads() == 2
+
+
+@needs_openblas
+def test_concurrent_engine_calls_restore_the_callers_blas_threads(caller_threads):
+    caller_threads(2)
+    errors = []
+
+    def engine_loop():
+        try:
+            for _ in range(20):
+                with kernel.one_blas_thread():
+                    if blas_threads() != 1:
+                        errors.append(blas_threads())
+                kernel_dim(shift_matrix(6))
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=engine_loop) for _ in range(4)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in workers)
+    assert errors == []
+    assert blas_threads() == 2
+
+
+@needs_openblas
+def test_the_guard_does_nothing_without_the_library(caller_threads, monkeypatch):
+    lib = kernel._OPENBLAS
+    caller_threads(2)
+    monkeypatch.setattr(kernel, "_OPENBLAS", None)
+    with kernel.one_blas_thread():
+        assert lib.scipy_openblas_get_num_threads64_() == 2
+    assert analytic_index_s1(z_power(-1), trunc=16).index == 1
+    assert lib.scipy_openblas_get_num_threads64_() == 2

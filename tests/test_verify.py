@@ -1,4 +1,11 @@
 """Verification suite: determinism, property coverage, fault behavior."""
+import os
+import time
+
+import pytest
+
+from toeplitz_lab import verify
+from toeplitz_lab.errors import NumericsError
 from toeplitz_lab.symbol_io import symbol_from_dict
 from toeplitz_lab.verify import (run_verify, verify_report_csv,
                                  verify_report_json, verify_report_text,
@@ -105,3 +112,30 @@ class TestRenderings:
                       for line in text.splitlines()
                       if line.startswith('  "')]
         assert first_keys == sorted(first_keys)
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("kwargs", [{}, {"tol": 1.0}], ids=["passing", "failing"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_report_does_not_depend_on_the_worker_count(self, kwargs, workers,
+                                                        monkeypatch):
+        # tol = 1.0 fails cases in every property but one, so the merged
+        # failures order and each first failing symbol are pinned too
+        default = verify_report_json(run_verify(0, **kwargs))
+        monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
+        assert verify_report_json(run_verify(0, **kwargs)) == default
+
+    def test_a_dead_worker_is_a_numerics_error(self, monkeypatch):
+        parent = os.getpid()
+        index_s1 = verify.analytic_index_s1
+
+        def dies_in_a_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return index_s1(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "analytic_index_s1", dies_in_a_worker)
+        t0 = time.perf_counter()
+        with pytest.raises(NumericsError, match=r"\d+ of \d+ cases went unevaluated"):
+            run_verify(seed=0, scalar_cases=2, matrix_cases=2)
+        assert time.perf_counter() - t0 < 10.0

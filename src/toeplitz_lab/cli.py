@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -52,22 +53,30 @@ def _dict_to_csv(doc: dict, prefix: str = "") -> list[str]:
     return rows
 
 
-def _render(doc: dict, text: str, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if fmt == "csv":
-        return "field,value\n" + "\n".join(_dict_to_csv(doc)) + "\n"
-    return text
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(args, doc: dict, text: str, renderer=None) -> None:
-    """Text summary to stdout; structured document to --out (or stdout)."""
-    render = renderer if renderer is not None else _render
+def _csv(doc: dict) -> str:
+    return "field,value\n" + "\n".join(_dict_to_csv(doc)) + "\n"
+
+
+def _emit(args, text: str, json_text: str, csv_text: str) -> None:
+    """Text summary to stdout; the document in --format to --out (or stdout)."""
     sys.stdout.write(text)
+    document = {"json": json_text, "csv": csv_text, "text": text}[args.format]
     if args.out:
-        atomic_write_text(args.out, render(doc, text, args.format))
+        atomic_write_text(args.out, document)
     elif args.format != "text":
-        sys.stdout.write(render(doc, text, args.format))
+        sys.stdout.write(document)
+
+
+def tolerance(text: str) -> float:
+    """A tolerance option's value; anything but a finite float >= 0 is a parse failure."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text} is not a finite non-negative tolerance")
+    return value
 
 
 def _add_common(sub, *, trunc=False, tols=False, grid=False, nodes=False, seed=False):
@@ -75,9 +84,9 @@ def _add_common(sub, *, trunc=False, tols=False, grid=False, nodes=False, seed=F
         sub.add_argument("--trunc", type=int, default=None,
                          help="base truncation size (domain degrees on S1, bands on S3)")
     if tols:
-        sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
+        sub.add_argument("--tol", type=tolerance, default=DEFAULT_TOL,
                          help="relative singular-value threshold for kernel detection")
-        sub.add_argument("--residual-tol", type=float, default=DEFAULT_RESIDUAL_TOL,
+        sub.add_argument("--residual-tol", type=tolerance, default=DEFAULT_RESIDUAL_TOL,
                          help="residual bound for kernel candidates on the larger truncation")
     if grid:
         sub.add_argument("--grid", type=int, default=512,
@@ -99,7 +108,8 @@ def _cmd_index(args) -> int:
     report = compute_index_report(
         symbol, trunc=args.trunc, tol=args.tol, residual_tol=args.residual_tol,
         grid=args.grid, theta_nodes=args.theta_nodes, phi_nodes=args.phi_nodes)
-    _emit(args, index_report_to_dict(report), index_report_text(report))
+    doc = index_report_to_dict(report)
+    _emit(args, index_report_text(report), _json(doc), _csv(doc))
     return 0 if report.agreement else 1
 
 
@@ -121,7 +131,7 @@ def _cmd_chern(args) -> int:
             f"rounded             {ch.rounded}\n"
             f"doubling defect     {ch.doubling_defect:.3e}\n"
             f"integrality defect  {ch.integrality_defect:.3e}\n")
-    _emit(args, doc, text)
+    _emit(args, text, _json(doc), _csv(doc))
     return 0
 
 
@@ -145,21 +155,14 @@ def _cmd_winding(args) -> int:
     text = (f"winding (argument)  {w_arg}\n"
             f"winding (roots)     {w_roots}\n"
             f"agreement           {'yes' if agreement else 'NO'}\n")
-    _emit(args, doc, text)
+    _emit(args, text, _json(doc), _csv(doc))
     return 0 if agreement else 1
 
 
 def _cmd_verify(args) -> int:
     report = run_verify(seed=args.seed, tol=args.tol, residual_tol=args.residual_tol)
-
-    def render(doc, text, fmt):
-        if fmt == "json":
-            return verify_report_json(report)
-        if fmt == "csv":
-            return verify_report_csv(report)
-        return text
-
-    _emit(args, {}, verify_report_text(report), renderer=render)
+    _emit(args, verify_report_text(report), verify_report_json(report),
+          verify_report_csv(report))
     return 0 if report.all_passed else 1
 
 
@@ -167,15 +170,8 @@ def _cmd_convergence(args) -> int:
     symbol = load_symbol(args.file)
     rows = convergence_table(symbol, grid=args.grid,
                              theta_nodes=args.theta_nodes, phi_nodes=args.phi_nodes)
-
-    def render(doc, text, fmt):
-        if fmt == "json":
-            return json.dumps(convergence_to_dict(rows), indent=2, sort_keys=True) + "\n"
-        if fmt == "csv":
-            return convergence_to_csv(rows)
-        return text
-
-    _emit(args, {}, convergence_text(rows), renderer=render)
+    _emit(args, convergence_text(rows), _json(convergence_to_dict(rows)),
+          convergence_to_csv(rows))
     return 0 if final_delta(rows) < args.tol else 1
 
 
@@ -214,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         "convergence", help="Chern quadrature along a doubling resolution ladder")
     p_conv.add_argument("file", help="symbol file (JSON)")
     _add_common(p_conv, grid=True, nodes=True)
-    p_conv.add_argument("--tol", type=float, default=1e-6,
+    p_conv.add_argument("--tol", type=tolerance, default=1e-6,
                         help="required final delta of the ladder (exit 1 above it)")
     p_conv.set_defaults(func=_cmd_convergence)
     return parser

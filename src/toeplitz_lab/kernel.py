@@ -249,10 +249,14 @@ def stabilized_kernel_dim(
     size but the largest takes a values-only SVD; the largest takes kernel
     vectors exactly when the size below it has a kernel (see the module
     docstring for why that reads every vector the residual check needs).
+    Raises ValueError unless tol and residual_tol are finite and non-negative.
     """
     sizes = tuple(int(n) for n in sizes)
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be at least two strictly increasing truncation sizes")
+    if not (0.0 <= tol < np.inf and 0.0 <= residual_tol < np.inf):
+        raise ValueError(f"tol {tol} and residual_tol {residual_tol} must be finite "
+                         f"and non-negative")
 
     dims = [_svd_split(builder(n), tol, vectors=False)[0] for n in sizes[:-1]]
     # a top kernel with none below cannot stabilize, so needs no vectors

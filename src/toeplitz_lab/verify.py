@@ -9,13 +9,14 @@ same seed and counts produce byte-identical serialized output.
 A property failure never aborts the suite; it is recorded with the offending
 symbol serialized inline so the case can be replayed from the report alone.
 
-Symbols are drawn serially from the one seeded stream; the cases then run in
-a pool of forked worker processes, one per usable CPU, each case on one BLAS
-thread.  Every case reports what it changed in its property's result, and
-the parent merges those changes in draw order, so the report does not depend
-on the number of workers.  Fork lets the workers run the cases' closures,
-which cannot be pickled: a worker inherits the case list and receives only
-an index.
+Symbols are drawn serially from the one seeded stream.  A case is then a
+function that shares no state: it returns its failed checks as (message,
+symbol document) pairs.  `_run_cases` runs the cases in a pool of forked
+worker processes, one per usable CPU, each case on one BLAS thread, and
+returns every case's failures in draw order; the suite folds them into its
+property results, so the report does not depend on the number of workers.
+Fork lets the workers run the cases' closures, which cannot be pickled: a
+worker inherits the case list and receives only an index.
 """
 from __future__ import annotations
 
@@ -42,10 +43,13 @@ from .topology import chern_s1, chern_s3, winding_argument, winding_roots
 @dataclass
 class PropertyResult:
     name: str
-    passed: bool
-    cases: int
+    cases: int = 0
     failures: list[str] = field(default_factory=list)
     failing_symbol: dict | None = None
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 @dataclass
@@ -57,24 +61,9 @@ class VerifyReport:
     properties: list[PropertyResult]
 
 
-def _check(result: PropertyResult, condition: bool, message: str, symbol: Symbol) -> None:
-    if not condition:
-        result.passed = False
-        result.failures.append(message)
-        if result.failing_symbol is None:
-            result.failing_symbol = symbol_to_dict(symbol)
-
-
-def _guard(result: PropertyResult, symbol: Symbol, fn) -> None:
-    """Run one case; any exception is a recorded failure, not a suite abort."""
-    result.cases += 1
-    try:
-        fn()
-    except Exception as exc:  # noqa: BLE001 — every failure mode must land in the report
-        result.passed = False
-        result.failures.append(f"{type(exc).__name__}: {exc}")
-        if result.failing_symbol is None:
-            result.failing_symbol = symbol_to_dict(symbol)
+def _failed(*checks: tuple[bool, str, Symbol]) -> list[tuple[str, dict]]:
+    """(message, symbol document) of every (condition, message, symbol) check that failed."""
+    return [(message, symbol_to_dict(symbol)) for ok, message, symbol in checks if not ok]
 
 
 def _cpu_count() -> int:
@@ -93,27 +82,25 @@ def _start_worker(cases: list) -> None:
     _worker_cases = cases
 
 
-def _run_case(i: int):
-    """Run case i in a worker; return what it changed in its property's result.
+def _run_case(i: int) -> list[tuple[str, dict]]:
+    """Run case i in a worker on one BLAS thread; return its failures.
 
-    The worker's copy of the result is reset first, so the returned cases,
-    passed, failures and first failing symbol are this case's alone.  The case
-    runs on one BLAS thread: the other workers hold the other CPUs.
+    The other workers hold the other CPUs.  A case that raises has one
+    failure, the exception, with the case's symbol.
     """
-    result, symbol, fn = _worker_cases[i]
-    result.cases, result.passed, result.failures, result.failing_symbol = 0, True, [], None
-    with one_blas_thread():
-        _guard(result, symbol, fn)
-    return result.cases, result.passed, result.failures, result.failing_symbol
+    symbol, fn = _worker_cases[i]
+    try:
+        with one_blas_thread():
+            return fn()
+    except Exception as exc:  # noqa: BLE001 — every failure mode must land in the report
+        return [(f"{type(exc).__name__}: {exc}", symbol_to_dict(symbol))]
 
 
-def _run_cases(cases: list) -> None:
-    """Run every (result, symbol, fn) case in a fork pool; merge in draw order.
+def _run_cases(cases: list) -> list[list[tuple[str, dict]]]:
+    """Run every (symbol, fn) case in a fork pool; return their failures in input order.
 
-    Failures only append and the first failing symbol wins, so merging the
-    cases' changes in draw order gives the report a serial run would.  A
-    worker that dies breaks the pool; that is a NumericsError naming how many
-    cases went unevaluated, never a hang or a partial report.
+    A worker that dies breaks the pool; that is a NumericsError naming how
+    many cases went unevaluated, never a hang or a partial result.
     """
     pool = ProcessPoolExecutor(max_workers=min(_cpu_count(), len(cases)),
                                mp_context=multiprocessing.get_context("fork"),
@@ -122,19 +109,13 @@ def _run_cases(cases: list) -> None:
     try:
         for i in range(len(cases)):
             futures.append(pool.submit(_run_case, i))
-        changes = [future.result() for future in futures]
+        return [future.result() for future in futures]
     except BrokenProcessPool as exc:
         evaluated = sum(1 for future in futures if future.exception() is None)
         raise NumericsError(f"a verify worker process died: {len(cases) - evaluated} of "
                             f"{len(cases)} cases went unevaluated ({exc})") from exc
     finally:
         pool.shutdown(cancel_futures=True)
-    for (result, _, _), (n, passed, failures, failing_symbol) in zip(cases, changes):
-        result.cases += n
-        result.passed = result.passed and passed
-        result.failures.extend(failures)
-        if result.failing_symbol is None:
-            result.failing_symbol = failing_symbol
 
 
 def run_verify(
@@ -159,22 +140,23 @@ def run_verify(
         return analytic_index_s1(a, trunc=32, tol=tol, residual_tol=residual_tol).index
 
     # 1. Scalar monomial law: index of T_{z^m} is -m, with the split dims.
-    noether = PropertyResult("noether-scalar-law", True, 0)
+    noether = PropertyResult("noether-scalar-law")
     for m in range(-3, 4):
         f = z_power(m)
 
         def case(m=m, f=f):
             res = analytic_index_s1(f, trunc=16, tol=tol, residual_tol=residual_tol)
-            _check(noether, res.index == -m, f"index(z^{m}) = {res.index}, want {-m}", f)
-            _check(noether, res.ker_dim == max(-m, 0) and res.coker_dim == max(m, 0),
-                   f"z^{m} dims (ker {res.ker_dim}, coker {res.coker_dim})", f)
+            return _failed(
+                (res.index == -m, f"index(z^{m}) = {res.index}, want {-m}", f),
+                (res.ker_dim == max(-m, 0) and res.coker_dim == max(m, 0),
+                 f"z^{m} dims (ker {res.ker_dim}, coker {res.coker_dim})", f))
 
         cases.append((noether, f, case))
     properties.append(noether)
 
     # 2. Oracle agreement on random scalar symbols: analytic index vs both
     # winding routes vs the rounded Chern value vs the constructed winding.
-    oracle = PropertyResult("oracle-agreement", True, 0)
+    oracle = PropertyResult("oracle-agreement")
     for _ in range(scalar_cases):
         f, true_winding = random_scalar_symbol(rng)
 
@@ -183,19 +165,20 @@ def run_verify(
             w_roots = winding_roots(f)
             w_arg = winding_argument(f)
             ch = chern_s1(f)
-            _check(oracle, w_roots == true_winding,
-                   f"winding_roots {w_roots} != constructed {true_winding}", f)
-            _check(oracle, w_arg == true_winding,
-                   f"winding_argument {w_arg} != constructed {true_winding}", f)
-            _check(oracle, res.index == -true_winding,
-                   f"analytic {res.index} != -winding {-true_winding}", f)
-            _check(oracle, ch.rounded == -true_winding,
-                   f"chern {ch.rounded} != -winding {-true_winding}", f)
+            return _failed(
+                (w_roots == true_winding,
+                 f"winding_roots {w_roots} != constructed {true_winding}", f),
+                (w_arg == true_winding,
+                 f"winding_argument {w_arg} != constructed {true_winding}", f),
+                (res.index == -true_winding,
+                 f"analytic {res.index} != -winding {-true_winding}", f),
+                (ch.rounded == -true_winding,
+                 f"chern {ch.rounded} != -winding {-true_winding}", f))
         cases.append((oracle, f, case))
     properties.append(oracle)
 
     # 3. Additivity: index(ab) = index(a) + index(b) for matrix symbols.
-    additivity = PropertyResult("index-additivity", True, 0)
+    additivity = PropertyResult("index-additivity")
     for _ in range(matrix_cases):
         rank = int(rng.integers(1, 4))
         a, ia = random_matrix_symbol(rng, rank=rank)
@@ -206,15 +189,15 @@ def run_verify(
             got_a = index32(a)
             got_b = index32(b)
             got_ab = index32(ab)
-            _check(additivity, got_a == ia, f"index(a) {got_a} != constructed {ia}", a)
-            _check(additivity, got_b == ib, f"index(b) {got_b} != constructed {ib}", b)
-            _check(additivity, got_ab == got_a + got_b,
-                   f"index(ab) {got_ab} != {got_a} + {got_b}", ab)
+            return _failed(
+                (got_a == ia, f"index(a) {got_a} != constructed {ia}", a),
+                (got_b == ib, f"index(b) {got_b} != constructed {ib}", b),
+                (got_ab == got_a + got_b, f"index(ab) {got_ab} != {got_a} + {got_b}", ab))
         cases.append((additivity, ab, case))
     properties.append(additivity)
 
     # 4. Adjoint antisymmetry: index(a*) = -index(a).
-    adj = PropertyResult("adjoint-antisymmetry", True, 0)
+    adj = PropertyResult("adjoint-antisymmetry")
     for _ in range(matrix_cases):
         a, ia = random_matrix_symbol(rng)
         a_star = adjoint(a)
@@ -222,14 +205,14 @@ def run_verify(
         def case(a=a, a_star=a_star, ia=ia):
             got = index32(a)
             got_star = index32(a_star)
-            _check(adj, got == ia, f"index(a) {got} != constructed {ia}", a)
-            _check(adj, got_star == -got, f"index(a*) {got_star} != {-got}", a_star)
+            return _failed((got == ia, f"index(a) {got} != constructed {ia}", a),
+                           (got_star == -got, f"index(a*) {got_star} != {-got}", a_star))
         cases.append((adj, a, case))
     properties.append(adj)
 
     # 5. Direct-sum stability: padding with an identity block never moves the
     # index, and the index of a direct sum is the sum of the indices.
-    stab = PropertyResult("direct-sum-stability", True, 0)
+    stab = PropertyResult("direct-sum-stability")
     for _ in range(matrix_cases):
         a, ia = random_matrix_symbol(rng)
         b, ib = random_matrix_symbol(rng)
@@ -240,14 +223,14 @@ def run_verify(
             got = index32(a)
             got_pad = index32(padded)
             got_sum = index32(sum_ab)
-            _check(stab, got == ia, f"index(a) {got} != constructed {ia}", a)
-            _check(stab, got_pad == got, f"index(a + I) {got_pad} != {got}", padded)
-            _check(stab, got_sum == ia + ib, f"index(a + b) {got_sum} != {ia + ib}", sum_ab)
+            return _failed((got == ia, f"index(a) {got} != constructed {ia}", a),
+                           (got_pad == got, f"index(a + I) {got_pad} != {got}", padded),
+                           (got_sum == ia + ib, f"index(a + b) {got_sum} != {ia + ib}", sum_ab))
         cases.append((stab, sum_ab, case))
     properties.append(stab)
 
     # 6. Homotopy invariance along invertible constant-factor paths.
-    homotopy = PropertyResult("homotopy-invariance", True, 0)
+    homotopy = PropertyResult("homotopy-invariance")
     a, ia = random_matrix_symbol(rng)
     path = homotopy_path(a, rng)
     for t in np.linspace(0.0, 1.0, homotopy_samples):
@@ -255,39 +238,45 @@ def run_verify(
 
         def case(a_t=a_t, t=t, ia=ia):
             got = index32(a_t)
-            _check(homotopy, got == ia, f"index at t={t:.2f} is {got}, want {ia}", a_t)
+            return _failed((got == ia, f"index at t={t:.2f} is {got}, want {ia}", a_t))
         cases.append((homotopy, a_t, case))
     properties.append(homotopy)
 
     # 7. Three-sphere calibration: the SU(2) generator has index -1 on both
     # routes, and its winding-free Chern value certifies the orientation sign.
-    calib = PropertyResult("s3-calibration", True, 0)
+    calib = PropertyResult("s3-calibration")
     gamma = su2_symbol()
 
     def s3_case():
         res = analytic_index_s3(gamma, sizes=(8, 12), tol=tol, residual_tol=residual_tol)
         ch = chern_s3(gamma, theta_nodes=16, phi_nodes=16)
-        _check(calib, res.index == -1, f"analytic index {res.index}, want -1", gamma)
-        _check(calib, res.ker_dim == 0 and res.coker_dim == 1,
-               f"dims (ker {res.ker_dim}, coker {res.coker_dim}), want (0, 1)", gamma)
-        _check(calib, ch.rounded == -1,
-               f"chern value {ch.refined:.6f} rounds to {ch.rounded}, want -1", gamma)
+        return _failed(
+            (res.index == -1, f"analytic index {res.index}, want -1", gamma),
+            (res.ker_dim == 0 and res.coker_dim == 1,
+             f"dims (ker {res.ker_dim}, coker {res.coker_dim}), want (0, 1)", gamma),
+            (ch.rounded == -1, f"chern value {ch.refined:.6f} rounds to {ch.rounded}, want -1",
+             gamma))
     cases.append((calib, gamma, s3_case))
 
-    scalar_det = PropertyResult("noether-matrix-determinant", True, 0)
+    scalar_det = PropertyResult("noether-matrix-determinant")
     for _ in range(max(2, matrix_cases // 2)):
         a, ia = random_matrix_symbol(rng)
         det = det_laurent(a)
 
         def case(a=a, det=det, ia=ia):
             w = winding_roots(det)
-            _check(scalar_det, -w == ia,
-                   f"-winding(det) {-w} != constructed index {ia}", a)
+            return _failed((-w == ia, f"-winding(det) {-w} != constructed index {ia}", a))
         cases.append((scalar_det, a, case))
     properties.append(scalar_det)
     properties.append(calib)
 
-    _run_cases(cases)
+    outcomes = _run_cases([(symbol, fn) for _, symbol, fn in cases])
+    for (result, _, _), failures in zip(cases, outcomes):
+        result.cases += 1
+        for message, symbol_doc in failures:
+            result.failures.append(message)
+            if result.failing_symbol is None:
+                result.failing_symbol = symbol_doc
     counts = {"scalar_cases": scalar_cases, "matrix_cases": matrix_cases,
               "homotopy_samples": homotopy_samples}
     tolerances = {"kernel_tol": tol, "residual_tol": residual_tol}

@@ -4,17 +4,20 @@ Each test prints a single CRITERION line on success so a verbose run reads as
 a checklist.  Budgets are wall-clock upper bounds with generous headroom over
 measured times; the random suites fix their seeds so reruns are deterministic.
 """
+import functools
 import time
 import warnings
 
 import numpy as np
 
+from toeplitz_lab import verify
 from toeplitz_lab.families import (constant_sandwich, homotopy_path,
                                    random_matrix_symbol, random_scalar_symbol,
                                    s3_representative, su2_power, su2_symbol,
                                    z_power)
 from toeplitz_lab.hardy_s1 import analytic_index_s1
 from toeplitz_lab.hardy_s3 import analytic_index_s3, monomial_norm_sq
+from toeplitz_lab.symbol_io import symbol_to_dict
 from toeplitz_lab.symbols import (S1, HopfPoint, adjoint, direct_sum,
                                   eval_hopf_grid, hopf_partials, identity,
                                   invertibility_margin, multiply)
@@ -65,13 +68,24 @@ def test_criterion_2_scalar_suite_four_route_agreement():
           f"four routes agree, {elapsed:.2f}s")
 
 
+def index32_failures(symbol, want):
+    """One criterion-3 check as a verify-pool case: the index at trunc 32,
+    with every warning an error, against the index the identity predicts."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = analytic_index_s1(symbol, trunc=32).index
+    return [] if got == want else [(f"index {got}, want {want}", symbol_to_dict(symbol))]
+
+
 def test_criterion_3_matrix_identity_suite():
     """50 random matrix-symbol pairs of equal rank (up to 3): additivity under
     products, antisymmetry under adjoints, stability under identity padding,
-    and constancy along 10-sample invertible homotopies — all exact."""
+    and constancy along 10-sample invertible homotopies — all exact.  The
+    symbols are drawn serially; their 750 index checks run in the verify
+    suite's worker pool."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260816)
-    margins = []
+    margins, labels, cases = [], [], []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for i in range(50):
@@ -79,20 +93,19 @@ def test_criterion_3_matrix_identity_suite():
             a, ia = random_matrix_symbol(rng, rank=rank)
             b, ib = random_matrix_symbol(rng, rank=rank)
             margins += [invertibility_margin(a, 64), invertibility_margin(b, 64)]
-            got_a = analytic_index_s1(a, trunc=32).index
-            got_b = analytic_index_s1(b, trunc=32).index
-            assert got_a == ia and got_b == ib, (i, got_a, ia, got_b, ib)
-            got_ab = analytic_index_s1(multiply(a, b), trunc=32).index
-            assert got_ab == ia + ib, (i, got_ab, ia, ib)
-            got_star = analytic_index_s1(adjoint(a), trunc=32).index
-            assert got_star == -ia, (i, got_star, ia)
-            padded = direct_sum(a, identity(S1, 2))
-            got_pad = analytic_index_s1(padded, trunc=32).index
-            assert got_pad == ia, (i, got_pad, ia)
             path = homotopy_path(a, rng)
-            for t in np.linspace(0.0, 1.0, 10):
-                assert analytic_index_s1(path(float(t)), trunc=32).index == ia, (i, t)
+            checks = [("a", a, ia), ("b", b, ib), ("ab", multiply(a, b), ia + ib),
+                      ("a*", adjoint(a), -ia), ("a + I2", direct_sum(a, identity(S1, 2)), ia)]
+            checks += [(f"path({t:.3f})", path(float(t)), ia)
+                       for t in np.linspace(0.0, 1.0, 10)]
+            for name, symbol, want in checks:
+                labels.append(f"pair {i}, {name}")
+                cases.append((symbol, functools.partial(index32_failures, symbol, want)))
+    outcomes = verify._run_cases(cases)
     elapsed = time.perf_counter() - t0
+    failures = [f"{label}: {message}"
+                for label, outcome in zip(labels, outcomes) for message, _ in outcome]
+    assert failures == []
     assert elapsed < 60.0, f"matrix suite took {elapsed:.2f}s, budget 60s"
     print(f"CRITERION 3: PASS — 50 pairs, min margin {min(margins):.3f}, "
           f"all identities exact, {elapsed:.2f}s")

@@ -114,6 +114,24 @@ class TestParseFailures:
         assert "error:" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("argv", [
+        ["index", sym("s1_z_3.json"), "--tol", "-1"],
+        ["index", sym("s1_z_3.json"), "--tol", "nan"],
+        ["index", sym("s1_z_3.json"), "--residual-tol", "nan"],
+        ["index", sym("s1_z_3.json"), "--residual-tol", "inf"],
+        ["verify", "--tol", "nan"],
+        ["convergence", sym("s1_z_1.json"), "--tol", "inf"],
+    ], ids=lambda argv: " ".join(a for a in argv if not a.endswith(".json")))
+    def test_tolerance_that_switches_a_check_off_exits_2(self, argv, tmp_path, capsys):
+        # a NaN residual bound accepts every kernel candidate, and a negative
+        # or NaN kernel threshold finds no kernel at all
+        out = str(tmp_path / "never.json")
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--out", out])
+        assert exit_.value.code == 2
+        assert "not a finite non-negative tolerance" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestWindingCommand:
     def test_scalar_oracles_agree(self, capsys):

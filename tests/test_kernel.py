@@ -128,6 +128,27 @@ class TestStabilized:
         with pytest.raises(ResidualFailureError, match="residual"):
             stabilized_kernel_dim(square, (8, 16))
 
+    @pytest.mark.parametrize("tols", [
+        {"residual_tol": float("nan")}, {"residual_tol": float("inf")},
+        {"residual_tol": -1e-6}, {"tol": float("nan")}, {"tol": -1.0},
+        {"tol": float("inf")},
+    ], ids=repr)
+    def test_tolerances_that_switch_a_check_off_are_rejected(self, tols):
+        # residual > nan is false: a NaN bound would accept the square
+        # truncation's spurious kernel vector, whose residual is 1.0
+        def square(n):
+            return shift_matrix(n, rows=n)
+
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
+            stabilized_kernel_dim(square, (8, 16), **tols)
+
+    def test_unit_tolerance_is_accepted(self):
+        # tol = 1 counts every singular value as zero, so the dimension is
+        # the column count and cannot stabilize: a legal bound whose failure
+        # the verify suite's fault injection relies on
+        with pytest.raises(UnstabilizedError, match=r"got \[8, 16\]"):
+            stabilized_kernel_dim(shift_matrix, (8, 16), tol=1.0)
+
     def test_narrow_spectral_gap_warns(self):
         def builder(n):
             d = np.ones(n)

@@ -6,7 +6,8 @@ import pytest
 
 from toeplitz_lab import verify
 from toeplitz_lab.errors import NumericsError
-from toeplitz_lab.symbol_io import symbol_from_dict
+from toeplitz_lab.families import z_power
+from toeplitz_lab.symbol_io import symbol_from_dict, symbol_to_dict
 from toeplitz_lab.verify import (run_verify, verify_report_csv,
                                  verify_report_json, verify_report_text,
                                  verify_report_to_dict)
@@ -124,6 +125,30 @@ class TestWorkerPool:
         default = verify_report_json(run_verify(0, **kwargs))
         monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
         assert verify_report_json(run_verify(0, **kwargs)) == default
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_run_cases_returns_each_cases_failures_in_input_order(self, workers,
+                                                                   monkeypatch):
+        f, g, h, raiser = z_power(1), z_power(2), z_power(3), z_power(-1)
+
+        def passing():
+            return verify._failed((True, "never reported", f))
+
+        def two_failed_checks():
+            return verify._failed((False, "first", g), (True, "passes", g),
+                                  (False, "second", h))
+
+        def raising():
+            raise ValueError("bad case")
+
+        monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
+        outcomes = verify._run_cases([(f, passing), (g, two_failed_checks),
+                                      (raiser, raising)])
+        assert outcomes == [
+            [],
+            [("first", symbol_to_dict(g)), ("second", symbol_to_dict(h))],
+            [("ValueError: bad case", symbol_to_dict(raiser))],
+        ]
 
     def test_a_dead_worker_is_a_numerics_error(self, monkeypatch):
         parent = os.getpid()

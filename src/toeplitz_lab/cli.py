@@ -9,8 +9,9 @@ Exit statuses: 0 success (and, for index/winding/verify, agreement), and
 1 computed-but-disagreeing, 2 parse failure or option value out of range,
 3 symbol rejected as non-invertible on its manifold, 4 numerical failure
 (unstabilized kernel, failed residual validation, undersampled winding,
-non-integral Chern value).  No output document is written on a parse
-failure or an out-of-range option.
+non-integral Chern value, a LAPACK routine that fails to converge).  main
+returns every status, argparse's own included; no output document is
+written on a parse failure or an out-of-range option.
 """
 from __future__ import annotations
 
@@ -218,11 +219,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse's exit: 2 on a parse failure, 0 after --help
+        return exc.code
     try:
         return args.func(args)
-    except np.linalg.LinAlgError:
-        raise  # a ValueError, but a numerical breakdown rather than a bad option value
+    except np.linalg.LinAlgError as exc:
+        # a ValueError, but a numerical breakdown rather than a bad option value
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

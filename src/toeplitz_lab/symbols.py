@@ -377,6 +377,56 @@ def pointwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def pointwise_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse at every point of a points-last stack: (r, r, N) -> (r, r, N).
+
+    Gauss-Jordan elimination with partial pivoting, run on all points at
+    once: each row operation is one multiply-add over whole point vectors,
+    and the pivot row, chosen per point, is swapped in through flat indices.
+    The eliminated copy of a and the inverse are two (r, r, N) buffers.  An
+    exactly zero pivot, which makes a singular at that point, raises
+    SymbolError.
+    """
+    r, n = a.shape[0], a.shape[2]
+    work = a.copy()
+    inv = np.zeros_like(work)
+    for i in range(r):
+        inv[i, i] = 1.0
+    scale = np.empty(n, dtype=work.dtype)
+    term = np.empty((r, n), dtype=work.dtype)
+    points = np.arange(n)
+    for k in range(r):
+        # first row of largest modulus, as np.argmax would pick it along axis 0
+        mag = np.abs(work[k:, k])
+        pivot = np.zeros(n, dtype=np.intp)
+        for i in range(1, r - k):
+            np.copyto(pivot, i, where=mag[i] > mag[0])
+            np.maximum(mag[0], mag[i], out=mag[0])
+        if pivot.any():
+            # rows from k down are zero in the columns before k, so work
+            # swaps columns k on and inv every column
+            for buffer, first in ((work, k), (inv, 0)):
+                flat = buffer.reshape(-1)
+                columns = (np.arange(first, r) * n)[:, None]
+                src = (k + pivot) * (r * n) + points + columns
+                dst = k * (r * n) + points + columns
+                row = flat[src]
+                flat[src] = flat[dst]
+                flat[dst] = row
+        if not np.all(work[k, k]):
+            raise SymbolError("symbol is singular at a quadrature node")
+        np.divide(1.0, work[k, k], out=scale)
+        work[k, k + 1:] *= scale
+        inv[k] *= scale
+        for i in range(r):
+            if i != k:
+                factor = work[i, k]
+                rest = term[:r - k - 1]
+                work[i, k + 1:] -= np.multiply(work[k, k + 1:], factor, out=rest)
+                inv[i] -= np.multiply(inv[k], factor, out=term)
+    return inv
+
+
 def hopf_partials(a: Symbol, point: HopfPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact partial derivatives (d_theta a, d_phi1 a, d_phi2 a) at one point."""
     point = S3.point(point)

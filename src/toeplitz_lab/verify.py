@@ -100,8 +100,11 @@ def _run_cases(cases: list) -> list[list[tuple[str, dict]]]:
     """Run every (symbol, fn) case in a fork pool; return their failures in input order.
 
     A worker that dies breaks the pool; that is a NumericsError naming how
-    many cases went unevaluated, never a hang or a partial result.
+    many cases went unevaluated, never a hang or a partial result.  An
+    empty case list returns [] without starting a pool.
     """
+    if not cases:
+        return []
     pool = ProcessPoolExecutor(max_workers=min(_cpu_count(), len(cases)),
                                mp_context=multiprocessing.get_context("fork"),
                                initializer=_start_worker, initargs=(cases,))

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from toeplitz_lab import cli
 from toeplitz_lab.cli import main
 from toeplitz_lab.families import z_power
 from toeplitz_lab.symbol_io import save_symbol
@@ -126,11 +127,27 @@ class TestParseFailures:
         # a NaN residual bound accepts every kernel candidate, and a negative
         # or NaN kernel threshold finds no kernel at all
         out = str(tmp_path / "never.json")
-        with pytest.raises(SystemExit) as exit_:
-            main([*argv, "--out", out])
-        assert exit_.value.code == 2
+        assert main([*argv, "--out", out]) == 2
         assert "not a finite non-negative tolerance" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv", [
+        ["index", sym("s1_z_3.json"), "--format", "xml"],
+        ["chern", sym("s1_z_3.json"), "--grid", "x"],
+        ["nonsense"],
+        [],
+    ], ids=lambda argv: " ".join(a for a in argv if not a.endswith(".json")) or "no command")
+    def test_argparse_rejection_is_returned_as_2(self, argv, tmp_path, capsys):
+        out = str(tmp_path / "never.json")
+        assert main([*argv, "--out", out]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["index", "--help"]],
+                             ids=lambda argv: " ".join(argv))
+    def test_help_is_returned_as_0(self, argv, capsys):
+        assert main(argv) == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestWindingCommand:
@@ -158,6 +175,26 @@ class TestWindingCommand:
         save_symbol(z_power(20), path)
         assert main(["winding", path, "--grid", "8"]) == 4
         assert "error:" in capsys.readouterr().err
+
+
+class TestLapackFailure:
+    @pytest.mark.parametrize("command, report, name", [
+        ("index", "compute_index_report", "s1_z_1.json"),
+        ("chern", "chern", "s3_su2.json"),
+        ("convergence", "convergence_table", "s1_z_1.json"),
+        ("verify", "run_verify", None),
+    ])
+    def test_lapack_failure_exits_4_and_writes_nothing(self, command, report, name,
+                                                       monkeypatch, tmp_path, capsys):
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, report, fails)
+        out = str(tmp_path / "never.json")
+        argv = [command] + ([sym(name)] if name else []) + ["--out", out]
+        assert main(argv) == 4
+        assert "error: SVD did not converge" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestChernCommand:

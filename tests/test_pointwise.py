@@ -1,18 +1,23 @@
 """Points-last pointwise algebra of the S3 quadrature against the point-stack references.
 
 eval_hopf_grid accumulates into (r, r, nt, n1, n2) buffers and the S3 Chern
-quadrature multiplies (r, r, N) stacks with pointwise_matmul.  The per-term
-evaluation into (nt, n1, n2, r, r) arrays and the stacked-@ quadrature they
-replace are kept here as references.
+quadrature multiplies (r, r, N) stacks with pointwise_matmul and inverts them
+with pointwise_inverse, one diagonal block of the symbol at a time.  The
+per-term evaluation into (nt, n1, n2, r, r) arrays and the stacked-@
+quadrature over the whole symbol, with LAPACK inverses, are kept here as
+references.
 """
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from toeplitz_lab import topology
 from toeplitz_lab.errors import SymbolError
-from toeplitz_lab.families import constant_sandwich, s3_representative, su2_symbol, z_power
-from toeplitz_lab.symbols import (S3, Symbol, eval_hopf_grid, pointwise_matmul,
+from toeplitz_lab.families import (constant_sandwich, s3_representative, su2_power,
+                                   su2_symbol, z_power)
+from toeplitz_lab.symbols import (S3, Symbol, constant, direct_sum, eval_hopf_grid,
+                                  multiply, pointwise_inverse, pointwise_matmul,
                                   unitarity_defect)
 from toeplitz_lab.topology import S3_ORIENTATION_SIGN, THETA_CHUNK, _chern_s3_raw
 
@@ -143,3 +148,95 @@ def test_quadrature_peak_memory_stays_within_the_stacked_path():
     finally:
         tracemalloc.stop()
     assert peak <= 64.1 * 2 ** 20, peak / 2 ** 20
+
+
+def random_stack(rng, r, n):
+    """(r, r, n) stack whose column-0 pivot is row 0 at even points and moves at odd ones.
+
+    Above rank 1 the odd points' leading entry is exactly zero, so an
+    elimination that does not pivot there fails.
+    """
+    a = rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
+    a[0::2, 0, 0] = 10.0
+    a[1::2, 0, 0] = 0.0 if r > 1 else 0.1
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_pointwise_inverse_matches_lapack(r):
+    a = random_stack(np.random.default_rng(r), r, 101)
+    pivots = np.argmax(np.abs(a[:, 0]), axis=0)
+    if r > 1:
+        assert np.any(pivots == 0) and np.any(pivots != 0)
+    want = np.moveaxis(np.linalg.inv(np.moveaxis(a, -1, 0)), 0, -1)
+    got = pointwise_inverse(a)
+    assert got.shape == a.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("singular", [[[0.0]], [[1.0, 0.0], [2.0, 0.0]],
+                                      [[1.0, 2.0], [2.0, 4.0]]],
+                         ids=["zero", "zero column", "dependent rows"])
+def test_pointwise_inverse_raises_on_a_zero_pivot(singular):
+    r = len(singular)
+    a = random_stack(np.random.default_rng(7), r, 9)
+    a[:, :, 4] = singular
+    with pytest.raises(SymbolError, match="singular"):
+        pointwise_inverse(a)
+
+
+def permutation(rank, order):
+    return constant(S3, np.eye(rank)[list(order)])
+
+
+@pytest.mark.parametrize("unitary", [True, False])
+def test_quadrature_of_a_permuted_direct_sum_is_the_sum_of_its_blocks(unitary):
+    blocks = ((su2_power(-2), su2_symbol()) if unitary
+              else (sandwich(2), constant_sandwich(su2_symbol(), np.random.default_rng(3))))
+    a = multiply(permutation(4, (2, 0, 3, 1)),
+                 multiply(direct_sum(*blocks), permutation(4, (1, 3, 0, 2))))
+    got = _chern_s3_raw(a, 12, 8, unitary)
+    parts = sum(_chern_s3_raw(b, 12, 8, unitary) for b in blocks)
+    assert abs(got - parts) <= 1e-12, (got, parts)
+    want = stacked_chern_s3_raw(a, 12, 8, unitary)
+    assert abs(got - want) <= 1e-12, (got, want)
+    assert abs(got - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("terms", [
+    {(1, 0, 0, 0): [[1, 0], [0, 0]], (0, 1, 0, 0): [[0, 1], [0, 0]]},
+    {(1, 0, 0, 0): [[1, 0], [1, 0]], (0, 0, 1, 0): [[0, 0], [1, 0]]},
+], ids=["zero row", "zero column"])
+def test_symbol_with_a_zero_row_or_column_is_singular(terms):
+    with pytest.raises(SymbolError, match="singular at a quadrature node"):
+        _chern_s3_raw(Symbol(S3, terms), 4, 4, unitary=False)
+
+
+def test_chern_s3_evaluates_one_grid_per_block(monkeypatch):
+    # s3_representative(3) is su2^-2 + su2^-1: two rank-2 blocks, so twice the
+    # 9 t p^2 points of the value at (t, p) and the refinement at (2t, 2p)
+    points = []
+    evaluate = topology.eval_hopf_grid
+
+    def counted(a, theta, phi1, phi2, partials=False):
+        points.append(np.size(theta) * np.size(phi1) * np.size(phi2))
+        return evaluate(a, theta, phi1, phi2, partials)
+
+    monkeypatch.setattr(topology, "eval_hopf_grid", counted)
+    theta_nodes, phi_nodes = 12, 8
+    topology.chern_s3(s3_representative(3)[0], theta_nodes, phi_nodes)
+    assert sum(points) == 2 * 9 * theta_nodes * phi_nodes ** 2
+
+
+def test_inverse_path_peak_memory_stays_within_the_lapack_path():
+    # the LAPACK inverse path peaked at 45.6 MiB here; an augmented (r, 2r, N)
+    # elimination buffer peaked at 50.1 MiB
+    a = constant_sandwich(s3_representative(3)[0], np.random.default_rng(0))
+    _chern_s3_raw(a, 4, 4, unitary=False)  # first-call allocations outside the measurement
+    tracemalloc.start()
+    try:
+        _chern_s3_raw(a, 48, 48, unitary=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45.6 * 2 ** 20, peak / 2 ** 20

@@ -150,6 +150,13 @@ class TestWorkerPool:
             [("ValueError: bad case", symbol_to_dict(raiser))],
         ]
 
+    def test_run_cases_without_cases_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+        assert verify._run_cases([]) == []
+
     def test_a_dead_worker_is_a_numerics_error(self, monkeypatch):
         parent = os.getpid()
         index_s1 = verify.analytic_index_s1

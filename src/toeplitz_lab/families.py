@@ -10,10 +10,10 @@ each other only.
 """
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .symbols import (S1, S3, Symbol, constant, direct_sum, invertibility_margin,
                       multiply, power)
@@ -42,6 +42,10 @@ SANDWICH_SINGULAR_VALUES = (0.7, 1.4)
 
 # Norm of the generator X of a homotopy path t -> exp(tX) a.
 HOMOTOPY_STRENGTH = 0.4
+
+# Taylor terms of exp(y) summed by _expm, for y of 1-norm at most 1/2: the
+# first term left out is below 0.5**17 / 17! < 1e-19 in norm.
+EXPM_TAYLOR_TERMS = 16
 
 
 def z_power(m: int, rank: int = 1) -> Symbol:
@@ -192,6 +196,30 @@ def constant_sandwich(a: Symbol, rng: np.random.Generator) -> Symbol:
     return multiply(left, multiply(a, right))
 
 
+def _expm(x: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a small square matrix, by scaling and squaring.
+
+    Moler and Van Loan (SIAM Review 2003): y = x / 2^s with the least s >= 0
+    that makes the 1-norm of y at most 1/2, the Taylor series of exp(y) to
+    EXPM_TAYLOR_TERMS terms, then s squarings.  The series, summed by
+    Horner's rule, and the squarings carry e = exp(.) - I while its 1-norm
+    is at most 1/2, squared as 2e + e @ e, so that the identity does not
+    round e away.  A zero matrix gives exactly the identity.
+    """
+    squarings = max(0, math.frexp(2.0 * np.linalg.norm(x, 1))[1])
+    y = x / 2.0 ** squarings
+    e = y / EXPM_TAYLOR_TERMS
+    for k in range(EXPM_TAYLOR_TERMS - 1, 0, -1):
+        e = (y + e @ y) / k
+    while squarings and np.linalg.norm(e, 1) <= 0.5:
+        e = 2 * e + e @ e
+        squarings -= 1
+    out = np.eye(len(x)) + e
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
 def homotopy_path(a: Symbol, rng: np.random.Generator):
     """Returns t -> exp(tX) a for a fixed random X with norm HOMOTOPY_STRENGTH.
 
@@ -202,6 +230,6 @@ def homotopy_path(a: Symbol, rng: np.random.Generator):
     x *= HOMOTOPY_STRENGTH / np.linalg.norm(x, 2)
 
     def at(t: float) -> Symbol:
-        return multiply(constant(a.manifold, scipy.linalg.expm(float(t) * x)), a)
+        return multiply(constant(a.manifold, _expm(float(t) * x)), a)
 
     return at

@@ -15,11 +15,11 @@ Rectangular truncations take domain bands 0..N and codomain bands
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .kernel import (DEFAULT_RESIDUAL_TOL, DEFAULT_TOL, AnalyticIndex,
                      analytic_index_from_truncations)
@@ -47,11 +47,22 @@ def monomials_up_to(band: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(a_list, dtype=int), np.array(b_list, dtype=int)
 
 
+def log_monomial_norm_sq(a, b) -> np.ndarray:
+    """log h(a, b) = log a! + log b! - log (a + b + 1)!, elementwise.
+
+    a and b are non-negative integer arrays; each log k! is read from a
+    table of math.lgamma(k + 1), k = 0..max(a + b) + 1.
+    """
+    a = np.asarray(a, dtype=np.intp)
+    b = np.asarray(b, dtype=np.intp)
+    top = int(np.max(a + b, initial=0)) + 1
+    log_factorial = np.array([math.lgamma(k + 1) for k in range(top + 1)])
+    return log_factorial[a] + log_factorial[b] - log_factorial[a + b + 1]
+
+
 def monomial_norm_sq(a, b):
-    """h(a, b) = a! b! / (a + b + 1)!, the squared monomial norm; log-gamma for stability."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.exp(gammaln(a + 1) + gammaln(b + 1) - gammaln(a + b + 2))
+    """h(a, b) = a! b! / (a + b + 1)!, the squared monomial norm; log-factorials for stability."""
+    out = np.exp(log_monomial_norm_sq(a, b))
     return float(out) if out.ndim == 0 else out
 
 
@@ -84,7 +95,7 @@ def toeplitz_rect_s3(a: Symbol, domain_band: int) -> S3Truncation:
     n_cod = band_dim(m_band)
     mat = np.zeros((n_cod * r, n_dom * r), dtype=complex)
     blocks = mat.reshape(n_cod, r, n_dom, r)
-    log_h_dom = gammaln(dom_a + 1) + gammaln(dom_b + 1) - gammaln(dom_a + dom_b + 2)
+    log_h_dom = log_monomial_norm_sq(dom_a, dom_b)
     for (p, q, s, t), coeff in a.terms.items():
         tgt_a = dom_a + (p - s)
         tgt_b = dom_b + (q - t)
@@ -93,9 +104,8 @@ def toeplitz_rect_s3(a: Symbol, domain_band: int) -> S3Truncation:
             continue
         src = np.nonzero(valid)[0]
         ta, tb = tgt_a[src], tgt_b[src]
-        lift_a, lift_b = dom_a[src] + p, dom_b[src] + q
-        log_pair = gammaln(lift_a + 1) + gammaln(lift_b + 1) - gammaln(lift_a + lift_b + 2)
-        log_h_tgt = gammaln(ta + 1) + gammaln(tb + 1) - gammaln(ta + tb + 2)
+        log_pair = log_monomial_norm_sq(dom_a[src] + p, dom_b[src] + q)
+        log_h_tgt = log_monomial_norm_sq(ta, tb)
         weights = np.exp(log_pair - 0.5 * (log_h_dom[src] + log_h_tgt))
         rows = monomial_position(ta, tb)
         # one term sends distinct domain monomials to distinct targets, so

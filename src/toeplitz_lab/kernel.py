@@ -55,8 +55,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_array
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ResidualFailureError, UnstabilizedError
 from .symbols import Symbol, adjoint, require_invertible
@@ -133,6 +131,34 @@ class KernelReport:
     residual: float
 
 
+def _connected_components(n: int, u: np.ndarray, v: np.ndarray):
+    """Connected components of the undirected graph on nodes 0..n-1 with edges {u[k], v[k]}.
+
+    Returns (count, labels): labels[x] numbers x's component, the components
+    numbered from 0 in the order of their smallest node.  Hooking and
+    pointer jumping (Shiloach and Vishkin, J. Algorithms 1982): every node
+    points at a node no larger than itself; each round hooks the larger of
+    an edge's two roots under the smaller, then jumps pointers until every
+    node points at a root, and the rounds stop when no edge joins two roots.
+    A root is then its component's smallest node, so ranking the roots
+    numbers the components in that order.
+    """
+    parent = np.arange(n)
+    while True:
+        pu, pv = parent[u], parent[v]
+        cross = pu != pv
+        if not cross.any():
+            break
+        np.minimum.at(parent, np.maximum(pu, pv)[cross], np.minimum(pu, pv)[cross])
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    roots, labels = np.unique(parent, return_inverse=True)
+    return roots.size, labels
+
+
 def _components(m: np.ndarray):
     """Connected components of the sparsity graph of m, grouped by block shape.
 
@@ -143,8 +169,7 @@ def _components(m: np.ndarray):
     """
     rows, cols = m.shape
     r, c = (m != 0).nonzero()
-    graph = coo_array((np.ones(r.size), (r, rows + c)), shape=(rows + cols, rows + cols))
-    count, labels = connected_components(graph, directed=False)
+    count, labels = _connected_components(rows + cols, r, rows + c)
     row_label, col_label = labels[:rows], labels[rows:]
     row_order = np.argsort(row_label, kind="stable")
     col_order = np.argsort(col_label, kind="stable")

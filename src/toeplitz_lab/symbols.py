@@ -330,8 +330,8 @@ def eval_hopf_grid(a: Symbol, theta: np.ndarray, phi1: np.ndarray, phi2: np.ndar
     Returns value array of shape (nt, n1, n2, r, r); with partials=True returns
     (value, d_theta, d_phi1, d_phi2) using the exact per-term derivatives.
     Each field is accumulated points-last, in an (r, r, nt, n1, n2) buffer with
-    one add per nonzero coefficient entry, and returned as an np.moveaxis view
-    of that buffer.
+    one add per nonzero coefficient entry (none to a partial that the term
+    leaves exactly zero), and returned as an np.moveaxis view of that buffer.
     """
     theta = np.asarray(theta, dtype=float)
     phi1 = np.asarray(phi1, dtype=float)
@@ -344,18 +344,26 @@ def eval_hopf_grid(a: Symbol, theta: np.ndarray, phi1: np.ndarray, phi2: np.ndar
         phase = (np.exp(1j * (p - s) * phi1)[:, None]
                  * np.exp(1j * (q - t) * phi2)[None, :])
         base = radial[:, None, None] * phase[None, :, :]
-        bases = [base]
+        terms = [(fields[0], base)]
         if partials:
-            # n * x^(n-1) is taken to be 0 when n = 0: no negative powers appear
-            drad = np.zeros_like(radial)
-            if p + s > 0:
-                drad += (p + s) * ct ** (p + s - 1) * (-st) * st ** (q + t)
-            if q + t > 0:
-                drad += (q + t) * st ** (q + t - 1) * ct * ct ** (p + s)
-            bases += [drad[:, None, None] * phase[None, :, :],
-                      (1j * (p - s)) * base, (1j * (q - t)) * base]
+            # a partial that is exactly zero (the constant term's d_theta,
+            # d_phi1 when p = s, d_phi2 when q = t) is not added: a field
+            # starts at +0, so its running sum is never -0, and adding zero
+            # would change no bit
+            if p + s + q + t > 0:
+                # n * x^(n-1) is taken to be 0 when n = 0: no negative powers appear
+                drad = np.zeros_like(radial)
+                if p + s > 0:
+                    drad += (p + s) * ct ** (p + s - 1) * (-st) * st ** (q + t)
+                if q + t > 0:
+                    drad += (q + t) * st ** (q + t - 1) * ct * ct ** (p + s)
+                terms.append((fields[1], drad[:, None, None] * phase[None, :, :]))
+            if p != s:
+                terms.append((fields[2], (1j * (p - s)) * base))
+            if q != t:
+                terms.append((fields[3], (1j * (q - t)) * base))
         for i, j in zip(*np.nonzero(c)):
-            for field, b in zip(fields, bases):
+            for field, b in terms:
                 field[i, j] += b * c[i, j]
     views = tuple(np.moveaxis(field, (0, 1), (3, 4)) for field in fields)
     return views if partials else views[0]

@@ -289,3 +289,30 @@ class TestInstalledEntryPoint:
             pytest.skip("console script not on PATH")
         proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+COLD_START_SCRIPT = """
+import json, os, sys
+from toeplitz_lab import cli
+from toeplitz_lab.verify import run_verify
+symbols = sys.argv[1]
+codes = [cli.main([command, os.path.join(symbols, name)]) for command, name in (
+    ("index", "s1_random_rank3.json"), ("index", "s3_su2.json"),
+    ("chern", "s3_su2.json"), ("winding", "s1_random_rank3.json"),
+    ("convergence", "s3_su2.json"))]
+run_verify(0, 2, 1, 2)  # draws a homotopy path
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_no_program_path_imports_scipy():
+    # the subcommands and the verify suite, homotopy paths included, run on
+    # numpy alone in a fresh interpreter
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", COLD_START_SCRIPT, SYMBOLS], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    codes, scipy_modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert codes == [0, 0, 0, 0, 0]
+    assert scipy_modules == []

@@ -1,8 +1,9 @@
 """Symbol families: SU(2) generator, random suites, constructed ground truth."""
 import numpy as np
 import pytest
+import scipy.linalg
 
-from toeplitz_lab.families import (constant_sandwich, diag_laurent,
+from toeplitz_lab.families import (_expm, constant_sandwich, diag_laurent,
                                    haar_unitary, homotopy_path,
                                    random_matrix_symbol, random_scalar_symbol,
                                    s3_representative, su2_power, su2_symbol,
@@ -97,6 +98,27 @@ class TestRandomSuites:
         assert np.allclose(evaluate(path(0.0), 1.0 + 0j), evaluate(a, 1.0 + 0j))
         for t in (0.25, 0.5, 1.0):
             assert invertibility_margin(path(t), 64) > 1e-3
+
+
+def random_generator(seed):
+    """Seeded complex matrix of size 1..3 and 2-norm uniform in (0, 10]."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return x * (10.0 * (1.0 - rng.uniform()) / np.linalg.norm(x, 2))
+
+
+class TestMatrixExponential:
+    def test_matches_scipy_to_1e_14_of_its_norm(self):
+        for seed in range(300):
+            x = random_generator(seed)
+            want = scipy.linalg.expm(x)
+            assert np.max(np.abs(_expm(x) - want)) <= 1e-14 * np.linalg.norm(want, 2), seed
+
+    def test_zero_gives_exactly_the_identity(self):
+        for seed in range(5):
+            x = random_generator(seed)
+            assert np.array_equal(_expm(0.0 * x), np.eye(len(x)))
 
 
 class TestSmallConstructors:

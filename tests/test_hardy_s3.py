@@ -1,4 +1,7 @@
 """Three-sphere Hardy space: monomial grading, shift weights, analytic index."""
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -7,8 +10,9 @@ from toeplitz_lab.errors import SymbolError
 from toeplitz_lab.families import (constant_sandwich, s3_representative,
                                    su2_power, su2_symbol)
 from toeplitz_lab.hardy_s3 import (S3Truncation, analytic_index_s3, band_dim,
-                                   monomial_norm_sq, monomial_position,
-                                   monomials_up_to, toeplitz_rect_s3)
+                                   log_monomial_norm_sq, monomial_norm_sq,
+                                   monomial_position, monomials_up_to,
+                                   toeplitz_rect_s3)
 from toeplitz_lab.symbols import S3, Symbol, adjoint, identity, transpose
 
 
@@ -20,6 +24,14 @@ class TestMonomialBasis:
         assert monomial_norm_sq(2, 0) == pytest.approx(1 / 3, abs=1e-15)
         assert monomial_norm_sq(2, 1) == pytest.approx(1 / 12, abs=1e-15)
         assert monomial_norm_sq(3, 3) == pytest.approx(1 / 140, abs=1e-16)
+
+    def test_log_norm_matches_the_exact_rationals_to_2e_13(self):
+        a, b = np.divmod(np.arange(81 * 81), 81)
+        a, b = a[a + b <= 80], b[a + b <= 80]
+        got = np.exp(log_monomial_norm_sq(a, b))
+        for ai, bi, h in zip(a.tolist(), b.tolist(), got.tolist()):
+            exact = Fraction(factorial(ai) * factorial(bi), factorial(ai + bi + 1))
+            assert abs(Fraction(h) / exact - 1) <= 2e-13
 
     def test_norm_vectorizes(self):
         a = np.array([0, 1, 2])
@@ -103,14 +115,19 @@ class TestTruncationStructure:
         assert np.allclose(t.matrix, np.eye(band_dim(4)))
 
 
-def loop_rect_s3(a, n_band):
+def gammaln_log_norm_sq(a, b):
+    """log h(a, b) from scipy's log-gamma, as the truncation was once weighted."""
+    return gammaln(a + 1) + gammaln(b + 1) - gammaln(a + b + 2)
+
+
+def loop_rect_s3(a, n_band, log_norm_sq=log_monomial_norm_sq):
     """Reference truncation: the per-entry loop that toeplitz_rect_s3 vectorizes."""
     r = a.rank
     dom_a, dom_b = monomials_up_to(n_band)
     n_dom = dom_a.size
     n_cod = band_dim(n_band + a.max_shift)
     mat = np.zeros((n_cod * r, n_dom * r), dtype=complex)
-    log_h_dom = gammaln(dom_a + 1) + gammaln(dom_b + 1) - gammaln(dom_a + dom_b + 2)
+    log_h_dom = log_norm_sq(dom_a, dom_b)
     for (p, q, s, t), coeff in a.terms.items():
         tgt_a = dom_a + (p - s)
         tgt_b = dom_b + (q - t)
@@ -119,9 +136,8 @@ def loop_rect_s3(a, n_band):
             continue
         src = np.nonzero(valid)[0]
         ta, tb = tgt_a[src], tgt_b[src]
-        lift_a, lift_b = dom_a[src] + p, dom_b[src] + q
-        log_pair = gammaln(lift_a + 1) + gammaln(lift_b + 1) - gammaln(lift_a + lift_b + 2)
-        log_h_tgt = gammaln(ta + 1) + gammaln(tb + 1) - gammaln(ta + tb + 2)
+        log_pair = log_norm_sq(dom_a[src] + p, dom_b[src] + q)
+        log_h_tgt = log_norm_sq(ta, tb)
         weights = np.exp(log_pair - 0.5 * (log_h_dom[src] + log_h_tgt))
         rows = monomial_position(ta, tb)
         for col, row, w in zip(src, rows, weights):
@@ -140,6 +156,15 @@ REFERENCE_SYMBOLS = {
 def test_truncation_equals_the_per_entry_loop(name, band):
     a = REFERENCE_SYMBOLS[name]
     assert np.array_equal(toeplitz_rect_s3(a, band).matrix, loop_rect_s3(a, band))
+
+
+@pytest.mark.parametrize("band", [8, 24])
+@pytest.mark.parametrize("name", sorted(REFERENCE_SYMBOLS))
+def test_truncation_matches_the_gammaln_weights_to_1e_12(name, band):
+    a = REFERENCE_SYMBOLS[name]
+    want = loop_rect_s3(a, band, gammaln_log_norm_sq)
+    got = toeplitz_rect_s3(a, band).matrix
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 class TestAnalyticIndex:

@@ -16,8 +16,9 @@ from toeplitz_lab.families import (constant_sandwich, homotopy_path,
 from toeplitz_lab.hardy_s1 import analytic_index_s1, toeplitz_rect_s1
 from toeplitz_lab.hardy_s3 import analytic_index_s3, toeplitz_rect_s3
 from toeplitz_lab.kernel import (DEFAULT_TOL, AnalyticIndex, _components,
-                                 _svd_split, analytic_index_from_builders,
-                                 kernel_dim, stabilized_kernel_dim)
+                                 _connected_components, _svd_split,
+                                 analytic_index_from_builders, kernel_dim,
+                                 stabilized_kernel_dim)
 from toeplitz_lab.symbols import (S1, Symbol, adjoint, direct_sum, identity,
                                   multiply)
 
@@ -383,6 +384,41 @@ def test_components_match_the_pairwise_grouping(case):
     for (rows, cols), (ref_rows, ref_cols) in zip(got, ref):
         assert np.array_equal(rows, ref_rows) and rows.dtype == ref_rows.dtype
         assert np.array_equal(cols, ref_cols) and cols.dtype == ref_cols.dtype
+
+
+def bipartite_graph(seed):
+    """Edges row -> rows + col of a seeded random sparsity pattern, as _components builds them."""
+    rng = np.random.default_rng(seed)
+    rows, cols = (int(k) for k in rng.integers(1, 60, size=2))
+    r, c = np.nonzero(rng.uniform(size=(rows, cols)) < rng.uniform(0.0, 0.1))
+    return rows + cols, r, rows + c
+
+
+def permuted_path(n):
+    order = np.random.default_rng(n).permutation(n)
+    return n, order[:-1], order[1:]
+
+
+NO_EDGES = np.zeros(0, dtype=np.intp)
+
+# name -> (nodes, u, v)
+GRAPH_CASES = {
+    **{f"bipartite_{seed}": lambda seed=seed: bipartite_graph(seed) for seed in range(8)},
+    "path_10k_permuted": lambda: permuted_path(10_000),
+    "no_edges": lambda: (9, NO_EDGES, NO_EDGES),
+    "no_nodes": lambda: (0, NO_EDGES, NO_EDGES),
+    "isolated_nodes": lambda: (12, np.array([3, 5, 10]), np.array([5, 7, 3])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAPH_CASES))
+def test_connected_components_are_scipys(case):
+    n, u, v = GRAPH_CASES[case]()
+    count, labels = _connected_components(n, u, v)
+    ref_count, ref_labels = connected_components(
+        coo_array((np.ones(u.size), (u, v)), shape=(n, n)), directed=False)
+    assert count == ref_count
+    assert np.array_equal(labels, ref_labels)
 
 
 def random_coefficients(rng, rank, scale):

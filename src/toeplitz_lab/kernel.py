@@ -35,6 +35,20 @@ stabilization fails before any residual check.  If it has one, the largest
 truncation's SVD is the same as when every size takes vectors.  No truncation
 is decomposed twice.
 
+The largest truncation takes its vectors block by block too.  A block that
+is alone in its group and tall (rows at least columns, as a generic S1
+truncation is) is reduced once to bidiagonal form, A = Q B P^H (LAPACK
+zgebrd); all its singular values come from QR sweeps on B with no vectors
+(dbdsqr), the sequence numpy's values-only SVD runs.  Only once the
+threshold over all blocks is known, and only for a block with k > 0 values
+at or below it, does dbdsdc take B's singular vectors and zunmbr apply P to
+the k kernel ones; the block's other right singular vectors are never
+formed.  The LAPACKE routines are those of numpy's bundled OpenBLAS, called
+through ctypes, and a routine that fails raises numpy's LinAlgError, as
+np.linalg.svd does.  Stacks of equal blocks (the S3 weight-space blocks),
+wide blocks, and a numpy without that library take np.linalg.svd with
+vectors instead.
+
 Every SVD, and the residual check's product, runs on one BLAS thread, and
 the caller's thread count is restored afterwards.  The engine's products are
 small (S1 truncations of about 100 to 400 columns, torus-equivariant S3
@@ -64,12 +78,29 @@ DEFAULT_RESIDUAL_TOL = 1e-6
 GAP_WARN_RATIO = 1e3
 
 
+_int, _char, _ptr = ctypes.c_int64, ctypes.c_char, ctypes.c_void_p
+# LAPACKE routines of the bidiagonal path -> their argument types.  The
+# library is ILP64: every lapack_int is 64-bit, the leading layout a C int.
+_LAPACKE = {
+    "zgebrd": [ctypes.c_int, _int, _int, _ptr, _int, _ptr, _ptr, _ptr, _ptr],
+    "dbdsqr": [ctypes.c_int, _char, _int, _int, _int, _int, _ptr, _ptr,
+               _ptr, _int, _ptr, _int, _ptr, _int],
+    "dbdsdc": [ctypes.c_int, _char, _char, _int, _ptr, _ptr, _ptr, _int,
+               _ptr, _int, _ptr, _ptr],
+    "zunmbr": [ctypes.c_int, _char, _char, _char, _int, _int, _int, _ptr,
+               _int, _ptr, _ptr, _int],
+}
+_COL_MAJOR = 102
+
+
 def _bundled_openblas():
     """numpy's bundled OpenBLAS, if numpy links it, else None.
 
     numpy wheels ship it as numpy.libs/libscipy_openblas64_*.so; loading that
     path again returns the library numpy already uses.  A numpy built against
-    another BLAS has no such file or lacks the thread-count symbols.
+    another BLAS has no such file or lacks the thread-count symbols.  The
+    LAPACKE routines of the bidiagonal path get their signatures here, where
+    the library has them.
     """
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
@@ -81,6 +112,10 @@ def _bundled_openblas():
             continue
         get.argtypes, get.restype = [], ctypes.c_int
         set_.argtypes, set_.restype = [ctypes.c_int], None
+        for name, argtypes in _LAPACKE.items():
+            routine = getattr(lib, f"scipy_LAPACKE_{name}64_", None)
+            if routine is not None:
+                routine.argtypes, routine.restype = argtypes, _int
         return lib
     return None
 
@@ -117,6 +152,72 @@ def one_blas_thread():
             _blas_holders -= 1
             if _blas_holders == 0:
                 lib.scipy_openblas_set_num_threads64_(_blas_caller_threads)
+
+
+def _lapacke():
+    """The bidiagonal path's LAPACKE routines by name, or None without them.
+
+    Reads _OPENBLAS at each call, so a build without the library, or with a
+    library that lacks one of the routines, takes the stacked SVD instead.
+    """
+    try:
+        return {name: getattr(_OPENBLAS, f"scipy_LAPACKE_{name}64_") for name in _LAPACKE}
+    except AttributeError:
+        return None
+
+
+def _lapack_check(name: str, info: int) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACKE {name} failed with info {info}")
+
+
+def _bidiagonal(lapacke: dict, block: np.ndarray):
+    """All singular values of one tall block, descending, and its bidiagonal reduction.
+
+    zgebrd reduces the block to upper bidiagonal form, A = Q B P^H, and
+    dbdsqr takes B's singular values with no vectors: the sequence numpy's
+    values-only SVD (zgesdd) runs for a block with fewer rows than
+    int(17 * cols / 9), so there the values are the same to the bit; from
+    that crossover on, zgesdd factors A = QR first.  The reduction
+    (the reflectors in the overwritten block, B's diagonals and the
+    scalar factors of P) is what _bidiagonal_kernel needs.
+    """
+    a = np.array(block, dtype=complex, order="F")
+    rows, cols = a.shape
+    d, e = np.empty(cols), np.empty(max(cols - 1, 1))
+    tauq, taup = np.empty(cols, dtype=complex), np.empty(cols, dtype=complex)
+    _lapack_check("zgebrd", lapacke["zgebrd"](
+        _COL_MAJOR, rows, cols, a.ctypes.data, rows, d.ctypes.data, e.ctypes.data,
+        tauq.ctypes.data, taup.ctypes.data))
+    s, work = d.copy(), e.copy()
+    _lapack_check("dbdsqr", lapacke["dbdsqr"](
+        _COL_MAJOR, b"U", cols, 0, 0, 0, s.ctypes.data, work.ctypes.data,
+        None, 1, None, 1, None, 1))
+    # LAPACKE rejects a NaN entry unless LAPACKE_NANCHECK=0 switches that off
+    if not np.isfinite(s).all():
+        raise np.linalg.LinAlgError("dbdsqr gave a non-finite singular value")
+    return s, (a, d, e, taup)
+
+
+def _bidiagonal_kernel(lapacke: dict, reduction, k: int) -> np.ndarray:
+    """Right singular vectors of the k smallest singular values, as columns.
+
+    dbdsdc takes B = U S VT with vectors; the right singular vectors of the
+    block are the columns of P VT^T, so zunmbr applies P to the last k rows
+    of VT, transposed, and to nothing else.
+    """
+    a, d, e, taup = reduction
+    rows, cols = a.shape
+    s, work = d.copy(), e.copy()
+    u, vt = np.empty((cols, cols), order="F"), np.empty((cols, cols), order="F")
+    _lapack_check("dbdsdc", lapacke["dbdsdc"](
+        _COL_MAJOR, b"U", b"I", cols, s.ctypes.data, work.ctypes.data,
+        u.ctypes.data, cols, vt.ctypes.data, cols, None, None))
+    c = np.asfortranarray(vt[cols - k:].T, dtype=complex)
+    _lapack_check("zunmbr", lapacke["zunmbr"](
+        _COL_MAJOR, b"P", b"L", b"N", cols, k, rows, a.ctypes.data, rows,
+        taup.ctypes.data, c.ctypes.data, cols))
+    return c
 
 
 @dataclass(frozen=True)
@@ -202,24 +303,32 @@ def _svd_split(matrix: np.ndarray, tol: float, vectors: bool):
     values only.  With vectors true the block SVDs also take the right
     singular vectors, and the kernel basis holds each block's kernel right
     singular vectors, zero-extended into the block's columns; with vectors
-    false the SVDs are values-only and the kernel basis is None.  The SVDs
-    run on one BLAS thread (see the module docstring).
+    false the SVDs are values-only and the kernel basis is None.  With
+    vectors true and the LAPACKE routines at hand, a group that is one tall
+    block goes through _bidiagonal instead, and _bidiagonal_kernel forms
+    only its kernel vectors.  The SVDs run on one BLAS thread (see the
+    module docstring).
     """
     m = np.asarray(matrix, dtype=complex)
     rows, cols = m.shape
+    lapacke = _lapacke() if vectors else None
     groups = []
     with one_blas_thread():
         for row_index, col_index in _components(m):
             nr, nc = row_index.shape[1], col_index.shape[1]
             blocks = m[row_index[:, :, None], col_index[:, None, :]]
-            if vectors:
+            vh = reduction = None
+            if lapacke is not None and len(blocks) == 1 and nr >= nc > 0:
+                s, reduction = _bidiagonal(lapacke, blocks[0])
+                s = s[None]
+            elif vectors:
                 _, s, vh = np.linalg.svd(blocks, full_matrices=nr < nc)
             else:
-                s, vh = np.linalg.svd(blocks, compute_uv=False), None
-            groups.append((col_index, s, vh))
+                s = np.linalg.svd(blocks, compute_uv=False)
+            groups.append((col_index, s, vh, reduction))
 
     sigma = np.zeros(min(rows, cols))
-    values = np.concatenate([s.ravel() for _, s, _ in groups]) if groups else sigma[:0]
+    values = np.concatenate([s.ravel() for _, s, _, _ in groups]) if groups else sigma[:0]
     sigma[:values.size] = -np.sort(-values)
     thresh = tol * (sigma[0] if sigma.size else 0.0)
     small = sigma <= thresh
@@ -229,12 +338,21 @@ def _svd_split(matrix: np.ndarray, tol: float, vectors: bool):
     if vectors:
         basis = np.zeros((cols, dim), dtype=complex)
         filled = 0
-        for col_index, s, vh in groups:
-            n_kept = np.count_nonzero(s > thresh, axis=1)
-            block, row = np.nonzero(np.arange(vh.shape[1]) >= n_kept[:, None])
-            slots = filled + np.arange(block.size)
-            basis[col_index[block], slots[:, None]] = vh[block, row].conj()
-            filled += block.size
+        with one_blas_thread():
+            for col_index, s, vh, reduction in groups:
+                n_kept = np.count_nonzero(s > thresh, axis=1)
+                if reduction is None:
+                    block, row = np.nonzero(np.arange(vh.shape[1]) >= n_kept[:, None])
+                    kernel_rows = vh[block, row].conj()
+                else:
+                    k = s.shape[1] - int(n_kept[0])
+                    if k == 0:
+                        continue
+                    block = np.zeros(k, dtype=np.intp)
+                    kernel_rows = _bidiagonal_kernel(lapacke, reduction, k).T
+                slots = filled + np.arange(block.size)
+                basis[col_index[block], slots[:, None]] = kernel_rows
+                filled += block.size
 
     kept = sigma[~small]
     rejected = sigma[small]

@@ -34,8 +34,12 @@ def shift_matrix(n, rows=None):
 
 @pytest.fixture
 def vector_svd_shapes(monkeypatch):
-    """Shapes of the stacks that np.linalg.svd, as kernel.py calls it, decomposes with vectors."""
-    svd = np.linalg.svd
+    """Shapes of the stacks whose singular vectors kernel.py takes.
+
+    np.linalg.svd with vectors records its stack; the bidiagonal path records
+    its one block, as a stack of one, when it forms the block's kernel vectors.
+    """
+    svd, bidiagonal_kernel = np.linalg.svd, kernel._bidiagonal_kernel
     shapes = []
 
     def counted_svd(a, *args, **kwargs):
@@ -43,7 +47,12 @@ def vector_svd_shapes(monkeypatch):
             shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
+    def counted_bidiagonal_kernel(lapacke, reduction, k):
+        shapes.append((1,) + reduction[0].shape)
+        return bidiagonal_kernel(lapacke, reduction, k)
+
     monkeypatch.setattr(kernel.np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(kernel, "_bidiagonal_kernel", counted_bidiagonal_kernel)
     return shapes
 
 
@@ -449,6 +458,97 @@ def test_vectors_are_taken_once_at_the_top_size_only_for_a_kernel(dominant, dim,
     assert vector_svd_shapes == ([top] if dim else [])
 
 
+has_lapacke = pytest.mark.skipif(kernel._lapacke() is None,
+                                 reason="numpy's OpenBLAS lacks the bidiagonal path's LAPACKE routines")
+
+
+def generic_rank3():
+    """A generic rank-3 circle symbol with both a kernel and a cokernel."""
+    return random_matrix_symbol(np.random.default_rng(5), rank=3)[0]
+
+
+@has_lapacke
+def test_a_generic_index_takes_no_vector_svd_from_numpy(vector_svd_shapes, monkeypatch):
+    svd = kernel.np.linalg.svd
+    numpy_vectors = []
+
+    def counted_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            numpy_vectors.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(kernel.np.linalg, "svd", counted_svd)
+    result = analytic_index_s1(generic_rank3(), trunc=32)
+    assert (result.ker_dim, result.coker_dim) == (4, 2)
+    assert numpy_vectors == []
+    # one bidiagonal extraction per family, at the top size
+    assert [shape[2] for shape in vector_svd_shapes] == [192, 192]
+
+
+def s1_identity_symbols():
+    """(name, symbol) pairs drawn like the s1-identities loop, at every rank 1..3."""
+    rng = np.random.default_rng(20261018)
+    symbols = []
+    for rank in (1, 2, 3):
+        a, _ = random_matrix_symbol(rng, rank=rank)
+        b, _ = random_matrix_symbol(rng, rank=rank)
+        path = homotopy_path(a, rng)
+        symbols += [(f"a{rank}", a), (f"a{rank}*", adjoint(a)), (f"a{rank}b{rank}", multiply(a, b)),
+                    (f"a{rank}+I2", direct_sum(a, identity(S1, 2))),
+                    (f"a{rank}(t=0.5)", path(0.5)), (f"a{rank}(t=1)", path(1.0))]
+    return symbols
+
+
+# name -> matrix factory: the top truncations of s1-identities-like index
+# calls (trunc 32, so domain 64, for the symbol and its adjoint), and the
+# permuted block cases, whose blocks include repeated zero singular values
+BIDIAGONAL_CASES = {
+    **{f"{name}/{family}": lambda a=a, family=family: toeplitz_rect_s1(
+        a if family == "ker" else adjoint(a), 64).matrix
+       for name, a in s1_identity_symbols() for family in ("ker", "coker")},
+    **{f"{case}/seed{seed}": lambda case=case, seed=seed: block_case_matrix(case, seed)
+       for case in sorted(BLOCK_CASES) for seed in range(3)},
+}
+
+
+def tall_single_blocks(m):
+    """The blocks of m that are alone in their shape group and tall, as matrices."""
+    for rows, cols in _components(m):
+        if rows.shape[0] == 1 and rows.shape[1] >= cols.shape[1] > 0:
+            yield m[np.ix_(rows[0], cols[0])]
+
+
+@has_lapacke
+@pytest.mark.parametrize("case", BIDIAGONAL_CASES)
+def test_bidiagonal_path_matches_dense_and_values_only(case):
+    for block in tall_single_blocks(BIDIAGONAL_CASES[case]()):
+        dim, sigma, basis, _ = _svd_split(block, DEFAULT_TOL, vectors=True)
+        ref_dim, _, ref_basis, _ = dense_svd_split(block, DEFAULT_TOL)
+        _, values, _, _ = _svd_split(block, DEFAULT_TOL, vectors=False)
+        assert dim == ref_dim
+        rows, cols = block.shape
+        # numpy's values-only SVD reduces to bidiagonal form directly below
+        # zgesdd's crossover, and after a QR factorization from it on
+        if rows < int(cols * 17 / 9):
+            assert np.array_equal(sigma, values)
+        else:
+            assert np.max(np.abs(sigma - values)) <= 1e-12 * values[0]
+        projector = basis @ basis.conj().T
+        ref_projector = ref_basis @ ref_basis.conj().T
+        assert np.max(np.abs(projector - ref_projector), initial=0.0) <= 1e-10
+
+
+def test_bidiagonal_cases_reach_the_path_with_kernels():
+    blocks = [block for factory in BIDIAGONAL_CASES.values()
+              for block in tall_single_blocks(factory())]
+    # the oracle above is not vacuous: most cases hold a tall single block,
+    # many of those blocks have a kernel, and some a repeated zero singular value
+    assert len(blocks) >= 2 * len(BIDIAGONAL_CASES) // 3
+    assert sum(kernel_dim(block) > 0 for block in blocks) >= len(blocks) // 3
+    sigmas = [np.linalg.svd(block, compute_uv=False) for block in blocks]
+    assert any(np.count_nonzero(s <= 1e-12 * s[0]) >= 2 for s in sigmas)
+
+
 def all_vectors_split(matrix, tol, vectors):
     """Reference: every SVD of the stabilization takes singular vectors."""
     return _svd_split(matrix, tol, vectors=True)
@@ -531,6 +631,13 @@ def z_minus(rho):
     return Symbol(S1, {0: -rho, 1: 1.0})
 
 
+def nan_at_the_top(n):
+    m = banded_family(2, -1)(n)
+    if n == 32:
+        m[0, 0] = np.nan
+    return m
+
+
 ENGINE_CALLS = {
     "analytic index": (lambda: analytic_index_s1(random_matrix_symbol(
         np.random.default_rng(3), rank=2)[0], trunc=32), None),
@@ -540,6 +647,10 @@ ENGINE_CALLS = {
         lambda n: shift_matrix(n, rows=n), (8, 16)), ResidualFailureError),
     # raised by the SVD itself, inside the guard
     "svd failure": (lambda: kernel_dim(np.full((4, 3), np.nan)), np.linalg.LinAlgError),
+    # the size below has a kernel, so the top's one tall block goes through
+    # the bidiagonal path, whose zgebrd rejects the NaN
+    "lapack failure": (lambda: stabilized_kernel_dim(nan_at_the_top, (16, 32)),
+                       np.linalg.LinAlgError),
 }
 
 
@@ -557,19 +668,41 @@ def test_engine_restores_the_callers_blas_threads(name, threads, caller_threads)
     assert blas_threads() == threads
 
 
+@has_lapacke
+def test_a_lapacke_failure_is_a_linalg_error():
+    with pytest.raises(np.linalg.LinAlgError, match="^LAPACKE zgebrd failed with info -4$"):
+        stabilized_kernel_dim(nan_at_the_top, (16, 32))
+
+
 @needs_openblas
 def test_every_engine_svd_runs_on_one_blas_thread(caller_threads, monkeypatch):
-    svd = np.linalg.svd
-    seen = []
+    svd, lapacke = np.linalg.svd, kernel._lapacke
+    seen, lapacke_seen = [], []
 
     def counted_svd(*args, **kwargs):
         seen.append(blas_threads())
         return svd(*args, **kwargs)
 
+    def counted(name, routine):
+        def call(*args):
+            lapacke_seen.append((name, blas_threads()))
+            return routine(*args)
+        return call
+
+    def counted_lapacke():
+        routines = lapacke()
+        return routines and {name: counted(name, r) for name, r in routines.items()}
+
     monkeypatch.setattr(kernel.np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(kernel, "_lapacke", counted_lapacke)
     caller_threads(2)
+    # z^2 splits into stacks; the cokernel of z - 0.2 is one tall block
     analytic_index_s1(z_power(2), trunc=16)
+    assert analytic_index_s1(z_minus(0.2), trunc=16).coker_dim == 1
     assert seen and set(seen) == {1}
+    if lapacke() is not None:
+        assert {name for name, _ in lapacke_seen} == set(kernel._LAPACKE)
+        assert {threads for _, threads in lapacke_seen} == {1}
 
 
 @needs_openblas
@@ -650,6 +783,27 @@ def test_concurrent_engine_calls_restore_the_callers_blas_threads(caller_threads
     assert not any(t.is_alive() for t in workers)
     assert errors == []
     assert blas_threads() == 2
+
+
+@has_lapacke
+def test_without_the_library_the_stacked_svd_gives_the_same_index(monkeypatch):
+    result = analytic_index_s1(generic_rank3(), trunc=32)
+    monkeypatch.setattr(kernel, "_OPENBLAS", None)
+    assert kernel._lapacke() is None
+    fallback = analytic_index_s1(generic_rank3(), trunc=32)
+    assert ((result.index, result.ker_dim, result.coker_dim)
+            == (fallback.index, fallback.ker_dim, fallback.coker_dim) == (2, 4, 2))
+    for report, ref in ((result.ker, fallback.ker), (result.coker, fallback.coker)):
+        assert (report.dim, report.dims, report.sizes) == (ref.dim, ref.dims, ref.sizes)
+        # the bands of tests/test_behaviour_pins.py: digits below them follow
+        # the SVD's rounding, which here runs on a different LAPACK path
+        for value, ref_value, rounding in (
+                (report.spectral_gap, ref.spectral_gap, lambda gap: gap >= 1e12),
+                (report.residual, ref.residual, lambda residual: 0.0 < residual <= 1e-12)):
+            if rounding(ref_value):
+                assert rounding(value)
+            else:
+                assert value == pytest.approx(ref_value, rel=1e-9)
 
 
 @needs_openblas

@@ -26,28 +26,22 @@ through one stacked SVD.  The kernel threshold is relative to the largest
 singular value over all blocks, never to a block's own.
 
 Dimensions, singular values and gaps need no singular vectors; only the
-residual check reads kernel vectors, at the largest size and only when a
-kernel exists.  So every SVD is values-only except the one of the largest
-truncation, which takes vectors exactly when the size below it found a
-kernel.  That is exact.  If the size below has no kernel, either the largest
-has none either, and no basis is read, or the sizes disagree, and
-stabilization fails before any residual check.  If it has one, the largest
-truncation's SVD is the same as when every size takes vectors.  No truncation
-is decomposed twice.
-
-The largest truncation takes its vectors block by block too.  A block that
-is alone in its group and tall (rows at least columns, as a generic S1
-truncation is) is reduced once to bidiagonal form, A = Q B P^H (LAPACK
-zgebrd); all its singular values come from QR sweeps on B with no vectors
-(dbdsqr), the sequence numpy's values-only SVD runs.  Only once the
-threshold over all blocks is known, and only for a block with k > 0 values
-at or below it, does dbdsdc take B's singular vectors and zunmbr apply P to
-the k kernel ones; the block's other right singular vectors are never
-formed.  The LAPACKE routines are those of numpy's bundled OpenBLAS, called
-through ctypes, and a routine that fails raises numpy's LinAlgError, as
-np.linalg.svd does.  Stacks of equal blocks (the S3 weight-space blocks),
-wide blocks, and a numpy without that library take np.linalg.svd with
-vectors instead.
+residual check reads kernel vectors, at the largest size and only once the
+sizes agree on a kernel.  So every block of every truncation takes values
+only, and kernel vectors are formed on demand, after the threshold over all
+blocks is known.  A block that is alone in its shape group and tall (rows at
+least columns, as a generic S1 truncation is) is reduced once to bidiagonal
+form, A = Q B P^H (LAPACK zgebrd), and all its singular values come from QR
+sweeps on B with no vectors (dbdsqr), the sequence numpy's values-only SVD
+runs.  Its k > 0 kernel vectors, when asked for, come from B's singular
+vectors (dbdsdc) with P applied to the k kernel ones only (zunmbr).  Every
+other group (a stack of equal blocks such as the S3 weight-space blocks, a
+wide block, any block on a numpy without those routines) takes one stacked
+values-only np.linalg.svd, and its kernel vectors, when asked for, come from
+np.linalg.svd with vectors on just the blocks that have a kernel.  The
+LAPACKE routines are those of numpy's bundled OpenBLAS, called through
+ctypes; a routine that fails, or a singular value that is not finite, raises
+numpy's LinAlgError, as np.linalg.svd does.
 
 Every SVD, and the residual check's product, runs on one BLAS thread, and
 the caller's thread count is restored afterwards.  The engine's products are
@@ -193,9 +187,6 @@ def _bidiagonal(lapacke: dict, block: np.ndarray):
     _lapack_check("dbdsqr", lapacke["dbdsqr"](
         _COL_MAJOR, b"U", cols, 0, 0, 0, s.ctypes.data, work.ctypes.data,
         None, 1, None, 1, None, 1))
-    # LAPACKE rejects a NaN entry unless LAPACKE_NANCHECK=0 switches that off
-    if not np.isfinite(s).all():
-        raise np.linalg.LinAlgError("dbdsqr gave a non-finite singular value")
     return s, (a, d, e, taup)
 
 
@@ -287,72 +278,77 @@ def _components(m: np.ndarray):
                col_order[col_start[blocks, None] + np.arange(nc)])
 
 
-def _svd_split(matrix: np.ndarray, tol: float, vectors: bool):
-    """Split the SVD of a truncation into (dim, sigma, kernel_basis, gap).
+def _svd_split(matrix: np.ndarray, tol: float):
+    """Split the SVD of a truncation into (dim, sigma, gap, kernel_basis).
 
     The SVD is the union of the SVDs of the connected components of the
-    matrix's sparsity graph (see the module docstring), one stacked SVD per
-    block shape.  sigma holds every block's singular values in descending
-    order, padded with zeros to min(rows, cols), as the SVD of the whole
-    matrix would give them.  dim counts singular values at most
-    tol * sigma_max, with sigma_max taken over all blocks, plus each block's
-    columns beyond its number of singular values (possible only for wide
-    blocks, and always for a zero column); a zero matrix has every column in
-    the kernel.  gap is the ratio of the smallest kept to the largest
-    rejected singular value of sigma.  dim, sigma and gap need singular
-    values only.  With vectors true the block SVDs also take the right
-    singular vectors, and the kernel basis holds each block's kernel right
-    singular vectors, zero-extended into the block's columns; with vectors
-    false the SVDs are values-only and the kernel basis is None.  With
-    vectors true and the LAPACKE routines at hand, a group that is one tall
-    block goes through _bidiagonal instead, and _bidiagonal_kernel forms
-    only its kernel vectors.  The SVDs run on one BLAS thread (see the
-    module docstring).
+    matrix's sparsity graph (see the module docstring), and every block takes
+    values only: a block alone in its shape group and tall goes through
+    _bidiagonal when the LAPACKE routines are at hand, every other group
+    through one stacked values-only np.linalg.svd.  sigma holds every block's
+    singular values in descending order, padded with zeros to min(rows, cols),
+    as the SVD of the whole matrix would give them.  dim counts singular
+    values at most tol * sigma_max, with sigma_max taken over all blocks, plus
+    each block's columns beyond its number of singular values (possible only
+    for wide blocks, and always for a zero column); a zero matrix has every
+    column in the kernel.  gap is the ratio of the smallest kept to the
+    largest rejected singular value of sigma.  kernel_basis() returns the
+    (cols, dim) kernel basis, each block's kernel right singular vectors
+    zero-extended into the block's columns, and forms them only when called:
+    _bidiagonal_kernel for a reduced block, np.linalg.svd with vectors on the
+    stacked blocks that keep fewer values than they have columns.  Raises
+    LinAlgError when a singular value is not finite.  The SVDs run on one
+    BLAS thread (see the module docstring).
     """
     m = np.asarray(matrix, dtype=complex)
     rows, cols = m.shape
-    lapacke = _lapacke() if vectors else None
+    lapacke = _lapacke()
     groups = []
     with one_blas_thread():
         for row_index, col_index in _components(m):
             nr, nc = row_index.shape[1], col_index.shape[1]
             blocks = m[row_index[:, :, None], col_index[:, None, :]]
-            vh = reduction = None
+            reduction = None
             if lapacke is not None and len(blocks) == 1 and nr >= nc > 0:
                 s, reduction = _bidiagonal(lapacke, blocks[0])
-                s = s[None]
-            elif vectors:
-                _, s, vh = np.linalg.svd(blocks, full_matrices=nr < nc)
+                s, blocks = s[None], None  # the reduction keeps its own copy
             else:
                 s = np.linalg.svd(blocks, compute_uv=False)
-            groups.append((col_index, s, vh, reduction))
+            groups.append((col_index, s, blocks, reduction))
 
+    values = np.concatenate([s.ravel() for _, s, _, _ in groups]) if groups else np.zeros(0)
+    # numpy's values-only SVD gives NaN for an infinite entry, and LAPACKE
+    # lets a NaN through when LAPACKE_NANCHECK=0 switches its check off
+    if not np.isfinite(values).all():
+        raise np.linalg.LinAlgError("SVD gave a non-finite singular value")
     sigma = np.zeros(min(rows, cols))
-    values = np.concatenate([s.ravel() for _, s, _, _ in groups]) if groups else sigma[:0]
     sigma[:values.size] = -np.sort(-values)
     thresh = tol * (sigma[0] if sigma.size else 0.0)
     small = sigma <= thresh
     dim = cols - int(np.count_nonzero(~small))
 
-    basis = None
-    if vectors:
+    def kernel_basis() -> np.ndarray:
         basis = np.zeros((cols, dim), dtype=complex)
         filled = 0
         with one_blas_thread():
-            for col_index, s, vh, reduction in groups:
+            for col_index, s, blocks, reduction in groups:
+                nc = col_index.shape[1]
                 n_kept = np.count_nonzero(s > thresh, axis=1)
+                short = np.flatnonzero(n_kept < nc)
+                if short.size == 0:
+                    continue
                 if reduction is None:
-                    block, row = np.nonzero(np.arange(vh.shape[1]) >= n_kept[:, None])
+                    _, _, vh = np.linalg.svd(blocks[short], full_matrices=blocks.shape[1] < nc)
+                    block, row = np.nonzero(np.arange(nc) >= n_kept[short, None])
                     kernel_rows = vh[block, row].conj()
+                    block = short[block]
                 else:
-                    k = s.shape[1] - int(n_kept[0])
-                    if k == 0:
-                        continue
-                    block = np.zeros(k, dtype=np.intp)
-                    kernel_rows = _bidiagonal_kernel(lapacke, reduction, k).T
+                    kernel_rows = _bidiagonal_kernel(lapacke, reduction, nc - int(n_kept[0])).T
+                    block = np.zeros(len(kernel_rows), dtype=np.intp)
                 slots = filled + np.arange(block.size)
                 basis[col_index[block], slots[:, None]] = kernel_rows
                 filled += block.size
+        return basis
 
     kept = sigma[~small]
     rejected = sigma[small]
@@ -360,19 +356,18 @@ def _svd_split(matrix: np.ndarray, tol: float, vectors: bool):
         gap = np.inf
     else:
         gap = float(kept[-1] / rejected[0]) if kept.size else np.inf
-    return dim, sigma, basis, gap
+    return dim, sigma, gap, kernel_basis
 
 
 def kernel_dim(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """SVD kernel dimension of one matrix at relative threshold tol.
 
     Singular values at most tol times the largest one count as kernel; the
-    values-only SVD is taken per connected block of the matrix's sparsity
-    graph, with the threshold set by the largest singular value of all
-    blocks.
+    values are taken per connected block of the matrix's sparsity graph, with
+    the threshold set by the largest singular value of all blocks, and no
+    singular vector is formed.
     """
-    dim, _, _, _ = _svd_split(matrix, tol, vectors=False)
-    return dim
+    return _svd_split(matrix, tol)[0]
 
 
 def stabilized_kernel_dim(
@@ -389,9 +384,8 @@ def stabilized_kernel_dim(
     smaller one as its leading block.  Raises UnstabilizedError when the
     per-size dimensions disagree, ResidualFailureError when a candidate
     kernel vector fails to annihilate the next-larger truncation.  Every
-    size but the largest takes a values-only SVD; the largest takes kernel
-    vectors exactly when the size below it has a kernel (see the module
-    docstring for why that reads every vector the residual check needs).
+    size is split the same way, values only; kernel vectors are formed only
+    at the largest size, and only once the dimensions agree on a kernel.
     Raises ValueError unless tol and residual_tol are finite and non-negative.
     """
     sizes = tuple(int(n) for n in sizes)
@@ -401,10 +395,8 @@ def stabilized_kernel_dim(
         raise ValueError(f"tol {tol} and residual_tol {residual_tol} must be finite "
                          f"and non-negative")
 
-    dims = [_svd_split(builder(n), tol, vectors=False)[0] for n in sizes[:-1]]
-    # a top kernel with none below cannot stabilize, so needs no vectors
-    dim, sigma_top, basis_top, gap_top = _svd_split(builder(sizes[-1]), tol,
-                                                    vectors=dims[-1] > 0)
+    dims = [_svd_split(builder(n), tol)[0] for n in sizes[:-1]]
+    dim, sigma_top, gap_top, kernel_basis = _svd_split(builder(sizes[-1]), tol)
     dims.append(dim)
 
     if len(set(dims)) != 1:
@@ -413,6 +405,7 @@ def stabilized_kernel_dim(
 
     residual = 0.0
     if dim > 0:
+        basis_top = kernel_basis()
         with one_blas_thread():
             check = np.asarray(builder(sizes[-1] + 1), dtype=complex)
             padded = np.zeros((check.shape[1], dim), dtype=complex)

@@ -584,10 +584,31 @@ def verify_like_cases():
 
 
 VERIFY_LIKE = verify_like_cases()
+S1_LIKE = [(name, run) for name, run in VERIFY_LIKE if not name.startswith("s3_")]
+
+
+def all_vectors_split(matrix, tol):
+    """Reference: every SVD of the stabilization forms its kernel vectors at once."""
+    dim, sigma, gap, kernel_basis = _svd_split(matrix, tol)
+    basis = kernel_basis()
+    return dim, sigma, gap, lambda: basis
 
 
 @pytest.mark.parametrize("name, run", VERIFY_LIKE, ids=[name for name, _ in VERIFY_LIKE])
-def test_representative_kernel_reports_match_dense(name, run, monkeypatch):
+def test_reports_match_taking_vectors_at_every_size(name, run, monkeypatch):
+    result = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "_svd_split", all_vectors_split)
+        reference = run()
+    # the same LAPACK calls on the same blocks: equal to the last bit
+    for report, ref in ((result.ker, reference.ker), (result.coker, reference.coker)):
+        assert (report.dim, report.dims, report.sizes) == (ref.dim, ref.dims, ref.sizes)
+        assert np.array_equal(report.singular_values, ref.singular_values)
+        assert report.spectral_gap == ref.spectral_gap
+        assert report.residual == ref.residual
+
+
+def assert_reports_match_dense(run, monkeypatch):
     result = run()
     with monkeypatch.context() as patch:
         # every SVD the stabilization takes goes dense, with vectors
@@ -595,6 +616,17 @@ def test_representative_kernel_reports_match_dense(name, run, monkeypatch):
         reference = run()
     assert_same_kernel_reports(result.ker, reference.ker)
     assert_same_kernel_reports(result.coker, reference.coker)
+
+
+@pytest.mark.parametrize("m", range(-3, 4))
+def test_representative_kernel_reports_match_dense(m, monkeypatch):
+    sym, sizes = s3_representative(m)
+    assert_reports_match_dense(lambda: analytic_index_s3(sym, sizes=sizes), monkeypatch)
+
+
+@pytest.mark.parametrize("name, run", S1_LIKE, ids=[name for name, _ in S1_LIKE])
+def test_s1_kernel_reports_match_dense(name, run, monkeypatch):
+    assert_reports_match_dense(run, monkeypatch)
 
 
 @pytest.mark.parametrize("m", [-3, -2, -1, 1, 2, 3])

@@ -9,9 +9,14 @@ finite block, which has the wrong shape to be image-exact).
 A dimension is only trusted when it stabilizes: the SVD rank deficiency must
 agree across increasing truncation sizes, and the candidate kernel vectors at
 the largest size must annihilate a strictly larger truncation after zero
-extension.  Because the truncations are image-exact, that larger matrix acts
-on the candidates exactly as the infinite operator does, so the residual test
-separates true kernel vectors from truncation artifacts.
+extension.  Because the truncations are image-exact, the larger matrix's
+extra rows are zero on the largest truncation's columns, T_{N+1} [v; 0] =
+[T_N v; 0], so the residual is that of the computed vectors against the
+largest truncation itself.  It certifies how the vectors were formed; it
+does not tell a kernel vector of the infinite operator from a small singular
+value of the truncation, which only the stabilization across sizes speaks
+to.  A builder that is not image-exact, such as square truncations of the
+shift, fails it.
 
 Each SVD is taken block by block.  Rows and columns of a truncation linked by
 a nonzero entry form the connected components of its sparsity graph, and the
@@ -33,8 +38,9 @@ blocks is known.  A block that is alone in its shape group and tall (rows at
 least columns, as a generic S1 truncation is) is reduced once to bidiagonal
 form, A = Q B P^H (LAPACK zgebrd), and all its singular values come from QR
 sweeps on B with no vectors (dbdsqr), the sequence numpy's values-only SVD
-runs.  Its k > 0 kernel vectors, when asked for, come from B's singular
-vectors (dbdsdc) with P applied to the k kernel ones only (zunmbr).  Every
+runs.  Its k > 0 kernel vectors, when asked for, come from the 2k
+eigenpairs nearest zero of B's Golub-Kahan tridiagonal (dstevx), with P
+applied to those k vectors only (zunmbr); no n x n matrix is formed.  Every
 other group (a stack of equal blocks such as the S3 weight-space blocks, a
 wide block, any block on a numpy without those routines) takes one stacked
 values-only np.linalg.svd, and its kernel vectors, when asked for, come from
@@ -72,15 +78,15 @@ DEFAULT_RESIDUAL_TOL = 1e-6
 GAP_WARN_RATIO = 1e3
 
 
-_int, _char, _ptr = ctypes.c_int64, ctypes.c_char, ctypes.c_void_p
+_int, _char, _ptr, _double = ctypes.c_int64, ctypes.c_char, ctypes.c_void_p, ctypes.c_double
 # LAPACKE routines of the bidiagonal path -> their argument types.  The
 # library is ILP64: every lapack_int is 64-bit, the leading layout a C int.
 _LAPACKE = {
     "zgebrd": [ctypes.c_int, _int, _int, _ptr, _int, _ptr, _ptr, _ptr, _ptr],
     "dbdsqr": [ctypes.c_int, _char, _int, _int, _int, _int, _ptr, _ptr,
                _ptr, _int, _ptr, _int, _ptr, _int],
-    "dbdsdc": [ctypes.c_int, _char, _char, _int, _ptr, _ptr, _ptr, _int,
-               _ptr, _int, _ptr, _ptr],
+    "dstevx": [ctypes.c_int, _char, _char, _int, _ptr, _ptr, _double, _double,
+               _int, _int, _double, _ptr, _ptr, _ptr, _int, _ptr],
     "zunmbr": [ctypes.c_int, _char, _char, _char, _int, _int, _int, _ptr,
                _int, _ptr, _ptr, _int],
 }
@@ -174,7 +180,8 @@ def _bidiagonal(lapacke: dict, block: np.ndarray):
     int(17 * cols / 9), so there the values are the same to the bit; from
     that crossover on, zgesdd factors A = QR first.  The reduction
     (the reflectors in the overwritten block, B's diagonals and the
-    scalar factors of P) is what _bidiagonal_kernel needs.
+    scalar factors of P) is what _bidiagonal_kernel needs: B's diagonals d
+    and e make its Golub-Kahan tridiagonal.
     """
     a = np.array(block, dtype=complex, order="F")
     rows, cols = a.shape
@@ -193,18 +200,37 @@ def _bidiagonal(lapacke: dict, block: np.ndarray):
 def _bidiagonal_kernel(lapacke: dict, reduction, k: int) -> np.ndarray:
     """Right singular vectors of the k smallest singular values, as columns.
 
-    dbdsdc takes B = U S VT with vectors; the right singular vectors of the
-    block are the columns of P VT^T, so zunmbr applies P to the last k rows
-    of VT, transposed, and to nothing else.
+    B's singular pairs are eigenpairs of its Golub-Kahan tridiagonal T: size
+    2n, zero diagonal, off-diagonal d1, e1, d2, e2, ..., dn.  For B v = s u
+    and B^T u = s v, the interleaved (v1, u1, ..., vn, un) is an eigenvector
+    of T for s, and (v, -u) one for -s.  dstevx finds the 2k eigenpairs
+    nearest zero, eigenvalues n-k+1 to n+k in ascending order, by bisection
+    and inverse iteration, O(n k) work and no n x n matrix; bisection
+    handles the blocks into which T splits when kernel values differ by
+    orders of magnitude.  Those 2k vectors span the (v, 0) and (0, u) of the
+    k smallest values, so their V halves, the even rows, span the k right
+    singular vectors: the halves' Gram matrix has k eigenvalues 1 and k
+    eigenvalues 0, and its top k eigenvectors map the halves to an
+    orthonormal basis.  zunmbr applies P to those k columns only.
     """
     a, d, e, taup = reduction
     rows, cols = a.shape
-    s, work = d.copy(), e.copy()
-    u, vt = np.empty((cols, cols), order="F"), np.empty((cols, cols), order="F")
-    _lapack_check("dbdsdc", lapacke["dbdsdc"](
-        _COL_MAJOR, b"U", b"I", cols, s.ctypes.data, work.ctypes.data,
-        u.ctypes.data, cols, vt.ctypes.data, cols, None, None))
-    c = np.asfortranarray(vt[cols - k:].T, dtype=complex)
+    n = 2 * cols
+    diag, off = np.zeros(n), np.empty(n - 1)
+    off[0::2], off[1::2] = d, e[:cols - 1]
+    found = np.zeros(1, dtype=np.int64)
+    w, ifail = np.empty(n), np.empty(n, dtype=np.int64)
+    z = np.empty((n, 2 * k), order="F")
+    _lapack_check("dstevx", lapacke["dstevx"](
+        _COL_MAJOR, b"V", b"I", n, diag.ctypes.data, off.ctypes.data, 0.0, 0.0,
+        cols - k + 1, cols + k, 0.0, found.ctypes.data, w.ctypes.data,
+        z.ctypes.data, n, ifail.ctypes.data))
+    if found[0] != 2 * k:
+        raise np.linalg.LinAlgError(f"LAPACKE dstevx found {found[0]} of {2 * k} eigenpairs")
+    halves = z[0::2]
+    gram_values, gram_vectors = np.linalg.eigh(halves.T @ halves)
+    c = np.asfortranarray(halves @ (gram_vectors[:, k:] / np.sqrt(gram_values[k:])),
+                          dtype=complex)
     _lapack_check("zunmbr", lapacke["zunmbr"](
         _COL_MAJOR, b"P", b"L", b"N", cols, k, rows, a.ctypes.data, rows,
         taup.ctypes.data, c.ctypes.data, cols))
@@ -295,8 +321,9 @@ def _svd_split(matrix: np.ndarray, tol: float):
     largest rejected singular value of sigma.  kernel_basis() returns the
     (cols, dim) kernel basis, each block's kernel right singular vectors
     zero-extended into the block's columns, and forms them only when called:
-    _bidiagonal_kernel for a reduced block, np.linalg.svd with vectors on the
-    stacked blocks that keep fewer values than they have columns.  Raises
+    _bidiagonal_kernel for a reduced block, the unit vector for a zero column,
+    np.linalg.svd with vectors on the other stacked blocks that keep fewer
+    values than they have columns.  Raises
     LinAlgError when a singular value is not finite.  The SVDs run on one
     BLAS thread (see the module docstring).
     """
@@ -337,14 +364,17 @@ def _svd_split(matrix: np.ndarray, tol: float):
                 short = np.flatnonzero(n_kept < nc)
                 if short.size == 0:
                     continue
-                if reduction is None:
+                if reduction is not None:
+                    kernel_rows = _bidiagonal_kernel(lapacke, reduction, nc - int(n_kept[0])).T
+                    block = np.zeros(len(kernel_rows), dtype=np.intp)
+                elif blocks.shape[1] == 0:
+                    # zero columns, (0, 1) blocks: each is its own kernel vector
+                    block, kernel_rows = short, np.ones((short.size, 1))
+                else:
                     _, _, vh = np.linalg.svd(blocks[short], full_matrices=blocks.shape[1] < nc)
                     block, row = np.nonzero(np.arange(nc) >= n_kept[short, None])
                     kernel_rows = vh[block, row].conj()
                     block = short[block]
-                else:
-                    kernel_rows = _bidiagonal_kernel(lapacke, reduction, nc - int(n_kept[0])).T
-                    block = np.zeros(len(kernel_rows), dtype=np.intp)
                 slots = filled + np.arange(block.size)
                 basis[col_index[block], slots[:, None]] = kernel_rows
                 filled += block.size

@@ -1,4 +1,7 @@
 """Kernel engine: SVD dimension counting, stabilization, residual validation."""
+import ctypes
+import functools
+import os
 import re
 import sys
 import threading
@@ -8,7 +11,7 @@ import pytest
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
-from toeplitz_lab import kernel
+from toeplitz_lab import cli, kernel
 from toeplitz_lab.errors import ResidualFailureError, UnstabilizedError
 from toeplitz_lab.families import (constant_sandwich, homotopy_path,
                                    random_matrix_symbol, random_scalar_symbol,
@@ -487,13 +490,52 @@ def s1_identity_symbols():
     return symbols
 
 
+def split_kernel_path():
+    """Homotopy path of the sixth rank-3 pair drawn as s1-identities draws seed 41.
+
+    At the workload's t = 0, 7/9 and 1 its truncations at domain 64 have a
+    kernel of dimension 7 with singular values from about 5e-16 down to
+    7e-47, 1.5e-39 and 9e-38: the Golub-Kahan tridiagonal of such a block
+    splits numerically, and at t = 7/9 inverse iteration that takes it as one
+    block, fed the bidiagonal's own singular values, misses the kernel.
+    """
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        a, _ = random_matrix_symbol(rng, rank=3)
+        random_matrix_symbol(rng, rank=3)
+        path = homotopy_path(a, rng)
+    return path
+
+
+def duplicate_columns(rng, rows, cols, copies):
+    """A Gaussian block whose last `copies` columns repeat earlier ones."""
+    m = gaussian(rng, rows, cols)
+    m[:, cols - copies:] = m[:, rng.integers(0, cols - copies, size=copies)]
+    return m
+
+
+# name -> (rows, cols, rank) of an exact low-rank tall block, k = cols - rank >= 8
+LOW_RANK_BLOCKS = {"square_k8": (60, 60, 52), "tall_k24": (90, 64, 40),
+                   "s1_sized_k92": (200, 192, 100)}
+
 # name -> matrix factory: the top truncations of s1-identities-like index
-# calls (trunc 32, so domain 64, for the symbol and its adjoint), and the
-# permuted block cases, whose blocks include repeated zero singular values
+# calls (trunc 32, so domain 64, for the symbol and its adjoint), truncations
+# whose tridiagonal splits (k = 7), exact low-rank and duplicate-column tall
+# blocks with k >= 8, and the permuted block cases, whose blocks include
+# repeated zero singular values
 BIDIAGONAL_CASES = {
     **{f"{name}/{family}": lambda a=a, family=family: toeplitz_rect_s1(
         a if family == "ker" else adjoint(a), 64).matrix
        for name, a in s1_identity_symbols() for family in ("ker", "coker")},
+    **{f"split/t={t:.2f}/{family}": lambda t=t, family=family: toeplitz_rect_s1(
+        split_kernel_path()(t) if family == "ker" else adjoint(split_kernel_path()(t)),
+        64).matrix
+       for t in np.linspace(0.0, 1.0, 10)[[0, 7, 9]] for family in ("ker", "coker")},
+    **{f"low_rank/{name}/seed{seed}": lambda shape=shape, seed=seed: low_rank(
+        np.random.default_rng(seed), *shape)
+       for name, shape in LOW_RANK_BLOCKS.items() for seed in range(2)},
+    **{f"duplicate_columns/seed{seed}": lambda seed=seed: duplicate_columns(
+        np.random.default_rng(seed), 120, 96, 12) for seed in range(2)},
     **{f"{case}/seed{seed}": lambda case=case, seed=seed: block_case_matrix(case, seed)
        for case in sorted(BLOCK_CASES) for seed in range(3)},
 }
@@ -524,6 +566,7 @@ def test_bidiagonal_path_matches_dense_and_values_only(case):
         else:
             assert np.max(np.abs(sigma - values)) <= 1e-12 * values[0]
         basis, ref_basis = kernel_basis(), ref_basis()
+        assert np.max(np.abs(basis.conj().T @ basis - np.eye(dim)), initial=0.0) <= 1e-12
         projector = basis @ basis.conj().T
         ref_projector = ref_basis @ ref_basis.conj().T
         assert np.max(np.abs(projector - ref_projector), initial=0.0) <= 1e-10
@@ -533,11 +576,16 @@ def test_bidiagonal_cases_reach_the_path_with_kernels():
     blocks = [block for factory in BIDIAGONAL_CASES.values()
               for block in tall_single_blocks(factory())]
     # the oracle above is not vacuous: most cases hold a tall single block,
-    # many of those blocks have a kernel, and some a repeated zero singular value
+    # many of those blocks have a kernel, and some a repeated zero singular
+    # value, a kernel of dimension 8 or more, or a kernel whose values span
+    # 20 orders of magnitude, so that the Golub-Kahan tridiagonal splits
     assert len(blocks) >= 2 * len(BIDIAGONAL_CASES) // 3
-    assert sum(kernel_dim(block) > 0 for block in blocks) >= len(blocks) // 3
+    dims = [kernel_dim(block) for block in blocks]
+    assert sum(dim > 0 for dim in dims) >= len(blocks) // 3
+    assert sum(dim >= 8 for dim in dims) >= 8
     sigmas = [np.linalg.svd(block, compute_uv=False) for block in blocks]
     assert any(np.count_nonzero(s <= 1e-12 * s[0]) >= 2 for s in sigmas)
+    assert any(dim == 7 and s[-1] < 1e-20 * s[-dim] for dim, s in zip(dims, sigmas))
 
 
 def assert_same_kernel_reports(report, ref, mixed_blocks=False):
@@ -614,14 +662,27 @@ def test_representative_kernel_reports_match_dense(m, monkeypatch):
     assert_reports_match_dense(lambda: analytic_index_s3(sym, sizes=sizes), monkeypatch)
 
 
+@has_lapacke
 @pytest.mark.parametrize("m", [-3, -2, -1, 1, 2, 3])
-def test_s3_vectors_are_formed_only_for_blocks_with_a_kernel(m, vector_svd_shapes):
+def test_s3_vectors_are_formed_only_for_blocks_with_a_kernel(m, vector_svd_shapes, monkeypatch):
     sym, sizes = s3_representative(m)
+    recorded, bidiagonal = kernel._bidiagonal_kernel, []
+
+    def counted_bidiagonal_kernel(lapacke, reduction, k):
+        bidiagonal.append(k)
+        return recorded(lapacke, reduction, k)
+
+    monkeypatch.setattr(kernel, "_bidiagonal_kernel", counted_bidiagonal_kernel)
     result = analytic_index_s3(sym, sizes=sizes)
     assert result.index == m
-    # hundreds of weight-space blocks at the top size, of which only those
-    # holding a kernel vector are decomposed with vectors
-    assert 0 < sum(shape[0] for shape in vector_svd_shapes) <= result.ker_dim + result.coker_dim
+    # hundreds of weight-space blocks at the top size, and no stacked SVD with
+    # vectors: for |m| = 1 the kernel vector is a zero column, written with no
+    # decomposition; for |m| = 2 and 3 a lone 12 x 12 and a lone 13 x 13 block
+    # hold one kernel vector each, on the bidiagonal path, and |m| = 3 has a
+    # zero column besides
+    want = [] if abs(m) == 1 else [(1, 12, 12), (1, 13, 13)]
+    assert vector_svd_shapes == want
+    assert bidiagonal == [1] * len(want)
 
 
 @pytest.mark.parametrize("call, manifold", [
@@ -656,6 +717,37 @@ def z_minus(rho):
     return Symbol(S1, {0: -rho, 1: 1.0})
 
 
+def dstevx_info_1(routine, *args):
+    routine(*args)
+    return 1  # eigenvectors failed to converge
+
+
+def dstevx_one_short(routine, *args):
+    info = routine(*args)
+    ctypes.c_int64.from_address(args[11]).value -= 1  # m, the eigenpairs found
+    return info
+
+
+# name -> fake dstevx, called with the real routine and its arguments
+DSTEVX_FAULTS = {"info 1": dstevx_info_1, "one short": dstevx_one_short}
+
+
+def with_dstevx(fake, call):
+    """call() with the bidiagonal path's dstevx replaced by fake(routine, *args)."""
+    lapacke = kernel._lapacke
+
+    def faulty_lapacke():
+        routines = lapacke()
+        routines["dstevx"] = functools.partial(fake, routines["dstevx"])
+        return routines
+
+    kernel._lapacke = faulty_lapacke
+    try:
+        return call()
+    finally:
+        kernel._lapacke = lapacke
+
+
 def nan_at_the_top(n):
     m = banded_family(2, -1)(n)
     if n == 32:
@@ -676,6 +768,9 @@ ENGINE_CALLS = {
     # zgebrd rejects the NaN at the top
     "lapack failure": (lambda: stabilized_kernel_dim(nan_at_the_top, (16, 32)),
                        np.linalg.LinAlgError),
+    # the kernel vectors' eigensolver fails, or finds fewer eigenpairs than asked
+    **{f"dstevx {name}": (lambda fake=fake: with_dstevx(fake, lambda: analytic_index_s1(
+        z_minus(0.2), trunc=16)), np.linalg.LinAlgError) for name, fake in DSTEVX_FAULTS.items()},
 }
 
 
@@ -716,6 +811,20 @@ def test_an_infinite_entry_is_a_linalg_error(matrix, monkeypatch):
 def test_a_lapacke_failure_is_a_linalg_error():
     with pytest.raises(np.linalg.LinAlgError, match="^LAPACKE zgebrd failed with info -4$"):
         stabilized_kernel_dim(nan_at_the_top, (16, 32))
+
+
+@has_lapacke
+@pytest.mark.parametrize("fault, message", [
+    ("info 1", "^LAPACKE dstevx failed with info 1$"),
+    ("one short", "^LAPACKE dstevx found 1 of 2 eigenpairs$")])
+def test_a_dstevx_failure_is_a_linalg_error(fault, message, capsys):
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        with_dstevx(DSTEVX_FAULTS[fault], lambda: analytic_index_s1(z_minus(0.2), trunc=16))
+    # and exit 4 from the CLI, for a shipped symbol whose kernels are on the path
+    assert with_dstevx(DSTEVX_FAULTS[fault], lambda: cli.main(
+        ["index", os.path.join(os.path.dirname(__file__), os.pardir, "symbols",
+                               "s1_random_rank3.json")])) == 4
+    assert capsys.readouterr().err.startswith("error: LAPACKE dstevx ")
 
 
 @needs_openblas

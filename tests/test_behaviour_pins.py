@@ -5,8 +5,11 @@ document of every shipped symbol, without its `timings_ms`, and the exit
 status of `toeplitz-lab index` are pinned by a golden file.  A spectral gap
 of 1e12 or more is a ratio against a singular value at rounding level, and a
 nonzero residual of 1e-12 or less is rounding itself: their digits follow the
-BLAS thread count, so only their band is pinned.  Rewrite the golden file
-only for a change that means to alter those documents:
+BLAS thread count, so only their band is pinned.  A second golden file pins
+the documents and exit statuses of `chern` on every shipped symbol, `winding`
+on the circle symbols, and `convergence` on every shipped symbol (the
+three-sphere ladders from 8 nodes); those are pinned whole.  Rewrite the
+golden files only for a change that means to alter those documents:
 
     PYTHONPATH=src python tests/test_behaviour_pins.py
 """
@@ -24,6 +27,7 @@ from toeplitz_lab.verify import run_verify, verify_report_json
 HERE = os.path.dirname(os.path.abspath(__file__))
 SYMBOLS = os.path.join(HERE, "..", "symbols")
 GOLDEN = os.path.join(HERE, "data", "shipped_index_documents.json")
+SUBCOMMAND_GOLDEN = os.path.join(HERE, "data", "shipped_subcommand_documents.json")
 
 VERIFY_SHA256 = {
     "seed 0": ({}, "ad83d79014c2c0599ef1f6fdb7aee2e5268389512664afaa11102786a5603ae9"),
@@ -34,6 +38,35 @@ VERIFY_SHA256 = {
 
 def shipped_symbols():
     return sorted(name for name in os.listdir(SYMBOLS) if name.endswith(".json"))
+
+
+def subcommand_runs():
+    """(command, symbol file, extra options) of every pinned chern, winding and convergence run."""
+    runs = []
+    for name in shipped_symbols():
+        circle = name.startswith("s1_")
+        runs.append(("chern", name, []))
+        if circle:
+            runs.append(("winding", name, []))
+        runs.append(("convergence", name,
+                     [] if circle else ["--theta-nodes", "8", "--phi-nodes", "8"]))
+    return runs
+
+
+def run_id(command, name, options):
+    return " ".join([command, name, *options])
+
+
+def subcommand_outcome(command, name, options, out_path):
+    """Exit status of one subcommand run and the JSON document it wrote (None if none)."""
+    if os.path.exists(out_path):
+        os.unlink(out_path)
+    status = cli.main([command, os.path.join(SYMBOLS, name), *options, "--out", out_path])
+    document = None
+    if os.path.exists(out_path):
+        with open(out_path) as fh:
+            document = json.load(fh)
+    return {"exit": status, "document": document}
 
 
 def index_outcome(name, out_path):
@@ -56,8 +89,8 @@ def settled(outcome):
             "document": {**document, "spectral_gaps": gaps, "residual_maxima": residuals}}
 
 
-def load_golden():
-    with open(GOLDEN) as fh:
+def load_golden(path=GOLDEN):
+    with open(path) as fh:
         return json.load(fh)
 
 
@@ -76,6 +109,17 @@ def test_golden_file_covers_every_shipped_symbol():
 def test_shipped_symbol_index_document(name, tmp_path, capsys):
     outcome = index_outcome(name, str(tmp_path / "index.json"))
     assert settled(outcome) == settled(load_golden()[name])
+
+
+def test_subcommand_golden_file_covers_every_run():
+    assert sorted(load_golden(SUBCOMMAND_GOLDEN)) == sorted(
+        run_id(*run) for run in subcommand_runs())
+
+
+@pytest.mark.parametrize("run", subcommand_runs(), ids=lambda run: run_id(*run))
+def test_shipped_symbol_subcommand_document(run, tmp_path, capsys):
+    outcome = subcommand_outcome(*run, str(tmp_path / "document.json"))
+    assert outcome == load_golden(SUBCOMMAND_GOLDEN)[run_id(*run)]
 
 
 def test_index_document_does_not_depend_on_the_blas_thread_count(tmp_path):
@@ -98,15 +142,18 @@ def test_index_document_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert documents[0] == documents[1]
 
 
+def write_golden(path, golden):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(golden, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "index.json")
-        golden = {}
-        for name in shipped_symbols():
-            golden[name] = index_outcome(name, out)
-    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-    with open(GOLDEN, "w") as fh:
-        json.dump(golden, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        out = os.path.join(tmp, "document.json")
+        write_golden(GOLDEN, {name: index_outcome(name, out) for name in shipped_symbols()})
+        write_golden(SUBCOMMAND_GOLDEN, {run_id(*run): subcommand_outcome(*run, out)
+                                         for run in subcommand_runs()})

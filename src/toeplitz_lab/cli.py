@@ -11,12 +11,12 @@ Exit statuses: 0 success (and, for index/winding/verify, agreement), and
 (unstabilized kernel, failed residual validation, undersampled winding,
 non-integral Chern value, a LAPACK routine that fails to converge).  main
 returns every status, argparse's own included; no output document is
-written on a parse failure or an out-of-range option.
+written on a parse failure or an out-of-range option.  An --out path that
+cannot be written exits 2 after the summary, leaving no file behind.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -26,11 +26,12 @@ from .errors import NumericsError, ParseError, SymbolError
 from .kernel import DEFAULT_RESIDUAL_TOL, DEFAULT_TOL
 from .reports import (compute_index_report, convergence_table,
                       convergence_text, convergence_to_csv,
-                      convergence_to_dict, final_delta, index_report_text,
+                      convergence_to_dict, index_report_text,
                       index_report_to_dict)
 from .symbols import S1, det_laurent, require_invertible
-from .symbol_io import atomic_write_text, load_symbol
-from .topology import chern, winding_argument, winding_roots
+from .symbol_io import atomic_write_text, document_json, load_symbol
+from .topology import (DEFAULT_GRID, DEFAULT_NODES, chern, winding_argument,
+                       winding_roots)
 from .verify import (run_verify, verify_report_csv, verify_report_json,
                      verify_report_text)
 
@@ -54,10 +55,6 @@ def _dict_to_csv(doc: dict, prefix: str = "") -> list[str]:
     return rows
 
 
-def _json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _csv(doc: dict) -> str:
     return "field,value\n" + "\n".join(_dict_to_csv(doc)) + "\n"
 
@@ -67,7 +64,10 @@ def _emit(args, text: str, json_text: str, csv_text: str) -> None:
     sys.stdout.write(text)
     document = {"json": json_text, "csv": csv_text, "text": text}[args.format]
     if args.out:
-        atomic_write_text(args.out, document)
+        try:
+            atomic_write_text(args.out, document)
+        except OSError as exc:
+            raise ParseError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
     elif args.format != "text":
         sys.stdout.write(document)
 
@@ -90,12 +90,12 @@ def _add_common(sub, *, trunc=False, tols=False, grid=False, nodes=False, seed=F
         sub.add_argument("--residual-tol", type=tolerance, default=DEFAULT_RESIDUAL_TOL,
                          help="residual bound for kernel candidates on the larger truncation")
     if grid:
-        sub.add_argument("--grid", type=int, default=512,
+        sub.add_argument("--grid", type=int, default=DEFAULT_GRID,
                          help="circle quadrature / winding grid size")
     if nodes:
-        sub.add_argument("--theta-nodes", type=int, default=24,
+        sub.add_argument("--theta-nodes", type=int, default=DEFAULT_NODES,
                          help="Gauss-Legendre nodes in theta for S3 quadrature")
-        sub.add_argument("--phi-nodes", type=int, default=24,
+        sub.add_argument("--phi-nodes", type=int, default=DEFAULT_NODES,
                          help="trapezoid nodes in each phi angle for S3 quadrature")
     if seed:
         sub.add_argument("--seed", type=int, default=0, help="randomness seed")
@@ -110,7 +110,7 @@ def _cmd_index(args) -> int:
         symbol, trunc=args.trunc, tol=args.tol, residual_tol=args.residual_tol,
         grid=args.grid, theta_nodes=args.theta_nodes, phi_nodes=args.phi_nodes)
     doc = index_report_to_dict(report)
-    _emit(args, index_report_text(report), _json(doc), _csv(doc))
+    _emit(args, index_report_text(report), document_json(doc), _csv(doc))
     return 0 if report.agreement else 1
 
 
@@ -132,7 +132,7 @@ def _cmd_chern(args) -> int:
             f"rounded             {ch.rounded}\n"
             f"doubling defect     {ch.doubling_defect:.3e}\n"
             f"integrality defect  {ch.integrality_defect:.3e}\n")
-    _emit(args, text, _json(doc), _csv(doc))
+    _emit(args, text, document_json(doc), _csv(doc))
     return 0
 
 
@@ -156,7 +156,7 @@ def _cmd_winding(args) -> int:
     text = (f"winding (argument)  {w_arg}\n"
             f"winding (roots)     {w_roots}\n"
             f"agreement           {'yes' if agreement else 'NO'}\n")
-    _emit(args, text, _json(doc), _csv(doc))
+    _emit(args, text, document_json(doc), _csv(doc))
     return 0 if agreement else 1
 
 
@@ -171,9 +171,9 @@ def _cmd_convergence(args) -> int:
     symbol = load_symbol(args.file)
     rows = convergence_table(symbol, grid=args.grid,
                              theta_nodes=args.theta_nodes, phi_nodes=args.phi_nodes)
-    _emit(args, convergence_text(rows), _json(convergence_to_dict(rows)),
+    _emit(args, convergence_text(rows), document_json(convergence_to_dict(rows)),
           convergence_to_csv(rows))
-    return 0 if final_delta(rows) < args.tol else 1
+    return 0 if rows[-1].delta < args.tol else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

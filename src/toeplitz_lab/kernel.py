@@ -477,26 +477,6 @@ class AnalyticIndex:
     coker: KernelReport
 
 
-def analytic_index_from_builders(
-    ker_builder: Callable[[int], np.ndarray],
-    coker_builder: Callable[[int], np.ndarray],
-    sizes: Sequence[int],
-    tol: float = DEFAULT_TOL,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> AnalyticIndex:
-    """Assemble index = dim ker - dim coker from two stabilized truncation families."""
-    ker = stabilized_kernel_dim(ker_builder, sizes, tol, residual_tol, label="kernel")
-    coker = stabilized_kernel_dim(coker_builder, sizes, tol, residual_tol, label="cokernel")
-    return AnalyticIndex(
-        index=ker.dim - coker.dim,
-        ker_dim=ker.dim,
-        coker_dim=coker.dim,
-        sizes=tuple(int(n) for n in sizes),
-        ker=ker,
-        coker=coker,
-    )
-
-
 def analytic_index_from_truncations(
     a: Symbol,
     truncate: Callable,
@@ -515,10 +495,15 @@ def analytic_index_from_truncations(
     """
     require_invertible(a)
     a_star = adjoint(a)
-    return analytic_index_from_builders(
-        ker_builder=lambda n: truncate(a, n).matrix,
-        coker_builder=lambda n: truncate(a_star, n).matrix,
-        sizes=sizes,
-        tol=tol,
-        residual_tol=residual_tol,
+    ker = stabilized_kernel_dim(lambda n: truncate(a, n).matrix, sizes, tol, residual_tol,
+                                label="kernel")
+    coker = stabilized_kernel_dim(lambda n: truncate(a_star, n).matrix, sizes, tol,
+                                  residual_tol, label="cokernel")
+    return AnalyticIndex(
+        index=ker.dim - coker.dim,
+        ker_dim=ker.dim,
+        coker_dim=coker.dim,
+        sizes=tuple(int(n) for n in sizes),
+        ker=ker,
+        coker=coker,
     )

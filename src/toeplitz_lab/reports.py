@@ -16,7 +16,7 @@ from .hardy_s1 import analytic_index_s1
 from .hardy_s3 import analytic_index_s3
 from .kernel import DEFAULT_RESIDUAL_TOL, DEFAULT_TOL
 from .symbols import S1, Symbol, require_invertible
-from .topology import _certified_chern, chern_ladder
+from .topology import DEFAULT_GRID, DEFAULT_NODES, _certified_chern, chern_ladder
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,9 @@ def compute_index_report(
     trunc: int | None = None,
     tol: float = DEFAULT_TOL,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    grid: int = 512,
-    theta_nodes: int = 24,
-    phi_nodes: int = 24,
+    grid: int = DEFAULT_GRID,
+    theta_nodes: int = DEFAULT_NODES,
+    phi_nodes: int = DEFAULT_NODES,
 ) -> IndexReport:
     """Run both index pipelines on one symbol and compare them (trunc=None: route default)."""
     analytic_index = analytic_index_s1 if symbol.manifold is S1 else analytic_index_s3
@@ -125,16 +125,19 @@ class ConvergenceRow:
 
 def convergence_table(
     symbol: Symbol,
-    grid: int = 512,
-    theta_nodes: int = 24,
-    phi_nodes: int = 24,
-    steps: int | None = None,
+    grid: int = DEFAULT_GRID,
+    theta_nodes: int = DEFAULT_NODES,
+    phi_nodes: int = DEFAULT_NODES,
 ) -> list[ConvergenceRow]:
-    """topology.chern_ladder's rungs with deltas |value_i - value_{i-1}| (None on the first)."""
+    """topology.chern_ladder's default rungs with deltas |value_i - value_{i-1}|.
+
+    The first row's delta is None; the ladder has 4 rungs on S1 and 3 on S3.
+    """
     require_invertible(symbol)
     rows: list[ConvergenceRow] = []
     previous: complex | None = None
-    for size, value in chern_ladder(symbol, steps, grid, theta_nodes, phi_nodes):
+    for size, value in chern_ladder(symbol, grid=grid, theta_nodes=theta_nodes,
+                                    phi_nodes=phi_nodes):
         delta = None if previous is None else float(abs(value - previous))
         rows.append(ConvergenceRow(size=size, value=value, delta=delta))
         previous = value
@@ -162,9 +165,3 @@ def convergence_text(rows: list[ConvergenceRow]) -> str:
         delta = "" if row.delta is None else f"{row.delta:.3e}"
         lines.append(f"{row.size:>8}  {value:>32}  {delta:>12}")
     return "\n".join(lines) + "\n"
-
-
-def final_delta(rows: list[ConvergenceRow]) -> float:
-    if len(rows) < 2:
-        raise ValueError("convergence table needs at least two rows")
-    return float(rows[-1].delta)

@@ -39,6 +39,11 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def document_json(doc: dict) -> str:
+    """Canonical JSON of an output document: sorted keys, two-space indent, trailing newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _complex_to_pair(value: complex) -> list[float]:
     return [float(value.real), float(value.imag)]
 

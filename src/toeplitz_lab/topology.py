@@ -34,6 +34,8 @@ INTEGRALITY_TOL = 1e-4
 MAX_PHASE_STEP = np.pi / 2
 MAX_DOUBLINGS = 3
 THETA_CHUNK = 8  # Gauss-Legendre theta nodes per batch of the S3 quadrature
+DEFAULT_GRID = 512  # circle quadrature and winding grid points
+DEFAULT_NODES = 24  # Hopf quadrature nodes in theta and in each phi angle
 
 
 def _require_scalar(f: Symbol, what: str) -> None:
@@ -45,7 +47,7 @@ def _require_scalar(f: Symbol, what: str) -> None:
             f"(take det_laurent first)")
 
 
-def winding_argument(f: Symbol, grid: int = 512) -> int:
+def winding_argument(f: Symbol, grid: int = DEFAULT_GRID) -> int:
     """Winding number of a scalar circle symbol by principal-branch phase tracking.
 
     Any phase step exceeding pi/2 means the grid cannot certify the branch
@@ -103,27 +105,25 @@ class ChernValue:
     """Chern character pairing with its quadrature-refinement evidence.
 
     value is the quadrature at the requested resolution, refined the same at
-    doubled resolution; rounded is the integer nearest the refined value.
+    doubled resolution; rounded is the integer nearest the refined value, and
+    the two defects are the refined value's distances from value and rounded.
     """
 
     value: complex
     refined: complex
-    rounded: int
-    doubling_defect: float
-    integrality_defect: float
     resolution: tuple[int, ...]
 
+    @property
+    def rounded(self) -> int:
+        return int(round(self.refined.real))
 
-def _chern_report(value: complex, refined: complex, resolution: tuple[int, ...]) -> ChernValue:
-    rounded = int(round(refined.real))
-    return ChernValue(
-        value=value,
-        refined=refined,
-        rounded=rounded,
-        doubling_defect=float(abs(refined - value)),
-        integrality_defect=float(abs(refined - rounded)),
-        resolution=resolution,
-    )
+    @property
+    def doubling_defect(self) -> float:
+        return float(abs(self.refined - self.value))
+
+    @property
+    def integrality_defect(self) -> float:
+        return float(abs(self.refined - self.rounded))
 
 
 def _chern_s1_raw(a: Symbol, grid: int) -> complex:
@@ -143,7 +143,7 @@ def _chern_s1_raw(a: Symbol, grid: int) -> complex:
     return complex(-integral / (2j * np.pi))
 
 
-def chern_s1(a: Symbol, grid: int = 512) -> ChernValue:
+def chern_s1(a: Symbol, grid: int = DEFAULT_GRID) -> ChernValue:
     """Odd Chern character pairing on the circle: -(1/2 pi i) integral tr(a^-1 da).
 
     Exact coefficient differentiation, periodic trapezoid quadrature, and a
@@ -157,7 +157,7 @@ def chern_s1(a: Symbol, grid: int = 512) -> ChernValue:
     if grid < 16:
         raise ValueError("grid must be at least 16")
     (_, value), (_, refined) = chern_ladder(a, 2, grid=grid)
-    return _chern_report(value, refined, (grid,))
+    return ChernValue(value, refined, (grid,))
 
 
 def six_term_trace(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> complex:
@@ -231,8 +231,9 @@ def _chern_s3_block(a: Symbol, theta_nodes: int, phi_nodes: int, unitary: bool) 
     return complex(S3_ORIENTATION_SIGN * total / (24 * np.pi ** 2))
 
 
-def chern_ladder(a: Symbol, steps: int | None = None, grid: int = 512,
-                 theta_nodes: int = 24, phi_nodes: int = 24) -> list[tuple[int, complex]]:
+def chern_ladder(a: Symbol, steps: int | None = None, grid: int = DEFAULT_GRID,
+                 theta_nodes: int = DEFAULT_NODES,
+                 phi_nodes: int = DEFAULT_NODES) -> list[tuple[int, complex]]:
     """Raw Chern quadrature up a doubling resolution ladder, as (size, value) rungs.
 
     On S1 the rungs are circle grids of grid * 2^i points (4 by default); on
@@ -253,7 +254,8 @@ def chern_ladder(a: Symbol, steps: int | None = None, grid: int = 512,
             for i in range(steps)]
 
 
-def chern_s3(a: Symbol, theta_nodes: int = 24, phi_nodes: int = 24) -> ChernValue:
+def chern_s3(a: Symbol, theta_nodes: int = DEFAULT_NODES,
+             phi_nodes: int = DEFAULT_NODES) -> ChernValue:
     """Odd Chern character pairing on the three-sphere in Hopf coordinates.
 
     The top Chern form tr((a^-1 da)^3) reduces by cyclicity of the trace to
@@ -273,11 +275,11 @@ def chern_s3(a: Symbol, theta_nodes: int = 24, phi_nodes: int = 24) -> ChernValu
     if theta_nodes < 4 or phi_nodes < 4:
         raise ValueError("node counts must be at least 4")
     (_, value), (_, refined) = chern_ladder(a, 2, theta_nodes=theta_nodes, phi_nodes=phi_nodes)
-    return _chern_report(value, refined, (theta_nodes, phi_nodes))
+    return ChernValue(value, refined, (theta_nodes, phi_nodes))
 
 
-def chern(a: Symbol, grid: int = 512, theta_nodes: int = 24,
-          phi_nodes: int = 24) -> ChernValue:
+def chern(a: Symbol, grid: int = DEFAULT_GRID, theta_nodes: int = DEFAULT_NODES,
+          phi_nodes: int = DEFAULT_NODES) -> ChernValue:
     """chern_s1 at the circle grid or chern_s3 at the Hopf node counts, by manifold."""
     if a.manifold is S1:
         return chern_s1(a, grid=grid)
@@ -286,9 +288,9 @@ def chern(a: Symbol, grid: int = 512, theta_nodes: int = 24,
 
 def topological_index(
     a: Symbol,
-    grid: int = 512,
-    theta_nodes: int = 24,
-    phi_nodes: int = 24,
+    grid: int = DEFAULT_GRID,
+    theta_nodes: int = DEFAULT_NODES,
+    phi_nodes: int = DEFAULT_NODES,
 ) -> ChernValue:
     """Index-theorem pairing (ch(a) cup Td)[M] as a certified integer.
 

@@ -20,7 +20,6 @@ worker inherits the case list and receives only an index.
 """
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -36,7 +35,7 @@ from .hardy_s3 import analytic_index_s3
 from .errors import NumericsError
 from .kernel import DEFAULT_RESIDUAL_TOL, DEFAULT_TOL, one_blas_thread
 from .symbols import S1, Symbol, adjoint, det_laurent, direct_sum, identity, multiply
-from .symbol_io import symbol_to_dict
+from .symbol_io import document_json, symbol_to_dict
 from .topology import chern_s1, chern_s3, winding_argument, winding_roots
 
 
@@ -313,7 +312,7 @@ def verify_report_to_dict(report: VerifyReport) -> dict:
 
 def verify_report_json(report: VerifyReport) -> str:
     """Canonical serialization: sorted keys, no volatile fields, trailing newline."""
-    return json.dumps(verify_report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    return document_json(verify_report_to_dict(report))
 
 
 def verify_report_text(report: VerifyReport) -> str:

@@ -143,6 +143,25 @@ class TestParseFailures:
         assert "error:" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("command", ["index", "chern"])
+    @pytest.mark.parametrize("target", ["missing directory", "directory"])
+    def test_unwritable_out_exits_2_and_leaves_nothing(self, command, target, tmp_path, capsys):
+        # a path in a directory that does not exist, and a path that is a
+        # directory: the document cannot be renamed into place
+        if target == "directory":
+            out = tmp_path / "taken"
+            out.mkdir()
+        else:
+            out = tmp_path / "absent" / "doc.json"
+        assert main([command, sym("s1_z_1.json"), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out  # the summary still comes first
+        assert captured.err.startswith("error:") and str(out) in captured.err
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+        # no document and no .tmp-* file anywhere under tmp_path
+        left = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+        assert left == (["taken"] if target == "directory" else [])
+
     @pytest.mark.parametrize("argv", [["--help"], ["index", "--help"]],
                              ids=lambda argv: " ".join(argv))
     def test_help_is_returned_as_0(self, argv, capsys):

@@ -8,8 +8,8 @@ from toeplitz_lab import hardy_s1, hardy_s3, kernel, reports, symbols, topology
 from toeplitz_lab.families import su2_symbol, z_power
 from toeplitz_lab.reports import (compute_index_report, convergence_table,
                                   convergence_text, convergence_to_csv,
-                                  convergence_to_dict, final_delta,
-                                  index_report_text, index_report_to_dict)
+                                  convergence_to_dict, index_report_text,
+                                  index_report_to_dict)
 from toeplitz_lab.symbol_io import load_symbol
 from toeplitz_lab.symbols import S1, Symbol
 
@@ -96,29 +96,29 @@ class TestIndexReport:
 
 class TestConvergence:
     def test_s1_table_shape_and_decay(self):
-        rows = convergence_table(z_power(-1), grid=32, steps=4)
+        rows = convergence_table(z_power(-1), grid=32)
         assert [r.size for r in rows] == [32, 64, 128, 256]
         assert rows[0].delta is None
         assert all(r.delta is not None for r in rows[1:])
         # the quadrature is exact for monomials, so deltas sit at roundoff
-        assert final_delta(rows) < 1e-12
+        assert rows[-1].delta < 1e-12
         assert rows[-1].value.real == pytest.approx(1.0, abs=1e-12)
 
     def test_s1_nontrivial_symbol_decays_monotonically(self):
         a = Symbol(S1, {1: [[1.0]], 0: [[-0.3]], -2: [[0.05]]})
-        rows = convergence_table(a, grid=16, steps=4)
+        rows = convergence_table(a, grid=16)
         deltas = [r.delta for r in rows[1:]]
         assert all(d >= 0 for d in deltas)
         assert deltas[-1] <= deltas[0]
 
     def test_s3_table_doubles_both_node_counts(self):
-        rows = convergence_table(su2_symbol(), theta_nodes=6, phi_nodes=6, steps=3)
+        rows = convergence_table(su2_symbol(), theta_nodes=6, phi_nodes=6)
         assert [r.size for r in rows] == [6, 12, 24]
-        assert final_delta(rows) < 1e-6
+        assert rows[-1].delta < 1e-6
         assert rows[-1].value.real == pytest.approx(-1.0, abs=1e-8)
 
     def test_csv_format(self):
-        rows = convergence_table(z_power(1), grid=16, steps=2)
+        rows = convergence_table(z_power(1), grid=16)
         csv = convergence_to_csv(rows)
         lines = csv.strip().split("\n")
         assert lines[0] == "size,value_re,value_im,delta"
@@ -129,21 +129,16 @@ class TestConvergence:
         assert float(first[1]) == rows[0].value.real
 
     def test_dict_and_text_renderings(self):
-        rows = convergence_table(z_power(1), grid=16, steps=2)
+        rows = convergence_table(z_power(1), grid=16)
         doc = convergence_to_dict(rows)
-        assert [r["size"] for r in doc["rows"]] == [16, 32]
+        assert [r["size"] for r in doc["rows"]] == [16, 32, 64, 128]
         assert doc["rows"][0]["delta"] is None
         text = convergence_text(rows)
         assert text.splitlines()[0].split() == ["size", "value", "delta"]
 
-    def test_final_delta_needs_two_rows(self):
-        rows = convergence_table(z_power(1), grid=16, steps=2)
-        with pytest.raises(ValueError):
-            final_delta(rows[:1])
-
     def test_shipped_symbol_files_converge(self):
         s1_path = os.path.join(SYMBOLS, "s1_diag_z_zm2.json")
-        rows = convergence_table(load_symbol(s1_path), grid=32, steps=4)
+        rows = convergence_table(load_symbol(s1_path), grid=32)
         deltas = [r.delta for r in rows[1:]]
-        assert deltas == sorted(deltas, reverse=True) or final_delta(rows) < 1e-6
-        assert final_delta(rows) < 1e-6
+        assert deltas == sorted(deltas, reverse=True) or rows[-1].delta < 1e-6
+        assert rows[-1].delta < 1e-6

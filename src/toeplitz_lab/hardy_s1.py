@@ -15,21 +15,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernel import (DEFAULT_RESIDUAL_TOL, DEFAULT_TOL, AnalyticIndex,
+from .kernel import (DEFAULT_RESIDUAL_TOL, DEFAULT_TOL, AnalyticIndex, Entries,
                      analytic_index_from_truncations)
 from .symbols import S1, Symbol
 
 
 @dataclass(frozen=True)
-class S1Truncation:
-    """Image-exact rectangular block of a circle Toeplitz operator.
+class S1Truncation(Entries):
+    """Image-exact rectangular block of a circle Toeplitz operator, by its nonzero entries.
 
     Domain: degrees 0..domain_size-1.  Codomain: degrees 0..codomain_size-1
-    with codomain_size = domain_size + max(k_max, 0), so the matrix has shape
-    (codomain_size * rank, domain_size * rank).
+    with codomain_size = domain_size + max(k_max, 0), so the shape is
+    (codomain_size * rank, domain_size * rank).  .matrix is the dense block,
+    formed on first use.
     """
 
-    matrix: np.ndarray
     domain_size: int
     codomain_size: int
     rank: int
@@ -44,14 +44,18 @@ def toeplitz_rect_s1(a: Symbol, domain_size: int) -> S1Truncation:
         raise ValueError("domain_size must be positive")
     r = a.rank
     n_cod = n_dom + max(a.k_max, 0)
-    mat = np.zeros((n_cod * r, n_dom * r), dtype=complex)
-    blocks = mat.reshape(n_cod, r, n_dom, r)
+    rows, cols, values = [], [], []
     for k, c in a.terms.items():
-        # domain degrees n with 0 <= n + k < n_cod; terms have distinct k, so
-        # no block is written twice
+        # domain degrees n with 0 <= n + k < n_cod, and c's nonzero entries;
+        # terms have distinct k, so no coordinate is written twice
         n = np.arange(max(-k, 0), min(n_dom, n_cod - k))
-        blocks[n + k, :, n, :] = c
-    return S1Truncation(matrix=mat, domain_size=n_dom, codomain_size=n_cod, rank=r)
+        i, j = c.nonzero()
+        rows.append(((n + k)[:, None] * r + i).ravel())
+        cols.append((n[:, None] * r + j).ravel())
+        values.append(np.tile(c[i, j], n.size))
+    return S1Truncation(shape=(n_cod * r, n_dom * r), rows=np.concatenate(rows),
+                        cols=np.concatenate(cols), values=np.concatenate(values),
+                        domain_size=n_dom, codomain_size=n_cod, rank=r)
 
 
 def analytic_index_s1(

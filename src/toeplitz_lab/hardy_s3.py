@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .kernel import (DEFAULT_RESIDUAL_TOL, DEFAULT_TOL, AnalyticIndex,
+from .kernel import (DEFAULT_RESIDUAL_TOL, DEFAULT_TOL, AnalyticIndex, Entries,
                      analytic_index_from_truncations)
 from .symbols import S3, Symbol
 
@@ -39,24 +40,28 @@ def monomial_position(a, b):
 
 def monomials_up_to(band: int) -> tuple[np.ndarray, np.ndarray]:
     """Exponent arrays (a, b) for all monomials of total degree <= band, in order."""
-    a_list, b_list = [], []
-    for d in range(band + 1):
-        for a in range(d + 1):
-            a_list.append(a)
-            b_list.append(d - a)
-    return np.array(a_list, dtype=int), np.array(b_list, dtype=int)
+    degree = np.repeat(np.arange(band + 1), np.arange(1, band + 2))
+    a = np.arange(degree.size) - degree * (degree + 1) // 2
+    return a, degree - a
+
+
+@lru_cache(maxsize=32)
+def _log_factorials(top: int) -> np.ndarray:
+    """math.lgamma(k + 1) for k = 0..top, read-only."""
+    table = np.array([math.lgamma(k + 1) for k in range(top + 1)])
+    table.setflags(write=False)
+    return table
 
 
 def log_monomial_norm_sq(a, b) -> np.ndarray:
     """log h(a, b) = log a! + log b! - log (a + b + 1)!, elementwise.
 
     a and b are non-negative integer arrays; each log k! is read from a
-    table of math.lgamma(k + 1), k = 0..max(a + b) + 1.
+    table of math.lgamma(k + 1), k = 0..max(a + b) + 1, made once per size.
     """
     a = np.asarray(a, dtype=np.intp)
     b = np.asarray(b, dtype=np.intp)
-    top = int(np.max(a + b, initial=0)) + 1
-    log_factorial = np.array([math.lgamma(k + 1) for k in range(top + 1)])
+    log_factorial = _log_factorials(int(np.max(a + b, initial=0)) + 1)
     return log_factorial[a] + log_factorial[b] - log_factorial[a + b + 1]
 
 
@@ -67,15 +72,15 @@ def monomial_norm_sq(a, b):
 
 
 @dataclass(frozen=True)
-class S3Truncation:
-    """Image-exact rectangular block of a three-sphere Toeplitz operator.
+class S3Truncation(Entries):
+    """Image-exact rectangular block of a three-sphere Toeplitz operator, by its nonzero entries.
 
     Domain: monomial bands 0..domain_band.  Codomain: bands 0..codomain_band
     with codomain_band = domain_band + symbol.max_shift.  Shape is
-    (band_dim(codomain_band) * rank, band_dim(domain_band) * rank).
+    (band_dim(codomain_band) * rank, band_dim(domain_band) * rank).  .matrix
+    is the dense block, formed on first use; most of it is zero.
     """
 
-    matrix: np.ndarray
     domain_band: int
     codomain_band: int
     rank: int
@@ -93,8 +98,9 @@ def toeplitz_rect_s3(a: Symbol, domain_band: int) -> S3Truncation:
     dom_a, dom_b = monomials_up_to(n_band)
     n_dom = dom_a.size
     n_cod = band_dim(m_band)
-    mat = np.zeros((n_cod * r, n_dom * r), dtype=complex)
-    blocks = mat.reshape(n_cod, r, n_dom, r)
+    n_cols = n_dom * r
+    # seeded empty, for a band that no term reaches
+    keys, values = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
     log_h_dom = log_monomial_norm_sq(dom_a, dom_b)
     for (p, q, s, t), coeff in a.terms.items():
         tgt_a = dom_a + (p - s)
@@ -107,11 +113,23 @@ def toeplitz_rect_s3(a: Symbol, domain_band: int) -> S3Truncation:
         log_pair = log_monomial_norm_sq(dom_a[src] + p, dom_b[src] + q)
         log_h_tgt = log_monomial_norm_sq(ta, tb)
         weights = np.exp(log_pair - 0.5 * (log_h_dom[src] + log_h_tgt))
-        rows = monomial_position(ta, tb)
-        # one term sends distinct domain monomials to distinct targets, so
-        # no (row, col) block repeats within the fancy-indexed add
-        blocks[rows, :, src, :] += weights[:, None, None] * coeff
-    return S3Truncation(matrix=mat, domain_band=n_band, codomain_band=m_band, rank=r)
+        targets = monomial_position(ta, tb)
+        # entry (targets * r + i, src * r + j) as the flat key row * n_cols +
+        # col; one term sends distinct domain monomials to distinct targets,
+        # so its own keys are distinct
+        i, j = coeff.nonzero()
+        keys.append(((targets * r)[:, None] + i) * n_cols + ((src * r)[:, None] + j))
+        values.append(weights[:, None] * coeff[i, j])
+    # terms meeting at one coordinate are summed in term order from 0, as
+    # adding each term into a zero matrix would; sums that cancel are dropped
+    keys, at = np.unique(np.concatenate([k.ravel() for k in keys]), return_inverse=True)
+    summed = np.zeros(keys.size, dtype=complex)
+    np.add.at(summed, at, np.concatenate([v.ravel() for v in values]))
+    nonzero = summed != 0
+    rows, cols = np.divmod(keys[nonzero], n_cols)
+    return S3Truncation(shape=(n_cod * r, n_cols), rows=rows, cols=cols,
+                        values=summed[nonzero], domain_band=n_band, codomain_band=m_band,
+                        rank=r)
 
 
 def analytic_index_s3(

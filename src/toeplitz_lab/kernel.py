@@ -18,17 +18,21 @@ value of the truncation, which only the stabilization across sizes speaks
 to.  A builder that is not image-exact, such as square truncations of the
 shift, fails it.
 
-Each SVD is taken block by block.  Rows and columns of a truncation linked by
-a nonzero entry form the connected components of its sparsity graph, and the
-matrix is a row and column permutation of the block-diagonal matrix of those
-components.  Its SVD is therefore exactly the union of the block SVDs: the
-singular values are the blocks' values together, and a block's right singular
-vectors, zero-extended into its columns, are right singular vectors of the
-whole.  The split needs no symmetry and no knowledge of the symbol; a
+The engine reads a truncation by its nonzero entries (Entries: the shape
+and one row, column and value per nonzero coordinate), never as a dense
+matrix; a plain array is converted to its entries first.  Each SVD is taken
+block by block.  Rows and columns of a truncation linked by an entry form
+the connected components of its sparsity graph, and the matrix is a row and
+column permutation of the block-diagonal matrix of those components.  Its
+SVD is therefore exactly the union of the block SVDs: the singular values
+are the blocks' values together, and a block's right singular vectors,
+zero-extended into its columns, are right singular vectors of the whole.
+The split needs no symmetry and no knowledge of the symbol; a
 torus-equivariant symbol on S3 splits into hundreds of small weight-space
 blocks, a generic symbol stays one component.  Blocks of equal shape go
-through one stacked SVD.  The kernel threshold is relative to the largest
-singular value over all blocks, never to a block's own.
+through one stacked SVD, on a zero array into which their entries are
+scattered.  The kernel threshold is relative to the largest singular value
+over all blocks, never to a block's own.
 
 Dimensions, singular values and gaps need no singular vectors; only the
 residual check reads kernel vectors, at the largest size and only once the
@@ -49,13 +53,16 @@ LAPACKE routines are those of numpy's bundled OpenBLAS, called through
 ctypes; a routine that fails, or a singular value that is not finite, raises
 numpy's LinAlgError, as np.linalg.svd does.
 
-Every SVD, and the residual check's product, runs on one BLAS thread, and
-the caller's thread count is restored afterwards.  The engine's products are
-small (S1 truncations of about 100 to 400 columns, torus-equivariant S3
-blocks of a few dozen): a second OpenBLAS thread slows them down, and once
-woken it keeps a core busy after the call.  With one thread their rounding,
-and so the reported gaps and residuals, no longer depends on the caller's
-thread count either.
+The residual check's product T_{N+1} [v; 0] is summed from the larger
+truncation's entries, so a column with no entry contributes nothing and an
+exact kernel vector's residual is exactly 0.
+
+Every SVD runs on one BLAS thread, and the caller's thread count is
+restored afterwards.  The engine's SVDs are small (S1 truncations of about
+100 to 400 columns, torus-equivariant S3 blocks of a few dozen): a second
+OpenBLAS thread slows them down, and once woken it keeps a core busy after
+the call.  With one thread their rounding, and so the reported gaps, no
+longer depends on the caller's thread count either.
 """
 from __future__ import annotations
 
@@ -66,6 +73,7 @@ import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -238,6 +246,36 @@ def _bidiagonal_kernel(lapacke: dict, reduction, k: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Entries:
+    """A complex matrix by its nonzero entries.
+
+    rows, cols and values hold one entry per coordinate and no exact zero,
+    so they are exactly the sparsity graph of the matrix of the given shape.
+    matrix is that dense array, formed on first use and kept.
+    """
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        m = np.zeros(self.shape, dtype=complex)
+        m[self.rows, self.cols] = self.values
+        return m
+
+
+def as_entries(matrix) -> Entries:
+    """matrix itself if it is an Entries, else the entries of the array matrix."""
+    if isinstance(matrix, Entries):
+        return matrix
+    m = np.asarray(matrix, dtype=complex)
+    rows, cols = m.nonzero()
+    return Entries(m.shape, rows, cols, m[rows, cols])
+
+
+@dataclass(frozen=True)
 class KernelReport:
     """Stabilized kernel dimension of one operator truncation family."""
 
@@ -277,38 +315,67 @@ def _connected_components(n: int, u: np.ndarray, v: np.ndarray):
     return roots.size, labels
 
 
-def _components(m: np.ndarray):
-    """Connected components of the sparsity graph of m, grouped by block shape.
+def _components(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray):
+    """Connected components of a sparsity graph, grouped by block shape.
 
-    Yields (row_index, col_index) pairs of integer arrays of shapes
-    (blocks, rows) and (blocks, cols), one pair per distinct block shape.
-    Rows and columns without a nonzero entry are components of their own:
-    a zero column is a (0, 1) block, a zero row a (1, 0) block.
+    The graph is that of a matrix of the given shape whose nonzero entries
+    sit at (rows[k], cols[k]).  Yields (row_index, col_index) pairs of
+    integer arrays of shapes (blocks, rows) and (blocks, cols), one pair per
+    distinct block shape.  Rows and columns without an entry are components
+    of their own: a zero column is a (0, 1) block, a zero row a (1, 0) block.
     """
-    rows, cols = m.shape
-    r, c = (m != 0).nonzero()
-    count, labels = _connected_components(rows + cols, r, rows + c)
-    row_label, col_label = labels[:rows], labels[rows:]
+    n_rows, n_cols = shape
+    count, labels = _connected_components(n_rows + n_cols, rows, n_rows + cols)
+    row_label, col_label = labels[:n_rows], labels[n_rows:]
     row_order = np.argsort(row_label, kind="stable")
     col_order = np.argsort(col_label, kind="stable")
-    n_rows = np.bincount(row_label, minlength=count)
-    n_cols = np.bincount(col_label, minlength=count)
-    row_start = np.cumsum(n_rows) - n_rows
-    col_start = np.cumsum(n_cols) - n_cols
-    # n_cols <= cols, so the key orders shapes as (n_rows, n_cols) pairs do
-    keys, group = np.unique(n_rows * (cols + 1) + n_cols, return_inverse=True)
+    block_rows = np.bincount(row_label, minlength=count)
+    block_cols = np.bincount(col_label, minlength=count)
+    row_start = np.cumsum(block_rows) - block_rows
+    col_start = np.cumsum(block_cols) - block_cols
+    # block_cols <= n_cols, so the key orders shapes as (rows, cols) pairs do
+    keys, group = np.unique(block_rows * (n_cols + 1) + block_cols, return_inverse=True)
     for k, key in enumerate(keys):
-        nr, nc = divmod(int(key), cols + 1)
+        nr, nc = divmod(int(key), n_cols + 1)
         blocks = np.flatnonzero(group == k)
         yield (row_order[row_start[blocks, None] + np.arange(nr)],
                col_order[col_start[blocks, None] + np.arange(nc)])
 
 
-def _svd_split(matrix: np.ndarray, tol: float):
+def _blocks(t: Entries):
+    """The components of t's sparsity graph as stacks of blocks, one per block shape.
+
+    Yields (col_index, blocks): col_index as _components gives it, blocks the
+    (blocks, rows, cols) array of the components' submatrices, a zero array
+    into which the entries of those components are scattered.
+    """
+    groups = list(_components(t.shape, t.rows, t.cols))
+    # row -> its group, its block in the group and its place in the block;
+    # column -> its place in the block
+    group_of, block_of, row_at = (np.empty(t.shape[0], dtype=np.intp) for _ in range(3))
+    col_at = np.empty(t.shape[1], dtype=np.intp)
+    for g, (row_index, col_index) in enumerate(groups):
+        group_of[row_index] = g
+        block_of[row_index] = np.arange(len(row_index))[:, None]
+        row_at[row_index] = np.arange(row_index.shape[1])
+        col_at[col_index] = np.arange(col_index.shape[1])
+    entry_group = group_of[t.rows]
+    order = np.argsort(entry_group, kind="stable")
+    bounds = np.searchsorted(entry_group[order], np.arange(len(groups) + 1))
+    for g, (row_index, col_index) in enumerate(groups):
+        entries = order[bounds[g]:bounds[g + 1]]
+        rows, cols = t.rows[entries], t.cols[entries]
+        blocks = np.zeros(row_index.shape + col_index.shape[1:], dtype=complex)
+        blocks[block_of[rows], row_at[rows], col_at[cols]] = t.values[entries]
+        yield col_index, blocks
+
+
+def _svd_split(matrix, tol: float):
     """Split the SVD of a truncation into (dim, sigma, gap, kernel_basis).
 
+    matrix is an Entries or a plain array, which is converted to its entries.
     The SVD is the union of the SVDs of the connected components of the
-    matrix's sparsity graph (see the module docstring), and every block takes
+    entries' sparsity graph (see the module docstring), and every block takes
     values only: a block alone in its shape group and tall goes through
     _bidiagonal when the LAPACKE routines are at hand, every other group
     through one stacked values-only np.linalg.svd.  sigma holds every block's
@@ -327,14 +394,13 @@ def _svd_split(matrix: np.ndarray, tol: float):
     LinAlgError when a singular value is not finite.  The SVDs run on one
     BLAS thread (see the module docstring).
     """
-    m = np.asarray(matrix, dtype=complex)
-    rows, cols = m.shape
+    t = as_entries(matrix)
+    rows, cols = t.shape
     lapacke = _lapacke()
     groups = []
     with one_blas_thread():
-        for row_index, col_index in _components(m):
-            nr, nc = row_index.shape[1], col_index.shape[1]
-            blocks = m[row_index[:, :, None], col_index[:, None, :]]
+        for col_index, blocks in _blocks(t):
+            nr, nc = blocks.shape[1:]
             reduction = None
             if lapacke is not None and len(blocks) == 1 and nr >= nc > 0:
                 s, reduction = _bidiagonal(lapacke, blocks[0])
@@ -389,8 +455,26 @@ def _svd_split(matrix: np.ndarray, tol: float):
     return dim, sigma, gap, kernel_basis
 
 
-def kernel_dim(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """SVD kernel dimension of one matrix at relative threshold tol.
+def _zero_extended_product(t: Entries, vectors: np.ndarray) -> np.ndarray:
+    """t's matrix times the columns of vectors zero-extended to t's columns.
+
+    Summed from t's entries: an entry beyond the vectors' rows meets a zero
+    and is skipped, and each row of the product sums its entries' terms in
+    entry order (np.bincount, real and imaginary parts apart).
+    """
+    n, k = vectors.shape
+    inside = t.cols < n
+    rows, terms = t.rows[inside], t.values[inside][:, None] * vectors[t.cols[inside]]
+    index = (rows[:, None] * k + np.arange(k)).ravel()
+    size = t.shape[0] * k
+    image = np.empty(size, dtype=complex)
+    image.real = np.bincount(index, terms.real.ravel(), size)
+    image.imag = np.bincount(index, terms.imag.ravel(), size)
+    return image.reshape(t.shape[0], k)
+
+
+def kernel_dim(matrix: np.ndarray | Entries, tol: float = DEFAULT_TOL) -> int:
+    """SVD kernel dimension of one matrix, an array or its Entries, at relative threshold tol.
 
     Singular values at most tol times the largest one count as kernel; the
     values are taken per connected block of the matrix's sparsity graph, with
@@ -401,7 +485,7 @@ def kernel_dim(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
 
 
 def stabilized_kernel_dim(
-    builder: Callable[[int], np.ndarray],
+    builder: Callable[[int], np.ndarray | Entries],
     sizes: Sequence[int],
     tol: float = DEFAULT_TOL,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
@@ -410,13 +494,14 @@ def stabilized_kernel_dim(
     """Kernel dimension trusted across a family of image-exact truncations.
 
     builder(n) must return the truncation whose domain is the first n basis
-    bands, with the prefix property: the matrix for a larger n contains every
-    smaller one as its leading block.  Raises UnstabilizedError when the
-    per-size dimensions disagree, ResidualFailureError when a candidate
-    kernel vector fails to annihilate the next-larger truncation.  Every
-    size is split the same way, values only; kernel vectors are formed only
-    at the largest size, and only once the dimensions agree on a kernel.
-    Raises ValueError unless tol and residual_tol are finite and non-negative.
+    bands, as an array or its Entries, with the prefix property: the matrix
+    for a larger n contains every smaller one as its leading block.  Raises
+    UnstabilizedError when the per-size dimensions disagree,
+    ResidualFailureError when a candidate kernel vector fails to annihilate
+    the next-larger truncation.  Every size is split the same way, values
+    only; kernel vectors are formed only at the largest size, and only once
+    the dimensions agree on a kernel.  Raises ValueError unless tol and
+    residual_tol are finite and non-negative.
     """
     sizes = tuple(int(n) for n in sizes)
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -437,10 +522,7 @@ def stabilized_kernel_dim(
     if dim > 0:
         basis_top = kernel_basis()
         with one_blas_thread():
-            check = np.asarray(builder(sizes[-1] + 1), dtype=complex)
-            padded = np.zeros((check.shape[1], dim), dtype=complex)
-            padded[:basis_top.shape[0], :] = basis_top
-            image = check @ padded
+            image = _zero_extended_product(as_entries(builder(sizes[-1] + 1)), basis_top)
         residual = float(np.max(np.linalg.norm(image, axis=0)))
         if residual > residual_tol:
             raise ResidualFailureError(
@@ -487,18 +569,18 @@ def analytic_index_from_truncations(
     """Stabilized Fredholm index of T_a from its manifold's truncation builder.
 
     truncate(a, n) returns the image-exact truncation of T_a with domain size
-    n, its matrix in .matrix.  The kernel dimension comes from the symbol's
-    own truncations, the cokernel dimension from the adjoint symbol's
-    truncations (coker T_a is conjugate-isomorphic to ker T_{a*}).  The
-    symbol must clear the sampled invertibility margin first; otherwise it is
-    rejected as non-Fredholm.
+    n as Entries, which the engine reads without forming the dense matrix.
+    The kernel dimension comes from the symbol's own truncations, the
+    cokernel dimension from the adjoint symbol's truncations (coker T_a is
+    conjugate-isomorphic to ker T_{a*}).  The symbol must clear the sampled
+    invertibility margin first; otherwise it is rejected as non-Fredholm.
     """
     require_invertible(a)
     a_star = adjoint(a)
-    ker = stabilized_kernel_dim(lambda n: truncate(a, n).matrix, sizes, tol, residual_tol,
+    ker = stabilized_kernel_dim(lambda n: truncate(a, n), sizes, tol, residual_tol,
                                 label="kernel")
-    coker = stabilized_kernel_dim(lambda n: truncate(a_star, n).matrix, sizes, tol,
-                                  residual_tol, label="cokernel")
+    coker = stabilized_kernel_dim(lambda n: truncate(a_star, n), sizes, tol, residual_tol,
+                                  label="cokernel")
     return AnalyticIndex(
         index=ker.dim - coker.dim,
         ker_dim=ker.dim,

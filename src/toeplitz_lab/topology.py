@@ -16,7 +16,7 @@ from an independent pipeline).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -195,7 +195,8 @@ def _diagonal_blocks(a: Symbol) -> list[Symbol]:
     (SymbolError).
     """
     pattern = np.any([c != 0 for c in a.terms.values()], axis=0)
-    blocks = [(rows, cols) for row_index, col_index in _components(pattern)
+    blocks = [(rows, cols)
+              for row_index, col_index in _components(pattern.shape, *pattern.nonzero())
               for rows, cols in zip(row_index, col_index)]
     if any(rows.size != cols.size for rows, cols in blocks):
         raise SymbolError("symbol is singular at a quadrature node")
@@ -218,8 +219,17 @@ def _chern_s3_raw(a: Symbol, theta_nodes: int, phi_nodes: int, unitary: bool) ->
     return sum(values[1:], values[0])
 
 
+@lru_cache(maxsize=32)
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], made once per count, read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(count)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def _chern_s3_block(a: Symbol, theta_nodes: int, phi_nodes: int, unitary: bool) -> complex:
-    nodes, weights = np.polynomial.legendre.leggauss(theta_nodes)
+    nodes, weights = _gauss_legendre(theta_nodes)
     theta = (nodes + 1.0) * (np.pi / 4)
     w_theta = weights * (np.pi / 4)
     phi = np.arange(phi_nodes) * (2 * np.pi / phi_nodes)

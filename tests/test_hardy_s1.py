@@ -118,6 +118,25 @@ def test_truncation_equals_the_per_block_loop(exponents, rank, n_dom):
     assert np.array_equal(matrix, loop_rect_s1(a, n_dom))
 
 
+@pytest.mark.parametrize("n_dom", [1, 7, 65])
+@pytest.mark.parametrize("exponents", sorted(LOOP_EXPONENTS))
+def test_truncation_entries_are_the_loops_nonzero_entries(exponents, n_dom):
+    # rank 2 with one zero coefficient entry: zero entries are not stored
+    a = random_laurent(2, LOOP_EXPONENTS[exponents], seed=5)
+    k = min(a.terms)
+    a = Symbol(S1, {**a.terms, k: a.terms[k] * np.array([[1, 0], [1, 1]])})
+    t = toeplitz_rect_s1(a, n_dom)
+    want = loop_rect_s1(a, n_dom)
+    assert t.shape == want.shape
+    keys = t.rows * t.shape[1] + t.cols
+    assert np.unique(keys).size == keys.size
+    assert np.all(t.values != 0)
+    rows, cols = want.nonzero()
+    order = np.argsort(keys)
+    assert np.array_equal(keys[order], rows * t.shape[1] + cols)
+    assert np.array_equal(t.values[order], want[rows, cols])
+
+
 class TestAnalyticIndex:
     def test_monomial_dims(self):
         for m in (-4, -1, 0, 2, 5):

@@ -1,4 +1,5 @@
 """Three-sphere Hardy space: monomial grading, shift weights, analytic index."""
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from toeplitz_lab import kernel
 from toeplitz_lab.errors import SymbolError
 from toeplitz_lab.families import (constant_sandwich, s3_representative,
                                    su2_power, su2_symbol)
@@ -155,7 +157,25 @@ REFERENCE_SYMBOLS = {
 @pytest.mark.parametrize("name", sorted(REFERENCE_SYMBOLS))
 def test_truncation_equals_the_per_entry_loop(name, band):
     a = REFERENCE_SYMBOLS[name]
-    assert np.array_equal(toeplitz_rect_s3(a, band).matrix, loop_rect_s3(a, band))
+    t, want = toeplitz_rect_s3(a, band), loop_rect_s3(a, band)
+    assert np.array_equal(t.matrix, want)
+    # the entries hold each coordinate once and no exact zero, and are the
+    # loop's nonzero entries bit for bit: terms that meet at one coordinate
+    # are summed in term order, as the loop's += does
+    keys = t.rows * t.shape[1] + t.cols
+    assert np.unique(keys).size == keys.size
+    assert np.all(t.values != 0)
+    rows, cols = want.nonzero()
+    order = np.argsort(keys)
+    assert np.array_equal(keys[order], rows * t.shape[1] + cols)
+    assert np.array_equal(t.values[order], want[rows, cols])
+
+
+def test_a_truncation_that_no_term_reaches_has_no_entries():
+    # z1bar^2 sends every monomial of band 0 below degree 0
+    t = toeplitz_rect_s3(Symbol(S3, {(0, 0, 2, 0): [[1.0]]}), 0)
+    assert (t.shape, t.rows.size, t.cols.size, t.values.size) == ((1, 1), 0, 0, 0)
+    assert np.array_equal(t.matrix, np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("band", [8, 24])
@@ -191,6 +211,28 @@ class TestAnalyticIndex:
         z1 = Symbol(S3, {(1, 0, 0, 0): [[1.0]]})
         with pytest.raises(SymbolError, match="margin"):
             analytic_index_s3(z1, trunc=4)
+
+    @pytest.mark.parametrize("m", range(-3, 4))
+    def test_the_route_never_forms_a_dense_truncation(self, m, monkeypatch):
+        def dense(self):
+            raise AssertionError("the analytic route read a dense truncation")
+
+        sym, sizes = s3_representative(m)
+        monkeypatch.setattr(kernel.Entries, "matrix", property(dense))
+        assert analytic_index_s3(sym, sizes=sizes).index == m
+
+    def test_peak_memory_stays_far_below_the_dense_truncation(self):
+        # the dense top and residual truncations alone took 30.0 and 34.8 MiB,
+        # and the traced peak was 35.5 MiB
+        sym, sizes = s3_representative(3)
+        analytic_index_s3(sym, sizes=sizes)  # first-call allocations outside the measurement
+        tracemalloc.start()
+        try:
+            analytic_index_s3(sym, sizes=sizes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20, peak / 2 ** 20
 
     def test_default_size_schedule(self):
         assert analytic_index_s3(identity(S3, 1)).sizes == (12, 16)

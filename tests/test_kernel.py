@@ -19,7 +19,8 @@ from toeplitz_lab.families import (constant_sandwich, homotopy_path,
 from toeplitz_lab.hardy_s1 import analytic_index_s1, toeplitz_rect_s1
 from toeplitz_lab.hardy_s3 import analytic_index_s3, toeplitz_rect_s3
 from toeplitz_lab.kernel import (DEFAULT_TOL, _components, _connected_components,
-                                 _svd_split, kernel_dim, stabilized_kernel_dim)
+                                 _svd_split, as_entries, kernel_dim, stabilized_kernel_dim)
+from toeplitz_lab.symbol_io import load_symbol
 from toeplitz_lab.symbols import (S1, Symbol, adjoint, direct_sum, identity,
                                   multiply)
 
@@ -232,8 +233,12 @@ class TestAnalyticIndexAssembly:
 
 
 def dense_svd_split(matrix, tol):
-    """Reference: one dense SVD of the whole matrix, as before the block split."""
-    m = np.asarray(matrix, dtype=complex)
+    """Reference: one dense SVD of the whole matrix, as before the block split.
+
+    Takes what _svd_split takes, an array or a truncation's Entries, and
+    densifies it.
+    """
+    m = as_entries(matrix).matrix
     rows, cols = m.shape
     u, sigma, vh = np.linalg.svd(m, full_matrices=True)
     if sigma.size == 0 or sigma[0] == 0.0:
@@ -361,33 +366,71 @@ def unique_pairs_components(m):
 
 def s3_top_truncation(m):
     sym, sizes = s3_representative(m)
-    return toeplitz_rect_s3(sym, sizes[-1]).matrix
+    return toeplitz_rect_s3(sym, sizes[-1])
 
 
-# name -> matrix factory; truncations of one generic symbol (one component),
-# of monomials (many) and of S3 weight-space symbols (hundreds of blocks)
+# name -> matrix or truncation factory; truncations of one generic symbol
+# (one component), of monomials (many) and of S3 weight-space symbols
+# (hundreds of blocks)
 COMPONENT_CASES = {
     **{name: lambda name=name: block_case_matrix(name, seed=0) for name in BLOCK_CASES},
     "s1_random_rank3": lambda: toeplitz_rect_s1(
-        random_matrix_symbol(np.random.default_rng(7), rank=3)[0], 32).matrix,
-    "s1_diag_z2_zm1": lambda: toeplitz_rect_s1(direct_sum(z_power(2), z_power(-1)), 16).matrix,
+        random_matrix_symbol(np.random.default_rng(7), rank=3)[0], 32),
+    "s1_diag_z2_zm1": lambda: toeplitz_rect_s1(direct_sum(z_power(2), z_power(-1)), 16),
     "s3_m-3": lambda: s3_top_truncation(-3),
     "s3_m1": lambda: s3_top_truncation(1),
     "s3_m2": lambda: s3_top_truncation(2),
     "s3_sandwich_m2": lambda: toeplitz_rect_s3(
-        constant_sandwich(s3_representative(2)[0], np.random.default_rng(7)), 8).matrix,
+        constant_sandwich(s3_representative(2)[0], np.random.default_rng(7)), 8),
 }
 
 
 @pytest.mark.parametrize("case", sorted(COMPONENT_CASES))
 def test_components_match_the_pairwise_grouping(case):
-    m = COMPONENT_CASES[case]()
-    got = list(_components(m))
-    ref = list(unique_pairs_components(m))
+    # a truncation's own entries against the nonzero pattern of its matrix
+    t = as_entries(COMPONENT_CASES[case]())
+    got = list(_components(t.shape, t.rows, t.cols))
+    ref = list(unique_pairs_components(t.matrix))
     assert len(got) == len(ref)
     for (rows, cols), (ref_rows, ref_cols) in zip(got, ref):
         assert np.array_equal(rows, ref_rows) and rows.dtype == ref_rows.dtype
         assert np.array_equal(cols, ref_cols) and cols.dtype == ref_cols.dtype
+
+
+SYMBOLS = os.path.join(os.path.dirname(__file__), os.pardir, "symbols")
+
+
+def top_truncations():
+    """(name, truncation) at the top default size of each shipped symbol, the
+    representatives and a constant sandwich, for the symbol and its adjoint."""
+    cases = []
+    for name in sorted(os.listdir(SYMBOLS)):
+        a = load_symbol(os.path.join(SYMBOLS, name))
+        cases.append((name, a, toeplitz_rect_s1, 128) if a.manifold is S1
+                     else (name, a, toeplitz_rect_s3, 16))
+    for m in range(-3, 4):
+        sym, sizes = s3_representative(m)
+        cases.append((f"s3_m{m}", sym, toeplitz_rect_s3, sizes[-1]))
+    cases.append(("s3_sandwich_m2", constant_sandwich(
+        s3_representative(2)[0], np.random.default_rng(7)), toeplitz_rect_s3, 12))
+    return [(f"{name}/{family}", lambda a=a, build=build, n=n, family=family: build(
+        a if family == "ker" else adjoint(a), n))
+        for name, a, build, n in cases for family in ("ker", "coker")]
+
+
+TOP_TRUNCATIONS = top_truncations()
+
+
+@pytest.mark.parametrize("name, truncation", TOP_TRUNCATIONS,
+                         ids=[name for name, _ in TOP_TRUNCATIONS])
+def test_the_split_of_the_entries_is_the_split_of_the_matrix(name, truncation):
+    # the blocks are scattered from the entries into zero arrays: every
+    # singular value is bit-equal to the split of the dense matrix
+    t = truncation()
+    dim, sigma, gap, _ = _svd_split(t, DEFAULT_TOL)
+    ref_dim, ref_sigma, ref_gap, _ = _svd_split(t.matrix, DEFAULT_TOL)
+    assert (dim, gap) == (ref_dim, ref_gap)
+    assert sigma.tobytes() == ref_sigma.tobytes()
 
 
 def bipartite_graph(seed):
@@ -547,7 +590,7 @@ BIDIAGONAL_CASES = {
 
 def tall_single_blocks(m):
     """The blocks of m that are alone in their shape group and tall, as matrices."""
-    for rows, cols in _components(m):
+    for rows, cols in _components(m.shape, *m.nonzero()):
         if rows.shape[0] == 1 and rows.shape[1] >= cols.shape[1] > 0:
             yield m[np.ix_(rows[0], cols[0])]
 

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toeplitz_lab import topology
 from toeplitz_lab.errors import (NonIntegralChernError, SymbolError,
                                  UndersampledError)
 from toeplitz_lab.families import (constant_sandwich, diag_laurent, su2_power,
                                    su2_symbol, z_power)
-from toeplitz_lab.symbols import (S1, HopfPoint, Symbol, adjoint,
+from toeplitz_lab.symbols import (S1, HopfPoint, Symbol, adjoint, direct_sum,
                                   det_laurent, evaluate, hopf_partials,
                                   multiply, transpose)
 from toeplitz_lab.topology import (S3_ORIENTATION_SIGN, ChernValue, chern_s1,
@@ -174,3 +175,26 @@ class TestTopologicalIndex:
         with pytest.raises(NonIntegralChernError, match="integer"):
             topological_index(f, grid=16)
         assert topological_index(f, grid=1024).rounded == -1
+
+
+def test_gauss_legendre_nodes_are_made_once_per_count(monkeypatch):
+    leggauss, counts = np.polynomial.legendre.leggauss, []
+
+    def counted(count):
+        counts.append(count)
+        return leggauss(count)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    topology._gauss_legendre.cache_clear()
+    try:
+        # two diagonal blocks, two chern_s3 calls, each at 12 and 24 nodes
+        a = constant_sandwich(su2_symbol(), np.random.default_rng(0))
+        for _ in range(2):
+            chern_s3(direct_sum(a, su2_symbol()), 12, 8)
+        assert counts == [12, 24]
+        nodes, weights = topology._gauss_legendre(12)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        want_nodes, want_weights = leggauss(12)
+        assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
+    finally:
+        topology._gauss_legendre.cache_clear()

@@ -65,12 +65,6 @@ def log_monomial_norm_sq(a, b) -> np.ndarray:
     return log_factorial[a] + log_factorial[b] - log_factorial[a + b + 1]
 
 
-def monomial_norm_sq(a, b):
-    """h(a, b) = a! b! / (a + b + 1)!, the squared monomial norm; log-factorials for stability."""
-    out = np.exp(log_monomial_norm_sq(a, b))
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class S3Truncation(Entries):
     """Image-exact rectangular block of a three-sphere Toeplitz operator, by its nonzero entries.

@@ -473,17 +473,6 @@ def _zero_extended_product(t: Entries, vectors: np.ndarray) -> np.ndarray:
     return image.reshape(t.shape[0], k)
 
 
-def kernel_dim(matrix: np.ndarray | Entries, tol: float = DEFAULT_TOL) -> int:
-    """SVD kernel dimension of one matrix, an array or its Entries, at relative threshold tol.
-
-    Singular values at most tol times the largest one count as kernel; the
-    values are taken per connected block of the matrix's sparsity graph, with
-    the threshold set by the largest singular value of all blocks, and no
-    singular vector is formed.
-    """
-    return _svd_split(matrix, tol)[0]
-
-
 def stabilized_kernel_dim(
     builder: Callable[[int], np.ndarray | Entries],
     sizes: Sequence[int],

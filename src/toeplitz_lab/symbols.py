@@ -5,8 +5,8 @@ the circle S1, or a polynomial in z1, z2, z1bar, z2bar restricted to the unit
 sphere of C^2 on S3.  Both are dense in the continuous invertible symbols up
 to homotopy, and both admit exact finite truncations of the associated
 Toeplitz operators downstream.  What differs between the manifolds (exponent
-keys, sampling degree, sample grid, point evaluation) sits in a Manifold
-record, S1 or S3; the algebra is written once against it.
+keys, sampling degree, sample grid) sits in a Manifold record, S1 or S3;
+the algebra is written once against it.
 
 All symbols are immutable after construction; every operation returns a new
 value.  Coefficients are pruned only when exactly zero.
@@ -107,21 +107,6 @@ class Symbol:
         return f"Symbol({self.manifold.name}, rank={self.rank}, nterms={len(self._terms)})"
 
 
-@dataclass(frozen=True)
-class HopfPoint:
-    """Point of S3 in Hopf coordinates: z1 = cos(theta) e^{i phi1}, z2 = sin(theta) e^{i phi2}."""
-
-    theta: float
-    phi1: float
-    phi2: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.theta <= np.pi / 2):
-            raise ValueError(f"theta must lie in [0, pi/2], got {self.theta}")
-        if not (0.0 <= self.phi1 < 2 * np.pi and 0.0 <= self.phi2 < 2 * np.pi):
-            raise ValueError("phi angles must lie in [0, 2*pi)")
-
-
 # -- the two manifolds --------------------------------------------------------
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -137,8 +122,6 @@ class Manifold:
     conj: Callable               # key of the complex conjugate of a term
     degree: Callable             # degree that sets how densely a symbol is sampled
     sample: Callable             # (a, n) -> a on the n-per-axis sample grid, (N, r, r)
-    point: Callable              # canonical form of one manifold point
-    monomial: Callable           # (key, point) -> the key's monomial at that point
 
     def __repr__(self) -> str:
         return self.name
@@ -157,12 +140,6 @@ def _hopf_sample(a: Symbol, n: int) -> np.ndarray:
     return eval_hopf_grid(a, theta, phi, phi).reshape(-1, a.rank, a.rank)
 
 
-def _hopf_monomial(key: tuple, x: HopfPoint) -> complex:
-    p, q, s, t = key
-    radial = np.cos(x.theta) ** (p + s) * np.sin(x.theta) ** (q + t)
-    return radial * np.exp(1j * ((p - s) * x.phi1 + (q - t) * x.phi2))
-
-
 S1 = Manifold(
     name="S1",
     key_fields=("k",),
@@ -173,8 +150,6 @@ S1 = Manifold(
     conj=lambda k: -k,
     degree=lambda a: a.bandwidth,
     sample=lambda a, n: eval_circle(a, np.exp(2j * np.pi * np.arange(n) / n)),
-    point=complex,
-    monomial=lambda k, z: z ** k,
 )
 
 S3 = Manifold(
@@ -187,8 +162,6 @@ S3 = Manifold(
     conj=lambda key: (key[2], key[3], key[0], key[1]),
     degree=lambda a: a.total_degree,
     sample=_hopf_sample,
-    point=lambda x: x if isinstance(x, HopfPoint) else HopfPoint(*x),
-    monomial=_hopf_monomial,
 )
 
 def identity(manifold: Manifold, rank: int) -> Symbol:
@@ -301,18 +274,6 @@ def det_laurent(a: Symbol) -> Symbol:
 
 
 # -- evaluation --------------------------------------------------------------
-
-def evaluate(a: Symbol, point) -> np.ndarray:
-    """Evaluate the symbol at one manifold point.
-
-    S1 symbols take a unit-modulus complex number; S3 symbols take a HopfPoint.
-    """
-    point = a.manifold.point(point)
-    out = np.zeros((a.rank, a.rank), dtype=complex)
-    for key, c in a.terms.items():
-        out += c * a.manifold.monomial(key, point)
-    return out
-
 
 def eval_circle(a: Symbol, z: np.ndarray) -> np.ndarray:
     """Vectorized evaluation on an array of circle points; returns (n, r, r)."""
@@ -433,15 +394,6 @@ def pointwise_inverse(a: np.ndarray) -> np.ndarray:
                 work[i, k + 1:] -= np.multiply(work[k, k + 1:], factor, out=rest)
                 inv[i] -= np.multiply(inv[k], factor, out=term)
     return inv
-
-
-def hopf_partials(a: Symbol, point: HopfPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact partial derivatives (d_theta a, d_phi1 a, d_phi2 a) at one point."""
-    point = S3.point(point)
-    _, dth, dp1, dp2 = eval_hopf_grid(
-        a, np.array([point.theta]), np.array([point.phi1]), np.array([point.phi2]),
-        partials=True)
-    return dth[0, 0, 0], dp1[0, 0, 0], dp2[0, 0, 0]
 
 
 # -- invertibility -----------------------------------------------------------

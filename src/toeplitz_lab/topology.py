@@ -56,10 +56,10 @@ def winding_argument(f: Symbol, grid: int = DEFAULT_GRID) -> int:
     a zero on the circle (SymbolError): no winding number exists.
     """
     _require_scalar(f, "winding_argument")
-    n = int(grid)
-    if n < 8:
+    grid = int(grid)
+    if grid < 8:
         raise ValueError("grid must be at least 8")
-    for _ in range(MAX_DOUBLINGS + 1):
+    for n in (grid * 2 ** i for i in range(MAX_DOUBLINGS + 1)):
         z = np.exp(2j * np.pi * np.arange(n + 1) / n)
         vals = eval_circle(f, z)[:, 0, 0]
         if np.min(np.abs(vals)) < ZERO_ON_CIRCLE_TOL:
@@ -70,7 +70,6 @@ def winding_argument(f: Symbol, grid: int = DEFAULT_GRID) -> int:
         if np.max(np.abs(steps)) <= MAX_PHASE_STEP:
             total = float(np.sum(steps))
             return int(round(total / (2 * np.pi)))
-        n *= 2
     raise UndersampledError(
         f"phase steps above pi/2 persist after {MAX_DOUBLINGS} grid doublings "
         f"(final grid {n}); winding cannot be certified")
@@ -158,14 +157,6 @@ def chern_s1(a: Symbol, grid: int = DEFAULT_GRID) -> ChernValue:
         raise ValueError("grid must be at least 16")
     (_, value), (_, refined) = chern_ladder(a, 2, grid=grid)
     return ChernValue(value, refined, (grid,))
-
-
-def six_term_trace(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> complex:
-    """tr of the fully antisymmetrized product over all six orderings of (a1, a2, a3)."""
-    return complex(
-        np.trace(a1 @ a2 @ a3) - np.trace(a1 @ a3 @ a2)
-        + np.trace(a2 @ a3 @ a1) - np.trace(a2 @ a1 @ a3)
-        + np.trace(a3 @ a1 @ a2) - np.trace(a3 @ a2 @ a1))
 
 
 def _chern_s3_integrand(a: Symbol, theta: np.ndarray, phi: np.ndarray,
@@ -306,8 +297,9 @@ def topological_index(
 
     Dispatches on the manifold, gates on the sampled invertibility margin,
     and accepts the quadrature only when the refined value sits within
-    INTEGRALITY_TOL of an integer (imaginary part included).  The Fredholm
-    index of the Toeplitz operator equals the rounded value.
+    INTEGRALITY_TOL of an integer (imaginary part included) and of the value
+    before refinement.  The Fredholm index of the Toeplitz operator equals
+    the rounded value.
     """
     require_invertible(a)
     return _certified_chern(a, grid, theta_nodes, phi_nodes)
@@ -323,4 +315,11 @@ def _certified_chern(a: Symbol, grid: int, theta_nodes: int, phi_nodes: int) -> 
             f"{report.refined:.6g} has integrality defect "
             f"{report.integrality_defect:.3e} (tolerance {INTEGRALITY_TOL:.0e}); "
             f"raise the resolution or check the symbol")
+    # an aliased grid can land near a wrong integer; the doubling defect shows it
+    if report.doubling_defect > INTEGRALITY_TOL:
+        raise NonIntegralChernError(
+            f"Chern quadrature does not certify an integer: value "
+            f"{report.value:.6g} and refined value {report.refined:.6g} differ by "
+            f"doubling defect {report.doubling_defect:.3e} "
+            f"(tolerance {INTEGRALITY_TOL:.0e}); raise the resolution")
     return report

@@ -1,0 +1,93 @@
+"""Point-by-point oracles the tests check the program's grid and block paths against.
+
+No program path evaluates a symbol at a single point: the analytic route
+splits truncations and the topological route runs grid quadrature.  These
+one-point forms stay here, as independent references for the tests: a
+symbol's value and exact partials at one manifold point, the squared
+monomial norm of H^2(S3), the six-term trace of the S3 Chern form, and the
+SVD kernel dimension of one matrix.  Not collected by pytest; the test
+modules import it as ``oracles`` from their own directory.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from toeplitz_lab.hardy_s3 import log_monomial_norm_sq
+from toeplitz_lab.kernel import DEFAULT_TOL, Entries, _svd_split
+from toeplitz_lab.symbols import S1, Symbol, eval_hopf_grid
+
+
+@dataclass(frozen=True)
+class HopfPoint:
+    """Point of S3 in Hopf coordinates: z1 = cos(theta) e^{i phi1}, z2 = sin(theta) e^{i phi2}."""
+
+    theta: float
+    phi1: float
+    phi2: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.theta <= np.pi / 2):
+            raise ValueError(f"theta must lie in [0, pi/2], got {self.theta}")
+        if not (0.0 <= self.phi1 < 2 * np.pi and 0.0 <= self.phi2 < 2 * np.pi):
+            raise ValueError("phi angles must lie in [0, 2*pi)")
+
+
+def _hopf_point(x) -> HopfPoint:
+    return x if isinstance(x, HopfPoint) else HopfPoint(*x)
+
+
+def _hopf_monomial(key: tuple, x: HopfPoint) -> complex:
+    p, q, s, t = key
+    radial = np.cos(x.theta) ** (p + s) * np.sin(x.theta) ** (q + t)
+    return radial * np.exp(1j * ((p - s) * x.phi1 + (q - t) * x.phi2))
+
+
+def evaluate(a: Symbol, point) -> np.ndarray:
+    """Evaluate the symbol at one manifold point.
+
+    S1 symbols take a unit-modulus complex number; S3 symbols take a HopfPoint.
+    """
+    if a.manifold is S1:
+        point, monomial = complex(point), lambda k, z: z ** k
+    else:
+        point, monomial = _hopf_point(point), _hopf_monomial
+    out = np.zeros((a.rank, a.rank), dtype=complex)
+    for key, c in a.terms.items():
+        out += c * monomial(key, point)
+    return out
+
+
+def hopf_partials(a: Symbol, point: HopfPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact partial derivatives (d_theta a, d_phi1 a, d_phi2 a) at one point."""
+    point = _hopf_point(point)
+    _, dth, dp1, dp2 = eval_hopf_grid(
+        a, np.array([point.theta]), np.array([point.phi1]), np.array([point.phi2]),
+        partials=True)
+    return dth[0, 0, 0], dp1[0, 0, 0], dp2[0, 0, 0]
+
+
+def monomial_norm_sq(a, b):
+    """h(a, b) = a! b! / (a + b + 1)!, the squared monomial norm; log-factorials for stability."""
+    out = np.exp(log_monomial_norm_sq(a, b))
+    return float(out) if out.ndim == 0 else out
+
+
+def six_term_trace(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> complex:
+    """tr of the fully antisymmetrized product over all six orderings of (a1, a2, a3)."""
+    return complex(
+        np.trace(a1 @ a2 @ a3) - np.trace(a1 @ a3 @ a2)
+        + np.trace(a2 @ a3 @ a1) - np.trace(a2 @ a1 @ a3)
+        + np.trace(a3 @ a1 @ a2) - np.trace(a3 @ a2 @ a1))
+
+
+def kernel_dim(matrix: np.ndarray | Entries, tol: float = DEFAULT_TOL) -> int:
+    """SVD kernel dimension of one matrix, an array or its Entries, at relative threshold tol.
+
+    Singular values at most tol times the largest one count as kernel; the
+    values are taken per connected block of the matrix's sparsity graph, with
+    the threshold set by the largest singular value of all blocks, and no
+    singular vector is formed.
+    """
+    return _svd_split(matrix, tol)[0]

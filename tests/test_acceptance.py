@@ -16,15 +16,15 @@ from toeplitz_lab.families import (constant_sandwich, homotopy_path,
                                    s3_representative, su2_power, su2_symbol,
                                    z_power)
 from toeplitz_lab.hardy_s1 import analytic_index_s1
-from toeplitz_lab.hardy_s3 import analytic_index_s3, monomial_norm_sq
+from toeplitz_lab.hardy_s3 import analytic_index_s3
 from toeplitz_lab.symbol_io import symbol_to_dict
-from toeplitz_lab.symbols import (S1, HopfPoint, adjoint, direct_sum,
-                                  eval_hopf_grid, hopf_partials, identity,
-                                  invertibility_margin, multiply)
-from toeplitz_lab.topology import (chern_s1, chern_s3, six_term_trace,
-                                   topological_index, winding_argument,
-                                   winding_roots)
+from toeplitz_lab.symbols import (S1, adjoint, direct_sum, eval_hopf_grid,
+                                  identity, invertibility_margin, multiply)
+from toeplitz_lab.topology import (chern_s1, chern_s3, topological_index,
+                                   winding_argument, winding_roots)
 from toeplitz_lab.verify import run_verify, verify_report_json
+
+from oracles import HopfPoint, hopf_partials, monomial_norm_sq, six_term_trace
 
 
 def test_criterion_1_monomial_index_law_with_exact_dims():

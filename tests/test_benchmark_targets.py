@@ -1,7 +1,8 @@
 """The benchmark's traced call sites exist and take the parameters its hooks bind.
 
-perfbench/spans.py wraps program functions by module and attribute name; a
-rename there would only show when the traced benchmark runs.
+perfbench/spans.py wraps program functions by module and attribute name, and
+perfbench/workloads.py imports program names; a rename or deletion there
+would only show when the benchmark runs.
 """
 import importlib
 import importlib.util
@@ -17,7 +18,7 @@ from toeplitz_lab.families import s3_representative, su2_symbol, z_power
 from toeplitz_lab.hardy_s1 import toeplitz_rect_s1
 from toeplitz_lab.hardy_s3 import toeplitz_rect_s3
 
-SPANS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "spans.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
 # (module, attribute) -> parameters its hook in spans.py reads from the call
 HOOK_PARAMETERS = {
@@ -27,18 +28,19 @@ HOOK_PARAMETERS = {
 }
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = spans  # its dataclasses look their module up
+def _load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
     try:
-        spec.loader.exec_module(spans)
+        spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return spans
+    return module
 
 
-spans = _load_spans()
+spans = _load_perfbench("spans")
 TARGETS = spans.TARGETS
 
 
@@ -103,3 +105,11 @@ def test_tracer_sees_the_programs_own_calls(m, call):
     assert (stabilize.counts["svd_count"], stabilize.counts["residual_checks"]) == (4, 1)
     # kernel and cokernel at both sizes, and one residual check for the cokernel
     assert layers[f"hardy_{m}.toeplitz_rect_{m}"].calls == 5
+
+
+def test_every_workload_builds_its_cases():
+    # building imports and binds every program name the workloads use; the
+    # cases themselves are not run
+    workloads = _load_perfbench("workloads")
+    for workload in workloads.WORKLOADS:
+        assert len(workloads.build(workload, 0, "tiny")) >= 1, workload

@@ -9,7 +9,7 @@ import pytest
 
 from toeplitz_lab import cli
 from toeplitz_lab.cli import main
-from toeplitz_lab.families import z_power
+from toeplitz_lab.families import su2_power, z_power
 from toeplitz_lab.symbol_io import save_symbol
 from toeplitz_lab.symbols import S1, S3, Symbol
 
@@ -64,6 +64,16 @@ class TestIndexCommand:
         save_symbol(Symbol(S1, {1: [[1.0]], 0: [[-(1 + 1e-9)]]}), path)
         assert main(["index", path]) == 3
         assert "margin" in capsys.readouterr().err
+
+    def test_aliased_s3_chern_ladder_exits_4(self, tmp_path, capsys):
+        # at 4 phi nodes su2^5's refined rung is the wrong integer -7, 2.67
+        # away from the rung below it
+        path = str(tmp_path / "su2_5.json")
+        save_symbol(su2_power(5), path)
+        assert main(["index", path, "--trunc", "4",
+                     "--theta-nodes", "12", "--phi-nodes", "4"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "doubling defect 2.667e+00" in err
 
     @pytest.mark.parametrize("command", ["index", "chern"])
     def test_root_on_a_quadrature_node_exits_3(self, command, tmp_path, capsys):

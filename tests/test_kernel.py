@@ -19,10 +19,12 @@ from toeplitz_lab.families import (constant_sandwich, homotopy_path,
 from toeplitz_lab.hardy_s1 import analytic_index_s1, toeplitz_rect_s1
 from toeplitz_lab.hardy_s3 import analytic_index_s3, toeplitz_rect_s3
 from toeplitz_lab.kernel import (DEFAULT_TOL, _components, _connected_components,
-                                 _svd_split, as_entries, kernel_dim, stabilized_kernel_dim)
+                                 _svd_split, as_entries, stabilized_kernel_dim)
 from toeplitz_lab.symbol_io import load_symbol
 from toeplitz_lab.symbols import (S1, Symbol, adjoint, direct_sum, identity,
                                   multiply)
+
+from oracles import kernel_dim
 
 
 def shift_matrix(n, rows=None):

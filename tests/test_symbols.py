@@ -4,14 +4,15 @@ import pytest
 
 import toeplitz_lab
 from toeplitz_lab.errors import SymbolError
-from toeplitz_lab.symbols import (S1, S3, HopfPoint, Symbol, adjoint,
-                                  constant, det_laurent, direct_sum,
-                                  eval_circle, eval_hopf_grid, evaluate,
-                                  hopf_partials, identity, invertibility_margin,
+from toeplitz_lab.symbols import (S1, S3, Symbol, adjoint, constant,
+                                  det_laurent, direct_sum, eval_circle,
+                                  eval_hopf_grid, identity, invertibility_margin,
                                   margin_grid_size, multiply, power,
                                   require_invertible, transpose,
                                   unitarity_defect)
 from toeplitz_lab.families import su2_symbol, z_power
+
+from oracles import HopfPoint, evaluate, hopf_partials
 
 
 class TestConstruction:

@@ -9,12 +9,13 @@ from toeplitz_lab.errors import (NonIntegralChernError, SymbolError,
                                  UndersampledError)
 from toeplitz_lab.families import (constant_sandwich, diag_laurent, su2_power,
                                    su2_symbol, z_power)
-from toeplitz_lab.symbols import (S1, HopfPoint, Symbol, adjoint, direct_sum,
-                                  det_laurent, evaluate, hopf_partials,
+from toeplitz_lab.symbols import (S1, Symbol, adjoint, direct_sum, det_laurent,
                                   multiply, transpose)
 from toeplitz_lab.topology import (S3_ORIENTATION_SIGN, ChernValue, chern_s1,
-                                   chern_s3, six_term_trace, topological_index,
+                                   chern_s3, topological_index,
                                    winding_argument, winding_roots)
+
+from oracles import HopfPoint, evaluate, hopf_partials, six_term_trace
 
 
 def root_product(shift, roots):
@@ -65,6 +66,11 @@ class TestWindingOracles:
     def test_undersampled_after_doublings(self):
         with pytest.raises(UndersampledError, match="doublings"):
             winding_argument(z_power(20), grid=8)
+
+    def test_undersampled_error_names_the_last_grid_tried(self):
+        # grids 8, 16, 32 and 64 are tried; no fifth is built
+        with pytest.raises(UndersampledError, match=r"doublings \(final grid 64\)"):
+            winding_argument(z_power(21), grid=8)
 
     def test_doubling_recovers_fast_phases(self):
         assert winding_argument(z_power(10), grid=8) == 10
@@ -175,6 +181,17 @@ class TestTopologicalIndex:
         with pytest.raises(NonIntegralChernError, match="integer"):
             topological_index(f, grid=16)
         assert topological_index(f, grid=1024).rounded == -1
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_doubling_gate_rejects_an_aliased_phi_grid(self, m):
+        # 4 phi nodes alias su2^m: the rungs differ by 2.0, 1.33 and 2.67,
+        # and su2^5's refined rung sits near the wrong integer -7
+        ch = chern_s3(su2_power(m), theta_nodes=12, phi_nodes=4)
+        assert ch.doubling_defect > 1.0 and ch.integrality_defect < 1e-12
+        with pytest.raises(NonIntegralChernError, match="doubling defect") as err:
+            topological_index(su2_power(m), theta_nodes=12, phi_nodes=4)
+        assert f"{ch.value:.6g}" in str(err.value) and f"{ch.refined:.6g}" in str(err.value)
+        assert topological_index(su2_power(m)).rounded == -m
 
 
 def test_gauss_legendre_nodes_are_made_once_per_count(monkeypatch):

@@ -12,8 +12,8 @@ from .errors import (NonIntegralChernError, NumericsError, ParseError,
 from .families import (diag_laurent, random_matrix_symbol,
                        random_scalar_symbol, s3_representative, su2_power,
                        su2_symbol, z_power)
-from .hardy_s1 import S1Truncation, analytic_index_s1, toeplitz_rect_s1
-from .hardy_s3 import S3Truncation, analytic_index_s3, toeplitz_rect_s3
+from .hardy_s1 import analytic_index_s1, toeplitz_rect_s1
+from .hardy_s3 import analytic_index_s3, toeplitz_rect_s3
 from .kernel import AnalyticIndex, KernelReport, stabilized_kernel_dim
 from .reports import IndexReport, compute_index_report, convergence_table
 from .symbols import (S1, S3, Symbol, adjoint, constant, det_laurent, direct_sum,
@@ -28,9 +28,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticIndex", "ChernValue", "IndexReport", "KernelReport",
     "NonIntegralChernError", "NumericsError", "ParseError",
-    "ResidualFailureError", "S1", "S1Truncation", "S3", "S3Truncation",
-    "Symbol", "SymbolError", "ToeplitzLabError", "UndersampledError",
-    "UnstabilizedError", "adjoint", "analytic_index_s1", "analytic_index_s3",
+    "ResidualFailureError", "S1", "S3", "Symbol", "SymbolError",
+    "ToeplitzLabError", "UndersampledError", "UnstabilizedError", "adjoint",
+    "analytic_index_s1", "analytic_index_s3",
     "chern", "chern_s1", "chern_s3", "compute_index_report", "constant",
     "convergence_table", "det_laurent", "diag_laurent", "direct_sum",
     "identity", "invertibility_margin", "load_symbol", "multiply", "parse_symbol",

@@ -30,8 +30,8 @@ from .reports import (compute_index_report, convergence_table,
                       index_report_to_dict)
 from .symbols import S1, det_laurent, require_invertible
 from .symbol_io import atomic_write_text, document_json, load_symbol
-from .topology import (DEFAULT_GRID, DEFAULT_NODES, chern, winding_argument,
-                       winding_roots)
+from .topology import (DEFAULT_GRID, DEFAULT_NODES, topological_index,
+                       winding_argument, winding_roots)
 from .verify import (run_verify, verify_report_csv, verify_report_json,
                      verify_report_text)
 
@@ -116,8 +116,8 @@ def _cmd_index(args) -> int:
 
 def _cmd_chern(args) -> int:
     symbol = load_symbol(args.file)
-    require_invertible(symbol)
-    ch = chern(symbol, grid=args.grid, theta_nodes=args.theta_nodes, phi_nodes=args.phi_nodes)
+    ch = topological_index(symbol, grid=args.grid, theta_nodes=args.theta_nodes,
+                           phi_nodes=args.phi_nodes)
     doc = {
         "manifold": symbol.manifold.name,
         "rank": symbol.rank,

@@ -10,7 +10,6 @@ symbols with positive exponents; they are never used.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,23 +19,13 @@ from .kernel import (DEFAULT_RESIDUAL_TOL, DEFAULT_TOL, AnalyticIndex, Entries,
 from .symbols import S1, Symbol
 
 
-@dataclass(frozen=True)
-class S1Truncation(Entries):
-    """Image-exact rectangular block of a circle Toeplitz operator, by its nonzero entries.
+def toeplitz_rect_s1(a: Symbol, domain_size: int) -> Entries:
+    """The image-exact rectangular truncation with the given domain size, by its nonzero entries.
 
     Domain: degrees 0..domain_size-1.  Codomain: degrees 0..codomain_size-1
     with codomain_size = domain_size + max(k_max, 0), so the shape is
-    (codomain_size * rank, domain_size * rank).  .matrix is the dense block,
-    formed on first use.
+    (codomain_size * rank, domain_size * rank).
     """
-
-    domain_size: int
-    codomain_size: int
-    rank: int
-
-
-def toeplitz_rect_s1(a: Symbol, domain_size: int) -> S1Truncation:
-    """Build the image-exact rectangular truncation with the given domain size."""
     if a.manifold is not S1:
         raise ValueError("toeplitz_rect_s1 is defined for circle symbols only")
     n_dom = int(domain_size)
@@ -53,9 +42,8 @@ def toeplitz_rect_s1(a: Symbol, domain_size: int) -> S1Truncation:
         rows.append(((n + k)[:, None] * r + i).ravel())
         cols.append((n[:, None] * r + j).ravel())
         values.append(np.tile(c[i, j], n.size))
-    return S1Truncation(shape=(n_cod * r, n_dom * r), rows=np.concatenate(rows),
-                        cols=np.concatenate(cols), values=np.concatenate(values),
-                        domain_size=n_dom, codomain_size=n_cod, rank=r)
+    return Entries(shape=(n_cod * r, n_dom * r), rows=np.concatenate(rows),
+                   cols=np.concatenate(cols), values=np.concatenate(values))
 
 
 def analytic_index_s1(

@@ -16,7 +16,6 @@ Rectangular truncations take domain bands 0..N and codomain bands
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -65,23 +64,14 @@ def log_monomial_norm_sq(a, b) -> np.ndarray:
     return log_factorial[a] + log_factorial[b] - log_factorial[a + b + 1]
 
 
-@dataclass(frozen=True)
-class S3Truncation(Entries):
-    """Image-exact rectangular block of a three-sphere Toeplitz operator, by its nonzero entries.
+def toeplitz_rect_s3(a: Symbol, domain_band: int) -> Entries:
+    """The image-exact rectangular truncation with the given domain band, by its nonzero entries.
 
     Domain: monomial bands 0..domain_band.  Codomain: bands 0..codomain_band
-    with codomain_band = domain_band + symbol.max_shift.  Shape is
-    (band_dim(codomain_band) * rank, band_dim(domain_band) * rank).  .matrix
-    is the dense block, formed on first use; most of it is zero.
+    with codomain_band = domain_band + a.max_shift.  Shape is
+    (band_dim(codomain_band) * rank, band_dim(domain_band) * rank); most of
+    the dense matrix is zero.
     """
-
-    domain_band: int
-    codomain_band: int
-    rank: int
-
-
-def toeplitz_rect_s3(a: Symbol, domain_band: int) -> S3Truncation:
-    """Build the image-exact rectangular truncation with the given domain band."""
     if a.manifold is not S3:
         raise ValueError("toeplitz_rect_s3 is defined for three-sphere symbols only")
     n_band = int(domain_band)
@@ -121,9 +111,7 @@ def toeplitz_rect_s3(a: Symbol, domain_band: int) -> S3Truncation:
     np.add.at(summed, at, np.concatenate([v.ravel() for v in values]))
     nonzero = summed != 0
     rows, cols = np.divmod(keys[nonzero], n_cols)
-    return S3Truncation(shape=(n_cod * r, n_cols), rows=rows, cols=cols,
-                        values=summed[nonzero], domain_band=n_band, codomain_band=m_band,
-                        rank=r)
+    return Entries(shape=(n_cod * r, n_cols), rows=rows, cols=cols, values=summed[nonzero])
 
 
 def analytic_index_s3(

@@ -20,9 +20,10 @@ shift, fails it.
 
 The engine reads a truncation by its nonzero entries (Entries: the shape
 and one row, column and value per nonzero coordinate), never as a dense
-matrix; a plain array is converted to its entries first.  Each SVD is taken
-block by block.  Rows and columns of a truncation linked by an entry form
-the connected components of its sparsity graph, and the matrix is a row and
+matrix, and takes no other input.  Each SVD is taken block by block.  Rows
+and columns of a truncation linked by an entry form the connected
+components of its sparsity graph (found once, by _blocks, which also
+scatters each component's entries), and the matrix is a row and
 column permutation of the block-diagonal matrix of those components.  Its
 SVD is therefore exactly the union of the block SVDs: the singular values
 are the blocks' values together, and a block's right singular vectors,
@@ -266,15 +267,6 @@ class Entries:
         return m
 
 
-def as_entries(matrix) -> Entries:
-    """matrix itself if it is an Entries, else the entries of the array matrix."""
-    if isinstance(matrix, Entries):
-        return matrix
-    m = np.asarray(matrix, dtype=complex)
-    rows, cols = m.nonzero()
-    return Entries(m.shape, rows, cols, m[rows, cols])
-
-
 @dataclass(frozen=True)
 class KernelReport:
     """Stabilized kernel dimension of one operator truncation family."""
@@ -315,17 +307,22 @@ def _connected_components(n: int, u: np.ndarray, v: np.ndarray):
     return roots.size, labels
 
 
-def _components(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray):
-    """Connected components of a sparsity graph, grouped by block shape.
+def _blocks(t: Entries):
+    """The connected components of t's sparsity graph as stacks of blocks, one per block shape.
 
-    The graph is that of a matrix of the given shape whose nonzero entries
-    sit at (rows[k], cols[k]).  Yields (row_index, col_index) pairs of
-    integer arrays of shapes (blocks, rows) and (blocks, cols), one pair per
-    distinct block shape.  Rows and columns without an entry are components
-    of their own: a zero column is a (0, 1) block, a zero row a (1, 0) block.
+    Yields (row_index, col_index, blocks) per distinct block shape (rows,
+    cols), the shapes in increasing order: row_index and col_index are the
+    integer arrays of shapes (blocks, rows) and (blocks, cols) of the
+    components' rows and columns, and blocks the (blocks, rows, cols) array
+    of their submatrices, a zero array into which the entries of those
+    components are scattered.  The components of a shape come in the order
+    of their smallest node, rows before columns, and each one's rows and
+    columns in increasing order.  Rows and columns without an entry are
+    components of their own: a zero column is a (0, 1) block, a zero row a
+    (1, 0) block.
     """
-    n_rows, n_cols = shape
-    count, labels = _connected_components(n_rows + n_cols, rows, n_rows + cols)
+    n_rows, n_cols = t.shape
+    count, labels = _connected_components(n_rows + n_cols, t.rows, n_rows + t.cols)
     row_label, col_label = labels[:n_rows], labels[n_rows:]
     row_order = np.argsort(row_label, kind="stable")
     col_order = np.argsort(col_label, kind="stable")
@@ -335,45 +332,30 @@ def _components(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray):
     col_start = np.cumsum(block_cols) - block_cols
     # block_cols <= n_cols, so the key orders shapes as (rows, cols) pairs do
     keys, group = np.unique(block_rows * (n_cols + 1) + block_cols, return_inverse=True)
+    entry_group = group[row_label[t.rows]]
+    order = np.argsort(entry_group, kind="stable")
+    bounds = np.searchsorted(entry_group[order], np.arange(keys.size + 1))
+    # component -> its block in its group; row and column -> its place in its block
+    block_at = np.empty(count, dtype=np.intp)
+    row_at, col_at = np.empty(n_rows, dtype=np.intp), np.empty(n_cols, dtype=np.intp)
     for k, key in enumerate(keys):
         nr, nc = divmod(int(key), n_cols + 1)
-        blocks = np.flatnonzero(group == k)
-        yield (row_order[row_start[blocks, None] + np.arange(nr)],
-               col_order[col_start[blocks, None] + np.arange(nc)])
+        members = np.flatnonzero(group == k)
+        row_index = row_order[row_start[members, None] + np.arange(nr)]
+        col_index = col_order[col_start[members, None] + np.arange(nc)]
+        block_at[members] = np.arange(members.size)
+        row_at[row_index], col_at[col_index] = np.arange(nr), np.arange(nc)
+        entries = order[bounds[k]:bounds[k + 1]]
+        rows = t.rows[entries]
+        blocks = np.zeros((members.size, nr, nc), dtype=complex)
+        blocks[block_at[row_label[rows]], row_at[rows], col_at[t.cols[entries]]] = \
+            t.values[entries]
+        yield row_index, col_index, blocks
 
 
-def _blocks(t: Entries):
-    """The components of t's sparsity graph as stacks of blocks, one per block shape.
+def _svd_split(t: Entries, tol: float):
+    """Split the SVD of a truncation, given by its entries, into (dim, sigma, gap, kernel_basis).
 
-    Yields (col_index, blocks): col_index as _components gives it, blocks the
-    (blocks, rows, cols) array of the components' submatrices, a zero array
-    into which the entries of those components are scattered.
-    """
-    groups = list(_components(t.shape, t.rows, t.cols))
-    # row -> its group, its block in the group and its place in the block;
-    # column -> its place in the block
-    group_of, block_of, row_at = (np.empty(t.shape[0], dtype=np.intp) for _ in range(3))
-    col_at = np.empty(t.shape[1], dtype=np.intp)
-    for g, (row_index, col_index) in enumerate(groups):
-        group_of[row_index] = g
-        block_of[row_index] = np.arange(len(row_index))[:, None]
-        row_at[row_index] = np.arange(row_index.shape[1])
-        col_at[col_index] = np.arange(col_index.shape[1])
-    entry_group = group_of[t.rows]
-    order = np.argsort(entry_group, kind="stable")
-    bounds = np.searchsorted(entry_group[order], np.arange(len(groups) + 1))
-    for g, (row_index, col_index) in enumerate(groups):
-        entries = order[bounds[g]:bounds[g + 1]]
-        rows, cols = t.rows[entries], t.cols[entries]
-        blocks = np.zeros(row_index.shape + col_index.shape[1:], dtype=complex)
-        blocks[block_of[rows], row_at[rows], col_at[cols]] = t.values[entries]
-        yield col_index, blocks
-
-
-def _svd_split(matrix, tol: float):
-    """Split the SVD of a truncation into (dim, sigma, gap, kernel_basis).
-
-    matrix is an Entries or a plain array, which is converted to its entries.
     The SVD is the union of the SVDs of the connected components of the
     entries' sparsity graph (see the module docstring), and every block takes
     values only: a block alone in its shape group and tall goes through
@@ -394,12 +376,11 @@ def _svd_split(matrix, tol: float):
     LinAlgError when a singular value is not finite.  The SVDs run on one
     BLAS thread (see the module docstring).
     """
-    t = as_entries(matrix)
     rows, cols = t.shape
     lapacke = _lapacke()
     groups = []
     with one_blas_thread():
-        for col_index, blocks in _blocks(t):
+        for _, col_index, blocks in _blocks(t):
             nr, nc = blocks.shape[1:]
             reduction = None
             if lapacke is not None and len(blocks) == 1 and nr >= nc > 0:
@@ -474,7 +455,7 @@ def _zero_extended_product(t: Entries, vectors: np.ndarray) -> np.ndarray:
 
 
 def stabilized_kernel_dim(
-    builder: Callable[[int], np.ndarray | Entries],
+    builder: Callable[[int], Entries],
     sizes: Sequence[int],
     tol: float = DEFAULT_TOL,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
@@ -482,9 +463,9 @@ def stabilized_kernel_dim(
 ) -> KernelReport:
     """Kernel dimension trusted across a family of image-exact truncations.
 
-    builder(n) must return the truncation whose domain is the first n basis
-    bands, as an array or its Entries, with the prefix property: the matrix
-    for a larger n contains every smaller one as its leading block.  Raises
+    builder(n) must return the Entries of the truncation whose domain is the
+    first n basis bands, with the prefix property: the matrix for a larger n
+    contains every smaller one as its leading block.  Raises
     UnstabilizedError when the per-size dimensions disagree,
     ResidualFailureError when a candidate kernel vector fails to annihilate
     the next-larger truncation.  Every size is split the same way, values
@@ -511,7 +492,7 @@ def stabilized_kernel_dim(
     if dim > 0:
         basis_top = kernel_basis()
         with one_blas_thread():
-            image = _zero_extended_product(as_entries(builder(sizes[-1] + 1)), basis_top)
+            image = _zero_extended_product(builder(sizes[-1] + 1), basis_top)
         residual = float(np.max(np.linalg.norm(image, axis=0)))
         if residual > residual_tol:
             raise ResidualFailureError(

@@ -21,7 +21,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import NonIntegralChernError, SymbolError, UndersampledError
-from .kernel import _components
+from .kernel import Entries, _blocks
 from .symbols import (S1, S3, UNITARY_TOL, Symbol, eval_circle, eval_hopf_grid,
                       pointwise_inverse, pointwise_matmul, require_invertible,
                       unitarity_defect)
@@ -153,8 +153,6 @@ def chern_s1(a: Symbol, grid: int = DEFAULT_GRID) -> ChernValue:
     if a.manifold is not S1:
         raise ValueError("chern_s1 is defined for circle symbols only")
     grid = int(grid)
-    if grid < 16:
-        raise ValueError("grid must be at least 16")
     (_, value), (_, refined) = chern_ladder(a, 2, grid=grid)
     return ChernValue(value, refined, (grid,))
 
@@ -181,13 +179,14 @@ def _diagonal_blocks(a: Symbol) -> list[Symbol]:
     """a's square diagonal blocks, after a constant row and column permutation.
 
     The blocks are the connected components of the union of a's coefficient
-    patterns; a symbol that does not split is its own one block.  A component
-    with more rows than columns, or fewer, makes a singular everywhere
-    (SymbolError).
+    patterns, as kernel._blocks finds them for the pattern's entries; a
+    symbol that does not split is its own one block.  A component with more
+    rows than columns, or fewer, makes a singular everywhere (SymbolError).
     """
     pattern = np.any([c != 0 for c in a.terms.values()], axis=0)
-    blocks = [(rows, cols)
-              for row_index, col_index in _components(pattern.shape, *pattern.nonzero())
+    nonzero = pattern.nonzero()
+    groups = _blocks(Entries(pattern.shape, *nonzero, np.ones(nonzero[0].size)))
+    blocks = [(rows, cols) for row_index, col_index, _ in groups
               for rows, cols in zip(row_index, col_index)]
     if any(rows.size != cols.size for rows, cols in blocks):
         raise SymbolError("symbol is singular at a quadrature node")
@@ -240,16 +239,19 @@ def chern_ladder(a: Symbol, steps: int | None = None, grid: int = DEFAULT_GRID,
     On S1 the rungs are circle grids of grid * 2^i points (4 by default); on
     S3, theta_nodes * 2^i x phi_nodes * 2^i Hopf nodes sized by the theta
     count (3 by default), with pointwise-unitary symbols inverted by their
-    adjoint.  A node count below 1 raises ValueError.
+    adjoint.  A circle grid below 16 points, or a Hopf node count below 4,
+    raises ValueError.
     """
     if a.manifold is S1:
         resolution, default_steps = (int(grid),), 4
+        if resolution[0] < 16:
+            raise ValueError("grid must be at least 16")
         quadrature = partial(_chern_s1_raw, a)
     else:
         resolution, default_steps = (int(theta_nodes), int(phi_nodes)), 3
+        if min(resolution) < 4:
+            raise ValueError("node counts must be at least 4")
         quadrature = partial(_chern_s3_raw, a, unitary=unitarity_defect(a) <= UNITARY_TOL)
-    if min(resolution) < 1:
-        raise ValueError("node counts must be at least 1")
     steps = default_steps if steps is None else int(steps)
     return [(resolution[0] * 2 ** i, quadrature(*(n * 2 ** i for n in resolution)))
             for i in range(steps)]
@@ -273,8 +275,6 @@ def chern_s3(a: Symbol, theta_nodes: int = DEFAULT_NODES,
     if a.manifold is not S3:
         raise ValueError("chern_s3 is defined for three-sphere symbols only")
     theta_nodes, phi_nodes = int(theta_nodes), int(phi_nodes)
-    if theta_nodes < 4 or phi_nodes < 4:
-        raise ValueError("node counts must be at least 4")
     (_, value), (_, refined) = chern_ladder(a, 2, theta_nodes=theta_nodes, phi_nodes=phi_nodes)
     return ChernValue(value, refined, (theta_nodes, phi_nodes))
 

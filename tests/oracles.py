@@ -5,7 +5,8 @@ splits truncations and the topological route runs grid quadrature.  These
 one-point forms stay here, as independent references for the tests: a
 symbol's value and exact partials at one manifold point, the squared
 monomial norm of H^2(S3), the six-term trace of the S3 Chern form, and the
-SVD kernel dimension of one matrix.  Not collected by pytest; the test
+SVD kernel dimension of one matrix.  entries() gives a dense test matrix
+as the Entries the kernel engine takes.  Not collected by pytest; the test
 modules import it as ``oracles`` from their own directory.
 """
 from __future__ import annotations
@@ -82,12 +83,19 @@ def six_term_trace(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> complex:
         + np.trace(a3 @ a1 @ a2) - np.trace(a3 @ a2 @ a1))
 
 
-def kernel_dim(matrix: np.ndarray | Entries, tol: float = DEFAULT_TOL) -> int:
-    """SVD kernel dimension of one matrix, an array or its Entries, at relative threshold tol.
+def entries(matrix) -> Entries:
+    """The Entries of a dense array: its shape and one row, column and value per nonzero."""
+    m = np.asarray(matrix, dtype=complex)
+    rows, cols = m.nonzero()
+    return Entries(m.shape, rows, cols, m[rows, cols])
+
+
+def kernel_dim(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    """SVD kernel dimension of one dense matrix at relative threshold tol.
 
     Singular values at most tol times the largest one count as kernel; the
     values are taken per connected block of the matrix's sparsity graph, with
     the threshold set by the largest singular value of all blocks, and no
     singular vector is formed.
     """
-    return _svd_split(matrix, tol)[0]
+    return _svd_split(entries(matrix), tol)[0]

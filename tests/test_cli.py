@@ -75,6 +75,18 @@ class TestIndexCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "doubling defect 2.667e+00" in err
 
+    def test_aliased_s3_chern_value_exits_4(self, tmp_path, capsys):
+        # chern certifies what it prints, as index does: the same aliased
+        # ladder writes no summary and no document
+        path = str(tmp_path / "su2_5.json")
+        save_symbol(su2_power(5), path)
+        out = str(tmp_path / "never.json")
+        assert main(["chern", path, "--theta-nodes", "12", "--phi-nodes", "4",
+                     "--out", out]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and not os.path.exists(out)
+        assert captured.err.startswith("error:") and "doubling defect 2.667e+00" in captured.err
+
     @pytest.mark.parametrize("command", ["index", "chern"])
     def test_root_on_a_quadrature_node_exits_3(self, command, tmp_path, capsys):
         # the 16-point invertibility sample misses the root on the unit
@@ -116,6 +128,8 @@ class TestParseFailures:
         ["index", "s3_su2.json", "--trunc", "4", "--theta-nodes", "2"],
         ["convergence", "s3_su2.json", "--theta-nodes", "0"],
         ["convergence", "s1_z_1.json", "--grid", "0"],
+        ["convergence", "s1_z_1.json", "--grid", "2"],
+        ["convergence", "s3_su2.json", "--theta-nodes", "1", "--phi-nodes", "1"],
         ["index", "s1_z_1.json", "--trunc", "0"],
     ], ids=lambda argv: " ".join(argv))
     def test_out_of_range_option_exits_2_and_writes_nothing(self, argv, tmp_path, capsys):
@@ -209,7 +223,7 @@ class TestWindingCommand:
 class TestLapackFailure:
     @pytest.mark.parametrize("command, report, name", [
         ("index", "compute_index_report", "s1_z_1.json"),
-        ("chern", "chern", "s3_su2.json"),
+        ("chern", "topological_index", "s3_su2.json"),
         ("convergence", "convergence_table", "s1_z_1.json"),
         ("verify", "run_verify", None),
     ])

@@ -4,7 +4,8 @@ import pytest
 
 from toeplitz_lab.errors import SymbolError
 from toeplitz_lab.families import diag_laurent, z_power
-from toeplitz_lab.hardy_s1 import S1Truncation, analytic_index_s1, toeplitz_rect_s1
+from toeplitz_lab.hardy_s1 import analytic_index_s1, toeplitz_rect_s1
+from toeplitz_lab.kernel import Entries
 from toeplitz_lab.symbols import S1, Symbol, adjoint, eval_circle, multiply
 
 
@@ -13,12 +14,12 @@ class TestTruncationStructure:
         # a = z + z^-1, domain degrees {0, 1}: codomain must include degree 2
         a = Symbol(S1, {1: [[1.0]], -1: [[1.0]]})
         t = toeplitz_rect_s1(a, 2)
-        assert (t.domain_size, t.codomain_size) == (2, 3)
+        assert t.shape == (3, 2)
         assert np.array_equal(t.matrix, np.array([[0, 1], [1, 0], [0, 1]], dtype=complex))
 
     def test_codomain_matches_positive_part_only(self):
-        assert toeplitz_rect_s1(z_power(-2), 6).codomain_size == 6
-        assert toeplitz_rect_s1(z_power(3), 6).codomain_size == 9
+        assert toeplitz_rect_s1(z_power(-2), 6).shape == (6, 6)
+        assert toeplitz_rect_s1(z_power(3), 6).shape == (9, 6)
 
     def test_block_interleaving(self):
         c = np.array([[1, 2], [3, 4]], dtype=complex)
@@ -45,7 +46,7 @@ class TestTruncationStructure:
                          for k in (-2, 1, 3)})
         n = 5
         t = toeplitz_rect_s1(a, n)
-        t_star = toeplitz_rect_s1(adjoint(a), t.codomain_size)
+        t_star = toeplitz_rect_s1(adjoint(a), t.shape[0] // a.rank)
         assert np.array_equal(t_star.matrix[: n * a.rank, :], t.matrix.conj().T)
 
     def test_spectral_sampling_oracle(self):
@@ -65,14 +66,14 @@ class TestTruncationStructure:
                 product = samples[:, :, comp] * z[:, None] ** n  # (grid, 2)
                 # coefficient of z^m is the m-th forward DFT bin over grid size
                 modes = np.fft.fft(product, axis=0) / grid
-                expected = modes[: t.codomain_size]
-                col = t.matrix[:, n * 2 + comp].reshape(t.codomain_size, 2)
+                expected = modes[: t.shape[0] // 2]
+                col = t.matrix[:, n * 2 + comp].reshape(t.shape[0] // 2, 2)
                 assert np.allclose(col, expected, atol=1e-12)
 
     def test_returns_dataclass(self):
         t = toeplitz_rect_s1(z_power(1), 3)
-        assert isinstance(t, S1Truncation)
-        assert t.rank == 1
+        assert isinstance(t, Entries)
+        assert t.shape == (4, 3)
 
     def test_domain_size_validation(self):
         with pytest.raises(ValueError):

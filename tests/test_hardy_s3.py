@@ -11,9 +11,8 @@ from toeplitz_lab import kernel
 from toeplitz_lab.errors import SymbolError
 from toeplitz_lab.families import (constant_sandwich, s3_representative,
                                    su2_power, su2_symbol)
-from toeplitz_lab.hardy_s3 import (S3Truncation, analytic_index_s3, band_dim,
-                                   log_monomial_norm_sq, monomial_position,
-                                   monomials_up_to, toeplitz_rect_s3)
+from toeplitz_lab.hardy_s3 import (analytic_index_s3, band_dim, log_monomial_norm_sq,
+                                   monomial_position, monomials_up_to, toeplitz_rect_s3)
 from toeplitz_lab.symbols import S3, Symbol, adjoint, identity, transpose
 
 from oracles import monomial_norm_sq
@@ -73,7 +72,7 @@ class TestTruncationStructure:
         z2bar = Symbol(S3, {(0, 0, 0, 1): [[1.0]]})
         t = toeplitz_rect_s3(z2bar, 2)
         a, b = monomials_up_to(2)
-        assert t.codomain_band == 2  # no upward shift
+        assert t.shape[0] == band_dim(2)  # no upward shift
         for col in range(a.size):
             if b[col] == 0:
                 assert np.all(t.matrix[:, col] == 0)
@@ -84,7 +83,7 @@ class TestTruncationStructure:
 
     def test_codomain_band_tracks_max_shift(self):
         t = toeplitz_rect_s3(su2_power(2), 3)
-        assert t.codomain_band == 5
+        assert t.shape[0] == band_dim(5) * 2
         assert t.matrix.shape == (band_dim(5) * 2, band_dim(3) * 2)
 
     def test_sphere_relation_respected(self):
@@ -114,7 +113,7 @@ class TestTruncationStructure:
 
     def test_returns_dataclass(self):
         t = toeplitz_rect_s3(identity(S3, 1), 4)
-        assert isinstance(t, S3Truncation)
+        assert isinstance(t, kernel.Entries)
         assert np.allclose(t.matrix, np.eye(band_dim(4)))
 
 

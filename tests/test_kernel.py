@@ -18,22 +18,22 @@ from toeplitz_lab.families import (constant_sandwich, homotopy_path,
                                    s3_representative, su2_symbol, z_power)
 from toeplitz_lab.hardy_s1 import analytic_index_s1, toeplitz_rect_s1
 from toeplitz_lab.hardy_s3 import analytic_index_s3, toeplitz_rect_s3
-from toeplitz_lab.kernel import (DEFAULT_TOL, _components, _connected_components,
-                                 _svd_split, as_entries, stabilized_kernel_dim)
+from toeplitz_lab.kernel import (DEFAULT_TOL, _blocks, _connected_components,
+                                 _svd_split, stabilized_kernel_dim)
 from toeplitz_lab.symbol_io import load_symbol
 from toeplitz_lab.symbols import (S1, Symbol, adjoint, direct_sum, identity,
                                   multiply)
 
-from oracles import kernel_dim
+from oracles import entries, kernel_dim
 
 
 def shift_matrix(n, rows=None):
-    """Rectangular forward shift: e_i -> e_{i+1}; exact model of T_z."""
+    """Rectangular forward shift: e_i -> e_{i+1}; exact model of T_z, by its entries."""
     rows = n + 1 if rows is None else rows
     m = np.zeros((rows, n), dtype=complex)
     for i in range(min(n, rows - 1)):
         m[i + 1, i] = 1.0
-    return m
+    return entries(m)
 
 
 @pytest.fixture
@@ -110,7 +110,7 @@ class TestStabilized:
     def test_clean_positive_kernel(self):
         # backward shift kills exactly the lowest basis vector at every size
         def builder(n):
-            return shift_matrix(n).T
+            return entries(shift_matrix(n).matrix.T)
 
         report = stabilized_kernel_dim(builder, (8, 16))
         assert report.dim == 1
@@ -126,7 +126,7 @@ class TestStabilized:
             d = np.ones(n)
             if n >= 8:
                 d[-1] = 0.0
-            return np.diag(d)
+            return entries(np.diag(d))
 
         message = "kernel dimension does not stabilize across sizes (4, 8): got [0, 1]"
         with pytest.raises(UnstabilizedError, match=f"^{re.escape(message)}$"):
@@ -169,7 +169,7 @@ class TestStabilized:
         def builder(n):
             d = np.ones(n)
             d[5], d[6] = 1e-9, 5e-7
-            return np.diag(d)
+            return entries(np.diag(d))
 
         with pytest.warns(RuntimeWarning, match="spectral gap"):
             report = stabilized_kernel_dim(builder, (10, 14))
@@ -196,7 +196,7 @@ def up_shift(k):
         m = np.zeros((n + k, n), dtype=complex)
         for i in range(n):
             m[i + k, i] = 1.0
-        return m
+        return entries(m)
     return builder
 
 
@@ -206,7 +206,7 @@ def down_shift(k):
         m = np.zeros((n, n), dtype=complex)
         for i in range(n - k):
             m[i, i + k] = 1.0
-        return m
+        return entries(m)
     return builder
 
 
@@ -234,13 +234,12 @@ class TestAnalyticIndexAssembly:
         assert shift_model_dims(up_shift(0), down_shift(0)) == (0, 0)
 
 
-def dense_svd_split(matrix, tol):
+def dense_svd_split(t, tol):
     """Reference: one dense SVD of the whole matrix, as before the block split.
 
-    Takes what _svd_split takes, an array or a truncation's Entries, and
-    densifies it.
+    Takes what _svd_split takes, a truncation's Entries, and densifies it.
     """
-    m = as_entries(matrix).matrix
+    m = t.matrix
     rows, cols = m.shape
     u, sigma, vh = np.linalg.svd(m, full_matrices=True)
     if sigma.size == 0 or sigma[0] == 0.0:
@@ -304,10 +303,11 @@ def block_case_matrix(case, seed):
 
 
 def assert_matches_dense(matrix, tol, vector_svd_shapes):
-    ref_dim, ref_sigma, ref_gap, ref_basis = dense_svd_split(matrix, tol)
+    t = entries(matrix)
+    ref_dim, ref_sigma, ref_gap, ref_basis = dense_svd_split(t, tol)
     ref_basis = ref_basis()
     vector_svd_shapes.clear()
-    dim, sigma, gap, kernel_basis = _svd_split(matrix, tol)
+    dim, sigma, gap, kernel_basis = _svd_split(t, tol)
     # dimension, values and gap are read with no singular vector formed
     assert vector_svd_shapes == []
     assert dim == ref_dim
@@ -319,7 +319,7 @@ def assert_matches_dense(matrix, tol, vector_svd_shapes):
     else:
         assert gap >= 1e12
     basis = kernel_basis()
-    assert basis.shape == (matrix.shape[1], dim)
+    assert basis.shape == (t.shape[1], dim)
     projector = basis @ basis.conj().T
     ref_projector = ref_basis @ ref_basis.conj().T
     assert np.max(np.abs(projector - ref_projector), initial=0.0) <= 1e-10
@@ -347,7 +347,7 @@ class TestBlockSplitAgainstDense:
 
 
 def unique_pairs_components(m):
-    """Reference: _components grouping block shapes by np.unique over (rows, cols) pairs."""
+    """Reference: _blocks' grouping of block shapes by np.unique over (rows, cols) pairs."""
     rows, cols = m.shape
     r, c = np.nonzero(m)
     graph = coo_array((np.ones(r.size), (r, rows + c)), shape=(rows + cols, rows + cols))
@@ -371,11 +371,11 @@ def s3_top_truncation(m):
     return toeplitz_rect_s3(sym, sizes[-1])
 
 
-# name -> matrix or truncation factory; truncations of one generic symbol
+# name -> Entries factory; truncations of one generic symbol
 # (one component), of monomials (many) and of S3 weight-space symbols
 # (hundreds of blocks)
 COMPONENT_CASES = {
-    **{name: lambda name=name: block_case_matrix(name, seed=0) for name in BLOCK_CASES},
+    **{name: lambda name=name: entries(block_case_matrix(name, seed=0)) for name in BLOCK_CASES},
     "s1_random_rank3": lambda: toeplitz_rect_s1(
         random_matrix_symbol(np.random.default_rng(7), rank=3)[0], 32),
     "s1_diag_z2_zm1": lambda: toeplitz_rect_s1(direct_sum(z_power(2), z_power(-1)), 16),
@@ -390,8 +390,8 @@ COMPONENT_CASES = {
 @pytest.mark.parametrize("case", sorted(COMPONENT_CASES))
 def test_components_match_the_pairwise_grouping(case):
     # a truncation's own entries against the nonzero pattern of its matrix
-    t = as_entries(COMPONENT_CASES[case]())
-    got = list(_components(t.shape, t.rows, t.cols))
+    t = COMPONENT_CASES[case]()
+    got = [(rows, cols) for rows, cols, _ in _blocks(t)]
     ref = list(unique_pairs_components(t.matrix))
     assert len(got) == len(ref)
     for (rows, cols), (ref_rows, ref_cols) in zip(got, ref):
@@ -430,13 +430,13 @@ def test_the_split_of_the_entries_is_the_split_of_the_matrix(name, truncation):
     # singular value is bit-equal to the split of the dense matrix
     t = truncation()
     dim, sigma, gap, _ = _svd_split(t, DEFAULT_TOL)
-    ref_dim, ref_sigma, ref_gap, _ = _svd_split(t.matrix, DEFAULT_TOL)
+    ref_dim, ref_sigma, ref_gap, _ = _svd_split(entries(t.matrix), DEFAULT_TOL)
     assert (dim, gap) == (ref_dim, ref_gap)
     assert sigma.tobytes() == ref_sigma.tobytes()
 
 
 def bipartite_graph(seed):
-    """Edges row -> rows + col of a seeded random sparsity pattern, as _components builds them."""
+    """Edges row -> rows + col of a seeded random sparsity pattern, as _blocks builds them."""
     rng = np.random.default_rng(seed)
     rows, cols = (int(k) for k in rng.integers(1, 60, size=2))
     r, c = np.nonzero(rng.uniform(size=(rows, cols)) < rng.uniform(0.0, 0.1))
@@ -485,7 +485,7 @@ def banded_family(rank, dominant):
     terms = {k: random_coefficients(rng, rank, 0.05) for k in (-1, 0, 1)}
     terms[dominant] = terms[dominant] + 3.0 * np.eye(rank)
     a = Symbol(S1, terms)
-    return lambda n: toeplitz_rect_s1(a, n).matrix
+    return lambda n: toeplitz_rect_s1(a, n)
 
 
 @pytest.mark.parametrize("dominant, dim", [(0, 0), (-1, 2)])
@@ -592,7 +592,7 @@ BIDIAGONAL_CASES = {
 
 def tall_single_blocks(m):
     """The blocks of m that are alone in their shape group and tall, as matrices."""
-    for rows, cols in _components(m.shape, *m.nonzero()):
+    for rows, cols, _ in _blocks(entries(m)):
         if rows.shape[0] == 1 and rows.shape[1] >= cols.shape[1] > 0:
             yield m[np.ix_(rows[0], cols[0])]
 
@@ -601,8 +601,8 @@ def tall_single_blocks(m):
 @pytest.mark.parametrize("case", BIDIAGONAL_CASES)
 def test_bidiagonal_path_matches_dense_and_values_only(case):
     for block in tall_single_blocks(BIDIAGONAL_CASES[case]()):
-        dim, sigma, _, kernel_basis = _svd_split(block, DEFAULT_TOL)
-        ref_dim, _, _, ref_basis = dense_svd_split(block, DEFAULT_TOL)
+        dim, sigma, _, kernel_basis = _svd_split(entries(block), DEFAULT_TOL)
+        ref_dim, _, _, ref_basis = dense_svd_split(entries(block), DEFAULT_TOL)
         # on one BLAS thread, as the engine runs it: its rounding follows the count
         with kernel.one_blas_thread():
             values = np.linalg.svd(block, compute_uv=False)
@@ -806,10 +806,10 @@ def with_dstevx(fake, call):
 
 
 def nan_at_the_top(n):
-    m = banded_family(2, -1)(n)
+    m = banded_family(2, -1)(n).matrix
     if n == 32:
         m[0, 0] = np.nan
-    return m
+    return entries(m)
 
 
 ENGINE_CALLS = {
@@ -846,7 +846,7 @@ def test_engine_restores_the_callers_blas_threads(name, threads, caller_threads)
 
 
 def banded_with_an_infinite_entry():
-    m = banded_family(2, -1)(32)
+    m = banded_family(2, -1)(32).matrix
     m[0, 0] = np.inf
     return m
 
@@ -921,7 +921,7 @@ def test_the_residual_check_runs_on_one_blas_thread(caller_threads):
 
     def builder(n):
         seen[n] = blas_threads()
-        return shift_matrix(n).T
+        return entries(shift_matrix(n).matrix.T)
 
     caller_threads(2)
     assert stabilized_kernel_dim(builder, (8, 16)).dim == 1
@@ -976,7 +976,7 @@ def test_concurrent_engine_calls_restore_the_callers_blas_threads(caller_threads
                 with kernel.one_blas_thread():
                     if blas_threads() != 1:
                         errors.append(blas_threads())
-                kernel_dim(shift_matrix(6))
+                kernel_dim(shift_matrix(6).matrix)
         except Exception as exc:  # noqa: BLE001 - reported by the assertion below
             errors.append(exc)
 

@@ -30,7 +30,7 @@ from .reports import (compute_index_report, convergence_table,
                       index_report_to_dict)
 from .symbols import S1, det_laurent, require_invertible
 from .symbol_io import atomic_write_text, document_json, load_symbol
-from .topology import (DEFAULT_GRID, DEFAULT_NODES, topological_index,
+from .topology import (DEFAULT_GRID, topological_index,
                        winding_argument, winding_roots)
 from .verify import (run_verify, verify_report_csv, verify_report_json,
                      verify_report_text)
@@ -93,10 +93,12 @@ def _add_common(sub, *, trunc=False, tols=False, grid=False, nodes=False, seed=F
         sub.add_argument("--grid", type=int, default=DEFAULT_GRID,
                          help="circle quadrature / winding grid size")
     if nodes:
-        sub.add_argument("--theta-nodes", type=int, default=DEFAULT_NODES,
-                         help="Gauss-Legendre nodes in theta for S3 quadrature")
-        sub.add_argument("--phi-nodes", type=int, default=DEFAULT_NODES,
-                         help="trapezoid nodes in each phi angle for S3 quadrature")
+        sub.add_argument("--theta-nodes", type=int, default=None,
+                         help="Gauss-Legendre nodes in t = cos 2 theta for S3 quadrature "
+                              "(default: sized from the symbol, exact for a unitary one)")
+        sub.add_argument("--phi-nodes", type=int, default=None,
+                         help="trapezoid nodes in each phi angle for S3 quadrature "
+                              "(default: sized from the symbol, exact for a unitary one)")
     if seed:
         sub.add_argument("--seed", type=int, default=0, help="randomness seed")
     sub.add_argument("--out", default=None, help="write the structured document here")

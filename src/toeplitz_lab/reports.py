@@ -16,7 +16,7 @@ from .hardy_s1 import analytic_index_s1
 from .hardy_s3 import analytic_index_s3
 from .kernel import DEFAULT_RESIDUAL_TOL, DEFAULT_TOL
 from .symbols import S1, Symbol, require_invertible
-from .topology import DEFAULT_GRID, DEFAULT_NODES, _certified_chern, chern_ladder
+from .topology import DEFAULT_GRID, _certified_chern, chern_ladder
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,14 @@ def compute_index_report(
     tol: float = DEFAULT_TOL,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
     grid: int = DEFAULT_GRID,
-    theta_nodes: int = DEFAULT_NODES,
-    phi_nodes: int = DEFAULT_NODES,
+    theta_nodes: int | None = None,
+    phi_nodes: int | None = None,
 ) -> IndexReport:
-    """Run both index pipelines on one symbol and compare them (trunc=None: route default)."""
+    """Run both index pipelines on one symbol and compare them.
+
+    trunc=None takes the analytic route's default sizes; missing node counts
+    are sized as topology.chern_s3 sizes them.
+    """
     analytic_index = analytic_index_s1 if symbol.manifold is S1 else analytic_index_s3
     truncation = {} if trunc is None else {"trunc": trunc}
     t0 = time.perf_counter()
@@ -126,12 +130,13 @@ class ConvergenceRow:
 def convergence_table(
     symbol: Symbol,
     grid: int = DEFAULT_GRID,
-    theta_nodes: int = DEFAULT_NODES,
-    phi_nodes: int = DEFAULT_NODES,
+    theta_nodes: int | None = None,
+    phi_nodes: int | None = None,
 ) -> list[ConvergenceRow]:
     """topology.chern_ladder's default rungs with deltas |value_i - value_{i-1}|.
 
-    The first row's delta is None; the ladder has 4 rungs on S1 and 3 on S3.
+    The first row's delta is None; the ladder has 4 rungs on S1 and 3 on S3,
+    from node counts sized as topology.chern_s3 sizes them when not given.
     """
     require_invertible(symbol)
     rows: list[ConvergenceRow] = []

@@ -6,7 +6,9 @@ character is evaluated by quadrature of the odd Chern form; since the Todd
 class of an odd sphere is 1, the index-theorem pairing is just the integral
 of that form against the fundamental class.
 
-On S3 the quadrature uses Hopf coordinates.  The coordinate 3-form
+On S3 the quadrature uses Hopf coordinates, with theta integrated in
+t = cos 2 theta; for a pointwise-unitary symbol the default node counts
+come from its degree and make the quadrature exact.  The coordinate 3-form
 dtheta ^ dphi1 ^ dphi2 is negatively oriented relative to the fundamental
 class the index pairing uses; the constant S3_ORIENTATION_SIGN = -1 is that
 orientation correction, calibrated once on the degree-one unitary family and
@@ -33,9 +35,9 @@ ROOT_ON_CIRCLE_TOL = 1e-8
 INTEGRALITY_TOL = 1e-4
 MAX_PHASE_STEP = np.pi / 2
 MAX_DOUBLINGS = 3
-THETA_CHUNK = 8  # Gauss-Legendre theta nodes per batch of the S3 quadrature
+THETA_CHUNK = 8  # Gauss-Legendre nodes in t = cos 2 theta per batch of the S3 quadrature
 DEFAULT_GRID = 512  # circle quadrature and winding grid points
-DEFAULT_NODES = 24  # Hopf quadrature nodes in theta and in each phi angle
+DEFAULT_NODES = 24  # Hopf nodes in theta and in each phi angle of a non-unitary symbol
 
 
 def _require_scalar(f: Symbol, what: str) -> None:
@@ -219,9 +221,10 @@ def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chern_s3_block(a: Symbol, theta_nodes: int, phi_nodes: int, unitary: bool) -> complex:
-    nodes, weights = _gauss_legendre(theta_nodes)
-    theta = (nodes + 1.0) * (np.pi / 4)
-    w_theta = weights * (np.pi / 4)
+    # Gauss-Legendre in t = cos 2 theta, where d theta = dt / (2 sin 2 theta)
+    t, weights = _gauss_legendre(theta_nodes)
+    theta = np.arccos(t) / 2
+    w_theta = weights / (2 * np.sqrt((1.0 - t) * (1.0 + t)))
     phi = np.arange(phi_nodes) * (2 * np.pi / phi_nodes)
     total = 0.0 + 0.0j
     for start in range(0, theta_nodes, THETA_CHUNK):
@@ -231,16 +234,44 @@ def _chern_s3_block(a: Symbol, theta_nodes: int, phi_nodes: int, unitary: bool) 
     return complex(S3_ORIENTATION_SIGN * total / (24 * np.pi ** 2))
 
 
+def _hopf_nodes(a: Symbol, theta_nodes: int | None, phi_nodes: int | None,
+                unitary: bool | None = None) -> tuple[int, int, bool]:
+    """The S3 quadrature's (theta, phi) node counts for a, and whether a is unitary.
+
+    unitary, when not given, is one unitarity_defect sample held to
+    UNITARY_TOL.  A count that is given is kept.  A missing count is sized
+    from the total degree d of a pointwise-unitary symbol, where the
+    quadrature is exact: a^-1 = a* makes every term of the integrand a
+    trigonometric polynomial of degree at most 6d in each phi angle and,
+    after the phi average, sin 2 theta times a polynomial of degree at most
+    3d - 1 in t = cos 2 theta.  So ceil(3d/2) Gauss-Legendre nodes in t and
+    6d + 1 trapezoid points per angle integrate it exactly (at least 4
+    each).  A non-unitary symbol's integrand is rational, and its missing
+    counts are DEFAULT_NODES.
+    """
+    if unitary is None:
+        unitary = unitarity_defect(a) <= UNITARY_TOL
+    if unitary:
+        degree = a.total_degree
+        sized = (max(4, (3 * degree + 1) // 2), max(4, 6 * degree + 1))
+    else:
+        sized = (DEFAULT_NODES, DEFAULT_NODES)
+    return (sized[0] if theta_nodes is None else int(theta_nodes),
+            sized[1] if phi_nodes is None else int(phi_nodes), unitary)
+
+
 def chern_ladder(a: Symbol, steps: int | None = None, grid: int = DEFAULT_GRID,
-                 theta_nodes: int = DEFAULT_NODES,
-                 phi_nodes: int = DEFAULT_NODES) -> list[tuple[int, complex]]:
+                 theta_nodes: int | None = None, phi_nodes: int | None = None, *,
+                 unitary: bool | None = None) -> list[tuple[int, complex]]:
     """Raw Chern quadrature up a doubling resolution ladder, as (size, value) rungs.
 
     On S1 the rungs are circle grids of grid * 2^i points (4 by default); on
     S3, theta_nodes * 2^i x phi_nodes * 2^i Hopf nodes sized by the theta
     count (3 by default), with pointwise-unitary symbols inverted by their
-    adjoint.  A circle grid below 16 points, or a Hopf node count below 4,
-    raises ValueError.
+    adjoint.  Missing node counts, and the unitarity decision when not
+    given, come from _hopf_nodes: for a pointwise-unitary symbol every rung
+    is then exact, and the rungs differ by rounding only.  A circle grid
+    below 16 points, or a Hopf node count below 4, raises ValueError.
     """
     if a.manifold is S1:
         resolution, default_steps = (int(grid),), 4
@@ -248,54 +279,65 @@ def chern_ladder(a: Symbol, steps: int | None = None, grid: int = DEFAULT_GRID,
             raise ValueError("grid must be at least 16")
         quadrature = partial(_chern_s1_raw, a)
     else:
-        resolution, default_steps = (int(theta_nodes), int(phi_nodes)), 3
+        theta_nodes, phi_nodes, unitary = _hopf_nodes(a, theta_nodes, phi_nodes, unitary)
+        resolution, default_steps = (theta_nodes, phi_nodes), 3
         if min(resolution) < 4:
             raise ValueError("node counts must be at least 4")
-        quadrature = partial(_chern_s3_raw, a, unitary=unitarity_defect(a) <= UNITARY_TOL)
+        quadrature = partial(_chern_s3_raw, a, unitary=unitary)
     steps = default_steps if steps is None else int(steps)
     return [(resolution[0] * 2 ** i, quadrature(*(n * 2 ** i for n in resolution)))
             for i in range(steps)]
 
 
-def chern_s3(a: Symbol, theta_nodes: int = DEFAULT_NODES,
-             phi_nodes: int = DEFAULT_NODES) -> ChernValue:
+def chern_s3(a: Symbol, theta_nodes: int | None = None, phi_nodes: int | None = None, *,
+             unitary: bool | None = None) -> ChernValue:
     """Odd Chern character pairing on the three-sphere in Hopf coordinates.
 
     The top Chern form tr((a^-1 da)^3) reduces by cyclicity of the trace to
     3 tr(A_theta [A_phi1, A_phi2]) with A_u = a^-1 d_u a; it is integrated as
     a 3-form in the coordinate measure dtheta dphi1 dphi2 (no round-metric
-    Jacobian), Gauss-Legendre in theta on [0, pi/2] and periodic trapezoid in
-    both phi angles, normalized by 1/(24 pi^2) and the orientation sign.
-    Doubling both node counts gives the reported refinement defect.
+    Jacobian), by Gauss-Legendre in t = cos 2 theta (node theta_k =
+    arccos(t_k) / 2, weight w_k / (2 sin 2 theta_k)) and the periodic
+    trapezoid rule in both phi angles, normalized by 1/(24 pi^2) and the
+    orientation sign.  Doubling both node counts gives the reported
+    refinement defect.
 
-    The quadrature runs once per diagonal block of a (see _chern_s3_raw).
-    Pointwise-unitary symbols (within UNITARY_TOL) use the conjugate transpose
-    for the inverse; everything else goes through pointwise_inverse.
+    Missing node counts are sized by _hopf_nodes: from the total degree of a
+    pointwise-unitary symbol, where both the value and its refinement are
+    exact, and DEFAULT_NODES otherwise.  unitary is the caller's unitarity
+    decision, when it has made one.  The quadrature runs once per diagonal
+    block of a (see _chern_s3_raw).  Pointwise-unitary symbols (within
+    UNITARY_TOL) use the conjugate transpose for the inverse; everything
+    else goes through pointwise_inverse.
     """
     if a.manifold is not S3:
         raise ValueError("chern_s3 is defined for three-sphere symbols only")
-    theta_nodes, phi_nodes = int(theta_nodes), int(phi_nodes)
-    (_, value), (_, refined) = chern_ladder(a, 2, theta_nodes=theta_nodes, phi_nodes=phi_nodes)
+    theta_nodes, phi_nodes, unitary = _hopf_nodes(a, theta_nodes, phi_nodes, unitary)
+    (_, value), (_, refined) = chern_ladder(a, 2, theta_nodes=theta_nodes, phi_nodes=phi_nodes,
+                                            unitary=unitary)
     return ChernValue(value, refined, (theta_nodes, phi_nodes))
 
 
-def chern(a: Symbol, grid: int = DEFAULT_GRID, theta_nodes: int = DEFAULT_NODES,
-          phi_nodes: int = DEFAULT_NODES) -> ChernValue:
+def chern(a: Symbol, grid: int = DEFAULT_GRID, theta_nodes: int | None = None,
+          phi_nodes: int | None = None) -> ChernValue:
     """chern_s1 at the circle grid or chern_s3 at the Hopf node counts, by manifold."""
     if a.manifold is S1:
         return chern_s1(a, grid=grid)
-    return chern_s3(a, theta_nodes=theta_nodes, phi_nodes=phi_nodes)
+    # sized here, so that chern_s3 is called with the counts it runs at
+    theta_nodes, phi_nodes, unitary = _hopf_nodes(a, theta_nodes, phi_nodes)
+    return chern_s3(a, theta_nodes, phi_nodes, unitary=unitary)
 
 
 def topological_index(
     a: Symbol,
     grid: int = DEFAULT_GRID,
-    theta_nodes: int = DEFAULT_NODES,
-    phi_nodes: int = DEFAULT_NODES,
+    theta_nodes: int | None = None,
+    phi_nodes: int | None = None,
 ) -> ChernValue:
     """Index-theorem pairing (ch(a) cup Td)[M] as a certified integer.
 
-    Dispatches on the manifold, gates on the sampled invertibility margin,
+    Dispatches on the manifold (missing S3 node counts sized as chern_s3
+    sizes them), gates on the sampled invertibility margin,
     and accepts the quadrature only when the refined value sits within
     INTEGRALITY_TOL of an integer (imaginary part included) and of the value
     before refinement.  The Fredholm index of the Toeplitz operator equals
@@ -305,7 +347,8 @@ def topological_index(
     return _certified_chern(a, grid, theta_nodes, phi_nodes)
 
 
-def _certified_chern(a: Symbol, grid: int, theta_nodes: int, phi_nodes: int) -> ChernValue:
+def _certified_chern(a: Symbol, grid: int, theta_nodes: int | None,
+                     phi_nodes: int | None) -> ChernValue:
     """topological_index after its invertibility gate, for callers that gated a already."""
     report = chern(a, grid=grid, theta_nodes=theta_nodes, phi_nodes=phi_nodes)
     if report.integrality_defect > INTEGRALITY_TOL or \

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from toeplitz_lab import hardy_s1, hardy_s3, kernel, topology
-from toeplitz_lab.families import s3_representative, su2_symbol, z_power
+from toeplitz_lab.families import s3_representative, su2_power, su2_symbol, z_power
 from toeplitz_lab.hardy_s1 import toeplitz_rect_s1
 from toeplitz_lab.hardy_s3 import toeplitz_rect_s3
+from toeplitz_lab.symbols import UNITARITY_GRID, margin_grid_size
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 
@@ -86,6 +87,19 @@ def test_chern_s3_evaluates_the_points_its_hook_counts(monkeypatch, theta_nodes,
     monkeypatch.setattr(topology, "eval_hopf_grid", counted)
     topology.chern_s3(s3_representative(2)[0], theta_nodes, phi_nodes)
     assert sum(points) == 9 * theta_nodes * phi_nodes ** 2
+
+
+def test_traced_default_quadrature_counts_the_points_it_evaluates():
+    # su2^2 has degree 2: its default nodes are 4 x 13^2, refined at 8 x 26^2,
+    # 9 * 4 * 13^2 points in all; eval_hopf_grid also samples the margin
+    # gate's grid and the one unitarity check's grid
+    a = su2_power(2)
+    with spans.Tracer() as tracer:
+        assert topology.topological_index(a).resolution == (4, 13)
+    nodes = tracer.layers["topology.chern_s3"].counts["quadrature_nodes"]
+    points = tracer.layers["symbols.eval_hopf_grid"].counts["points"]
+    assert nodes == 9 * 4 * 13 ** 2 == 6084
+    assert points - margin_grid_size(a) ** 3 - UNITARITY_GRID ** 3 == nodes
 
 
 @pytest.mark.parametrize("m, call", [

@@ -316,6 +316,16 @@ class TestConvergenceCommand:
         doc = json.loads(open(out).read())
         assert [r["size"] for r in doc["rows"]] == [6, 12, 24]
 
+    @pytest.mark.parametrize("name", ["s3_su2.json", "s3_su2_pow_-2.json"])
+    def test_s3_ladder_at_default_nodes_is_exact(self, tmp_path, name):
+        # sized from the degree, every rung is exact and the deltas are rounding
+        out = str(tmp_path / "conv.json")
+        code = main(["convergence", sym(name), "--out", out])
+        assert code == 0
+        doc = json.loads(open(out).read())
+        assert [r["size"] for r in doc["rows"]] == [4, 8, 16]
+        assert max(r["delta"] for r in doc["rows"][1:]) <= 1e-12
+
 
 class TestInstalledEntryPoint:
     def test_help_runs(self):

@@ -48,9 +48,10 @@ def loop_eval_hopf_grid(a, theta, phi1, phi2):
 
 def stacked_chern_s3_raw(a, theta_nodes, phi_nodes, unitary):
     """The S3 Chern quadrature with numpy's stacked @ on (N, r, r) point stacks."""
+    # Gauss-Legendre in t = cos 2 theta: theta_k = arccos(t_k) / 2, weight w_k / (2 sin 2 theta_k)
     nodes, weights = np.polynomial.legendre.leggauss(theta_nodes)
-    theta = (nodes + 1.0) * (np.pi / 4)
-    w_theta = weights * (np.pi / 4)
+    theta = np.arccos(nodes) / 2
+    w_theta = weights / (2 * np.sin(2 * theta))
     phi = np.arange(phi_nodes) * (2 * np.pi / phi_nodes)
     r = a.rank
     total = 0.0 + 0.0j

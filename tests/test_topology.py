@@ -1,16 +1,18 @@
 """Winding oracles, Chern character quadratures, and the index-theorem gate."""
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toeplitz_lab import topology
+from toeplitz_lab import reports, topology
 from toeplitz_lab.errors import (NonIntegralChernError, SymbolError,
                                  UndersampledError)
-from toeplitz_lab.families import (constant_sandwich, diag_laurent, su2_power,
-                                   su2_symbol, z_power)
-from toeplitz_lab.symbols import (S1, Symbol, adjoint, direct_sum, det_laurent,
-                                  multiply, transpose)
+from toeplitz_lab.families import (constant_sandwich, diag_laurent, haar_unitary,
+                                   s3_representative, su2_power, su2_symbol, z_power)
+from toeplitz_lab.symbols import (S1, S3, Symbol, adjoint, constant, direct_sum,
+                                  det_laurent, multiply, transpose, unitarity_defect)
 from toeplitz_lab.topology import (S3_ORIENTATION_SIGN, ChernValue, chern_s1,
                                    chern_s3, topological_index,
                                    winding_argument, winding_roots)
@@ -192,6 +194,79 @@ class TestTopologicalIndex:
             topological_index(su2_power(m), theta_nodes=12, phi_nodes=4)
         assert f"{ch.value:.6g}" in str(err.value) and f"{ch.refined:.6g}" in str(err.value)
         assert topological_index(su2_power(m)).rounded == -m
+
+
+def degree_sized_nodes(degree):
+    """ceil(3d/2) Legendre nodes in cos 2 theta, 6d + 1 points per phi angle, at least 4."""
+    return max(4, math.ceil(3 * degree / 2)), max(4, 6 * degree + 1)
+
+
+def haar_product(j, k, seed):
+    """U su2^j V su2^k W with Haar-random constant unitaries: index -(j + k), degree |j| + |k|."""
+    rng = np.random.default_rng(seed)
+    u, v, w = (constant(S3, haar_unitary(rng, 2)) for _ in range(3))
+    return multiply(u, multiply(su2_power(j), multiply(v, multiply(su2_power(k), w))))
+
+
+@st.composite
+def unitary_symbols(draw):
+    """(symbol, index, total degree) of a pointwise-unitary S3 symbol of degree 1 to 8."""
+    kind = draw(st.sampled_from(["power", "product", "sum"]))
+    if kind == "power":
+        m = draw(st.integers(1, 8)) * draw(st.sampled_from([1, -1]))
+        return su2_power(m), -m, abs(m)
+    if kind == "product":
+        j = draw(st.integers(1, 7)) * draw(st.sampled_from([1, -1]))
+        k = draw(st.integers(1, 8 - abs(j))) * draw(st.sampled_from([1, -1]))
+        return haar_product(j, k, draw(st.integers(0, 2 ** 16))), -(j + k), abs(j) + abs(k)
+    # s3_representative(3) is su2^-2 + su2^-1, of degree 2
+    m = draw(st.integers(1, 8)) * draw(st.sampled_from([1, -1]))
+    return direct_sum(su2_power(m), s3_representative(3)[0]), 3 - m, max(abs(m), 2)
+
+
+class TestExactQuadrature:
+    @settings(max_examples=10, deadline=None)
+    @given(case=unitary_symbols())
+    @example(case=(su2_power(-8), 8, 8))
+    @example(case=(haar_product(5, -3, 7), -2, 8))
+    @example(case=(direct_sum(su2_power(8), s3_representative(3)[0]), -5, 8))
+    def test_default_nodes_are_sized_from_the_degree_and_exact(self, case):
+        a, index, degree = case
+        ch = topological_index(a)
+        assert ch.rounded == index
+        assert ch.resolution == degree_sized_nodes(degree)
+        assert ch.doubling_defect <= 1e-10
+
+    def test_non_unitary_symbol_keeps_the_default_nodes(self):
+        a = constant_sandwich(su2_symbol(), np.random.default_rng(3))
+        ch = topological_index(a)
+        assert ch.rounded == -1
+        assert ch.resolution == (topology.DEFAULT_NODES, topology.DEFAULT_NODES) == (24, 24)
+
+    def test_explicit_counts_are_kept(self):
+        assert topological_index(su2_power(2), theta_nodes=6).resolution == (6, 13)
+        assert topological_index(su2_power(2), phi_nodes=16).resolution == (4, 16)
+
+    @pytest.mark.parametrize("run", [
+        lambda a: topological_index(a),
+        lambda a: reports.convergence_table(a),
+        lambda a: reports.compute_index_report(a, trunc=8),
+    ], ids=["topological_index", "convergence_table", "compute_index_report"])
+    @pytest.mark.parametrize("a", [su2_symbol(),
+                                   constant_sandwich(su2_symbol(), np.random.default_rng(3))],
+                             ids=["unitary", "non-unitary"])
+    def test_one_unitarity_sample_per_certified_value(self, monkeypatch, run, a):
+        # sizing the nodes reuses the quadrature's own unitarity decision: the
+        # 32^3 sample has more points than the whole degree-sized ladder
+        calls = []
+
+        def counted(symbol):
+            calls.append(symbol)
+            return unitarity_defect(symbol)
+
+        monkeypatch.setattr(topology, "unitarity_defect", counted)
+        run(a)
+        assert calls == [a]
 
 
 def test_gauss_legendre_nodes_are_made_once_per_count(monkeypatch):

@@ -175,7 +175,7 @@ def _cmd_convergence(args) -> int:
                              theta_nodes=args.theta_nodes, phi_nodes=args.phi_nodes)
     _emit(args, convergence_text(rows), document_json(convergence_to_dict(rows)),
           convergence_to_csv(rows))
-    return 0 if rows[-1].delta < args.tol else 1
+    return 0 if rows[-1].delta <= args.tol else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

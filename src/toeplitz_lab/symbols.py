@@ -91,10 +91,6 @@ class Symbol:
         """Largest upward total-degree shift of the holomorphic grading (S3)."""
         return max(max(p - s + q - t, 0) for (p, q, s, t) in self._terms)
 
-    def coeff(self, key) -> np.ndarray:
-        z = np.zeros((self.rank, self.rank), dtype=complex)
-        return self._terms.get(key, z)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Symbol):
             return NotImplemented
@@ -219,58 +215,40 @@ def direct_sum(a: Symbol, b: Symbol) -> Symbol:
     return Symbol(a.manifold, out, rank=r + s)
 
 
-# -- scalar Laurent arithmetic used by the exact determinant ----------------
+# -- circle coefficient vectors and the exact determinant ---------------------
 
-def _poly_add(f: dict, g: dict) -> dict:
-    out = dict(f)
-    for k, v in g.items():
-        out[k] = out.get(k, 0.0) + v
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _poly_mul(f: dict, g: dict) -> dict:
-    out: dict = {}
-    for j, u in f.items():
-        for l, v in g.items():
-            out[j + l] = out.get(j + l, 0.0) + u * v
-    return {k: v for k, v in out.items() if v != 0}
+def laurent_coefficients(a: Symbol) -> np.ndarray:
+    """a's coefficients over [k_min, k_max], (r, r, bandwidth + 1), exact zeros in the gaps."""
+    if a.manifold is not S1:
+        raise ValueError("laurent_coefficients is defined for circle symbols only")
+    out = np.zeros((a.rank, a.rank, a.bandwidth + 1), dtype=complex)
+    for k, c in a.terms.items():
+        out[:, :, k - a.k_min] = c
+    return out
 
 
-def _poly_neg(f: dict) -> dict:
-    return {k: -v for k, v in f.items()}
-
-
-def _det_poly(entries: list) -> dict:
-    """Exact determinant of a matrix of scalar Laurent polynomials (cofactor expansion)."""
-    n = len(entries)
+def _det_coefficients(c: np.ndarray) -> np.ndarray:
+    """Cofactor expansion of an (n, n, L) matrix of coefficient vectors, by np.convolve."""
+    n = len(c)
     if n == 1:
-        return entries[0][0]
-    acc: dict = {}
-    for i in range(n):
-        pivot = entries[i][0]
-        if not pivot:
-            continue
-        minor = [[entries[ii][jj] for jj in range(1, n)] for ii in range(n) if ii != i]
-        term = _poly_mul(pivot, _det_poly(minor))
-        acc = _poly_add(acc, term if i % 2 == 0 else _poly_neg(term))
-    return acc
+        return c[0, 0]
+    det = np.zeros(n * (c.shape[2] - 1) + 1, dtype=complex)
+    for i in np.flatnonzero(c[:, 0].any(axis=1)):  # exactly zero pivots add nothing
+        term = np.convolve(c[i, 0], _det_coefficients(np.delete(c[:, 1:], i, axis=0)))
+        det += term if i % 2 == 0 else -term
+    return det
 
 
 def det_laurent(a: Symbol) -> Symbol:
-    """Exact determinant as a rank-1 Laurent symbol (Leibniz over the coefficient ring)."""
-    r = a.rank
-    entries = [[{} for _ in range(r)] for _ in range(r)]
-    for k, c in a.terms.items():
-        for i in range(r):
-            for j in range(r):
-                if c[i, j] != 0:
-                    entries[i][j] = _poly_add(entries[i][j], {k: c[i, j]})
-    det = _det_poly(entries)
+    """Exact determinant of a circle symbol as a rank-1 Laurent symbol."""
+    if a.manifold is not S1:
+        raise ValueError("det_laurent is defined for circle symbols only")
+    det = _det_coefficients(laurent_coefficients(a))
     # exact cancellation of tiny cross terms is impossible to distinguish from
     # data; keep every coefficient that is not exactly zero
-    if not det:
+    if not np.any(det):
         raise ValueError("determinant is identically zero (symbol nowhere invertible)")
-    return Symbol(S1, {k: [[v]] for k, v in det.items()}, rank=1)
+    return Symbol(S1, {a.rank * a.k_min + j: [[v]] for j, v in enumerate(det)}, rank=1)
 
 
 # -- evaluation --------------------------------------------------------------

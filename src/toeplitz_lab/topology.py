@@ -25,8 +25,8 @@ import numpy as np
 from .errors import NonIntegralChernError, SymbolError, UndersampledError
 from .kernel import Entries, _blocks
 from .symbols import (S1, S3, UNITARY_TOL, Symbol, eval_circle, eval_hopf_grid,
-                      pointwise_inverse, pointwise_matmul, require_invertible,
-                      unitarity_defect)
+                      laurent_coefficients, pointwise_inverse, pointwise_matmul,
+                      require_invertible, unitarity_defect)
 
 S3_ORIENTATION_SIGN = -1
 
@@ -80,17 +80,13 @@ def winding_argument(f: Symbol, grid: int = DEFAULT_GRID) -> int:
 def winding_roots(f: Symbol) -> int:
     """Winding number of a scalar circle symbol by root counting.
 
-    With exponent window [p, q], z^-p f(z) is a polynomial with nonzero
-    extreme coefficients; the winding equals p plus its number of roots in
-    the open unit disk.  Roots within 1e-8 of the circle are rejected
+    f's coefficients over its exponent window [p, q], reversed, are those of
+    the polynomial z^-p f(z); the winding equals p plus its number of roots
+    in the open unit disk.  Roots within 1e-8 of the circle are rejected
     (SymbolError): the symbol is not safely invertible there.
     """
     _require_scalar(f, "winding_roots")
-    p, q = f.k_min, f.k_max
-    coeffs = np.array([complex(f.coeff(k)[0, 0]) for k in range(q, p - 1, -1)])
-    if coeffs.size == 1:
-        return p
-    roots = np.roots(coeffs)
+    roots = np.roots(laurent_coefficients(f)[0, 0, ::-1])
     on_circle = np.abs(1.0 - np.abs(roots)) < ROOT_ON_CIRCLE_TOL
     if np.any(on_circle):
         worst = roots[on_circle][0]
@@ -98,7 +94,7 @@ def winding_roots(f: Symbol) -> int:
             f"root of the symbol at |z| = {abs(worst):.12f}, within 1e-8 of the "
             f"unit circle; winding number undefined")
     inside = int(np.count_nonzero(np.abs(roots) < 1.0))
-    return p + inside
+    return f.k_min + inside
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,14 @@ def sym(name):
     return os.path.join(SYMBOLS, name)
 
 
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH, for subprocesses."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestIndexCommand:
     def test_backward_shift_agreement(self, tmp_path, capsys):
         out = str(tmp_path / "report.json")
@@ -308,6 +316,12 @@ class TestConvergenceCommand:
                      "--tol", "1e-30"])
         assert code == 1
 
+    def test_tolerance_equal_to_the_final_delta_exits_0(self, tmp_path):
+        out = str(tmp_path / "conv.json")
+        assert main(["convergence", sym("s1_z_1.json"), "--out", out]) == 0
+        delta = json.loads(open(out).read())["rows"][-1]["delta"]
+        assert main(["convergence", sym("s1_z_1.json"), "--tol", repr(delta)]) == 0
+
     def test_s3_ladder(self, tmp_path):
         out = str(tmp_path / "conv.json")
         code = main(["convergence", sym("s3_su2.json"), "--theta-nodes", "6",
@@ -329,7 +343,7 @@ class TestConvergenceCommand:
 
 class TestInstalledEntryPoint:
     def test_help_runs(self):
-        proc = subprocess.run([sys.executable, "-m", "toeplitz_lab", "--help"],
+        proc = subprocess.run([sys.executable, "-m", "toeplitz_lab", "--help"], env=src_env(),
                               capture_output=True, text=True)
         assert proc.returncode == 0
         for name in ("index", "chern", "winding", "verify", "convergence"):
@@ -361,10 +375,7 @@ print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "sc
 def test_no_program_path_imports_scipy():
     # the subcommands and the verify suite, homotopy paths included, run on
     # numpy alone in a fresh interpreter
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", COLD_START_SCRIPT, SYMBOLS], env=env,
+    proc = subprocess.run([sys.executable, "-c", COLD_START_SCRIPT, SYMBOLS], env=src_env(),
                           capture_output=True, text=True, timeout=300, check=True)
     codes, scipy_modules = json.loads(proc.stdout.strip().splitlines()[-1])
     assert codes == [0, 0, 0, 0, 0]

@@ -126,7 +126,7 @@ class TestSmallConstructors:
     def test_z_power_terms(self):
         a = z_power(-3, rank=2)
         assert list(a.terms) == [-3]
-        assert np.array_equal(a.coeff(-3), np.eye(2))
+        assert np.array_equal(a.terms[-3], np.eye(2))
 
     def test_diag_laurent(self):
         d = diag_laurent([z_power(1), z_power(-2), z_power(0)])

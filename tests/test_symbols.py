@@ -1,16 +1,21 @@
 """Symbol algebra: construction, products, adjoints, determinants, evaluation."""
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import toeplitz_lab
 from toeplitz_lab.errors import SymbolError
 from toeplitz_lab.symbols import (S1, S3, Symbol, adjoint, constant,
                                   det_laurent, direct_sum, eval_circle,
                                   eval_hopf_grid, identity, invertibility_margin,
-                                  margin_grid_size, multiply, power,
-                                  require_invertible, transpose,
+                                  laurent_coefficients, margin_grid_size, multiply,
+                                  power, require_invertible, transpose,
                                   unitarity_defect)
-from toeplitz_lab.families import su2_symbol, z_power
+from toeplitz_lab.families import random_matrix_symbol, su2_symbol, z_power
+from toeplitz_lab.topology import winding_roots
 
 from oracles import HopfPoint, evaluate, hopf_partials
 
@@ -63,9 +68,9 @@ class TestAlgebra:
         b = Symbol(S1, {-1: 4.0, 0: 3.0})
         ab = multiply(a, b)
         assert set(ab.terms) == {-1, 0, 1}
-        assert ab.coeff(-1)[0, 0] == 4.0
-        assert ab.coeff(0)[0, 0] == 11.0
-        assert ab.coeff(1)[0, 0] == 6.0
+        assert ab.terms[-1][0, 0] == 4.0
+        assert ab.terms[0][0, 0] == 11.0
+        assert ab.terms[1][0, 0] == 6.0
 
     def test_product_evaluates_pointwise(self):
         rng = np.random.default_rng(1)
@@ -130,13 +135,46 @@ class TestAlgebra:
             power(Symbol(S1, {1: [[2.0]]}), -1)
 
 
+def structurally_singular(pattern):
+    """True when no permutation's entries all lie in the (r, r) nonzero pattern."""
+    r = len(pattern)
+    return not any(all(pattern[i, p[i]] for i in range(r))
+                   for p in itertools.permutations(range(r)))
+
+
+@st.composite
+def sparse_circle_symbols(draw):
+    """(symbol, identically singular) for a circle symbol of rank 1 to 4 with sparse terms.
+
+    The exponents are drawn from [-3, 3] and may leave gaps in the window;
+    each term fills a random subset of entries, so the union pattern can
+    leave a row, a column or every permutation out.  Then the determinant
+    is identically zero; otherwise its random values make it a nonzero
+    polynomial.
+    """
+    rank = draw(st.integers(1, 4))
+    exponents = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    terms = {}
+    for k in exponents:
+        mask = np.array(draw(st.lists(st.booleans(), min_size=rank * rank,
+                                      max_size=rank * rank))).reshape(rank, rank)
+        terms[k] = mask * (rng.standard_normal((rank, rank))
+                           + 1j * rng.standard_normal((rank, rank)))
+    if not any(np.any(c) for c in terms.values()):
+        terms[exponents[0]][0, 0] = 1.0
+    a = Symbol(S1, terms, rank=rank)
+    pattern = np.any([c != 0 for c in a.terms.values()], axis=0)
+    return a, structurally_singular(pattern)
+
+
 class TestDeterminant:
     def test_triangular(self):
         a = Symbol(S1, {1: [[1, 0], [0, 0]], -1: [[0, 0], [0, 1]], 0: [[0, 1], [0, 0]]})
         # [[z, 1], [0, z^-1]] -> det = 1
         d = det_laurent(a)
         assert d.rank == 1 and set(d.terms) == {0}
-        assert d.coeff(0)[0, 0] == 1.0
+        assert d.terms[0][0, 0] == 1.0
 
     def test_diag(self):
         a = Symbol(S1, {1: [[1, 0], [0, 0]], -2: [[0, 0], [0, 1]]})
@@ -155,6 +193,47 @@ class TestDeterminant:
         a = Symbol(S1, {1: [[1, 1], [1, 1]]})
         with pytest.raises(ValueError, match="zero"):
             det_laurent(a)
+
+    def test_sphere_symbol_rejected(self):
+        for fn in (det_laurent, laurent_coefficients):
+            with pytest.raises(ValueError, match=f"{fn.__name__} is defined for circle "
+                                                 f"symbols only"):
+                fn(su2_symbol())
+
+    def test_coefficients_fill_the_window_with_exact_zeros(self):
+        a = Symbol(S1, {-2: [[1, 2], [0, 3]], 1: [[0, 0], [4j, 0]]})
+        c = laurent_coefficients(a)
+        assert c.shape == (2, 2, 4) and c.dtype == complex
+        assert np.array_equal(c[:, :, 0], a.terms[-2])
+        assert np.array_equal(c[:, :, 3], a.terms[1])
+        assert not np.any(c[:, :, 1:3])
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=sparse_circle_symbols())
+    @example(case=(Symbol(S1, {3: [[2.0 - 1j]]}), False))
+    @example(case=(Symbol(S1, {-1: [[1, 0], [2, 0]], 2: [[0, 0], [1j, 0]]}), True))
+    @example(case=(Symbol(S1, {0: [[0, 1, 0], [0, 0, 1], [1, 0, 0]], 3: [[0, 0, 0], [0, 2, 0],
+                                                                           [0, 0, 0]]}), False))
+    def test_matches_pointwise_determinant_on_sparse_patterns(self, case):
+        a, singular = case
+        if singular:
+            with pytest.raises(ValueError, match="identically zero"):
+                det_laurent(a)
+            return
+        d = det_laurent(a)
+        assert d.rank == 1
+        z = np.exp(2j * np.pi * np.random.default_rng(a.rank).uniform(size=8))
+        values = eval_circle(a, z)
+        # relative to Hadamard's bound, the scale of the determinant's terms
+        scale = np.prod(np.linalg.norm(values, axis=2), axis=1)
+        error = np.abs(eval_circle(d, z)[:, 0, 0] - np.linalg.det(values))
+        assert np.all(error <= 1e-10 * scale)
+
+    @settings(max_examples=20, deadline=None)
+    @given(rank=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_root_count_of_the_determinant_is_minus_the_index(self, rank, seed):
+        a, index = random_matrix_symbol(np.random.default_rng(seed), rank=rank)
+        assert winding_roots(det_laurent(a)) == -index
 
 
 class TestEvaluation:

@@ -24,7 +24,6 @@ from .errors import SymbolError
 
 MARGIN_THRESHOLD = 1e-6
 UNITARY_TOL = 1e-10  # largest unitarity defect of a pointwise-unitary symbol
-UNITARITY_GRID = 32  # points per axis of the unitarity_defect sample grid
 
 
 def _as_coeff(rank: int | None, value) -> np.ndarray:
@@ -47,9 +46,11 @@ class Symbol:
     integers stands for z1^p z2^q z1bar^s z2bar^t.  Scalars are promoted to
     1 x 1; at least one coefficient must be nonzero.  k_min, k_max and
     bandwidth describe S1 symbols, total_degree and max_shift S3 symbols.
+    unitary, whether unitarity_defect is at most UNITARY_TOL, is sampled on
+    first use and kept.
     """
 
-    __slots__ = ("manifold", "rank", "_terms")
+    __slots__ = ("manifold", "rank", "_terms", "_defect")
 
     def __init__(self, manifold: Manifold, terms: Mapping, rank: int | None = None):
         cleaned: dict = {}
@@ -65,10 +66,17 @@ class Symbol:
         self.manifold = manifold
         self.rank = rank
         self._terms = MappingProxyType(dict(sorted(cleaned.items())))
+        self._defect = None
 
     @property
     def terms(self) -> Mapping:
         return self._terms
+
+    @property
+    def unitary(self) -> bool:
+        if self._defect is None:
+            self._defect = unitarity_defect(self)
+        return self._defect <= UNITARY_TOL
 
     @property
     def k_min(self) -> int:
@@ -388,7 +396,11 @@ def invertibility_margin(a: Symbol, grid_size: int = 64) -> float:
 
 
 def margin_grid_size(a: Symbol) -> int:
-    """Default pre-check grid: oversample the determinant's zero set."""
+    """Points per axis, max(16, 4(d + 2)) at sampling degree d, of the margin and unitarity samples.
+
+    More than a nonzero trigonometric polynomial of degree 2d (an entry of
+    a^dagger a - I) can vanish on, and oversampling the zero set of det a.
+    """
     return max(16, 4 * (a.manifold.degree(a) + 2))
 
 
@@ -409,8 +421,8 @@ def require_invertible(a: Symbol) -> float:
 
 
 def unitarity_defect(a: Symbol) -> float:
-    """Max over a sample grid of the entrywise deviation of a(x)^dagger a(x) from I."""
-    vals = np.moveaxis(a.manifold.sample(a, UNITARITY_GRID), 0, -1)
+    """Max over the margin_grid_size(a) grid of the entrywise deviation of a^dagger a from I."""
+    vals = np.moveaxis(a.manifold.sample(a, margin_grid_size(a)), 0, -1)
     gram = pointwise_matmul(np.conj(vals.transpose(1, 0, 2)), vals)
     return float(np.max(np.abs(gram - np.eye(a.rank)[:, :, None])))
 
@@ -418,21 +430,16 @@ def unitarity_defect(a: Symbol) -> float:
 def power(a: Symbol, k: int) -> Symbol:
     """Pointwise power a^k.
 
-    Negative powers are defined only for pointwise-unitary symbols (defect at
-    most UNITARY_TOL), where a^-1 = adjoint(a) keeps the result polynomial.
+    Negative powers are defined only for pointwise-unitary symbols (a.unitary),
+    where a^-1 = adjoint(a) keeps the result polynomial.
     """
     k = int(k)
-    if k < 0:
-        defect = unitarity_defect(a)
-        if defect > UNITARY_TOL:
-            raise ValueError(
-                f"negative powers need a pointwise-unitary symbol "
-                f"(unitarity defect {defect:.2e} > {UNITARY_TOL:.0e})")
-        base = adjoint(a)
-        k = -k
-    else:
-        base = a
+    if k < 0 and not a.unitary:
+        raise ValueError(
+            f"negative powers need a pointwise-unitary symbol: unitarity defect "
+            f"{a._defect:.2e} > {UNITARY_TOL:.0e} on a {margin_grid_size(a)}-point grid")
+    base = a if k >= 0 else adjoint(a)
     out = identity(a.manifold, a.rank)
-    for _ in range(k):
+    for _ in range(abs(k)):
         out = multiply(out, base)
     return out

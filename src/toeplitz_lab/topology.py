@@ -7,13 +7,13 @@ class of an odd sphere is 1, the index-theorem pairing is just the integral
 of that form against the fundamental class.
 
 On S3 the quadrature uses Hopf coordinates, with theta integrated in
-t = cos 2 theta; for a pointwise-unitary symbol the default node counts
-come from its degree and make the quadrature exact.  The coordinate 3-form
-dtheta ^ dphi1 ^ dphi2 is negatively oriented relative to the fundamental
-class the index pairing uses; the constant S3_ORIENTATION_SIGN = -1 is that
-orientation correction, calibrated once on the degree-one unitary family and
-frozen (see the calibration test, which pins it against the analytic index
-from an independent pipeline).
+t = cos 2 theta; for a pointwise-unitary symbol (Symbol.unitary) the default
+node counts come from its degree and make the quadrature exact.  The
+coordinate 3-form dtheta ^ dphi1 ^ dphi2 is negatively oriented relative to
+the fundamental class the index pairing uses; the constant
+S3_ORIENTATION_SIGN = -1 is that orientation correction, calibrated once on
+the degree-one unitary family and frozen (see the calibration test, which
+pins it against the analytic index from an independent pipeline).
 """
 from __future__ import annotations
 
@@ -24,9 +24,8 @@ import numpy as np
 
 from .errors import NonIntegralChernError, SymbolError, UndersampledError
 from .kernel import Entries, _blocks
-from .symbols import (S1, S3, UNITARY_TOL, Symbol, eval_circle, eval_hopf_grid,
-                      laurent_coefficients, pointwise_inverse, pointwise_matmul,
-                      require_invertible, unitarity_defect)
+from .symbols import (S1, S3, Symbol, eval_circle, eval_hopf_grid, laurent_coefficients,
+                      pointwise_inverse, pointwise_matmul, require_invertible)
 
 S3_ORIENTATION_SIGN = -1
 
@@ -230,13 +229,11 @@ def _chern_s3_block(a: Symbol, theta_nodes: int, phi_nodes: int, unitary: bool) 
     return complex(S3_ORIENTATION_SIGN * total / (24 * np.pi ** 2))
 
 
-def _hopf_nodes(a: Symbol, theta_nodes: int | None, phi_nodes: int | None,
-                unitary: bool | None = None) -> tuple[int, int, bool]:
-    """The S3 quadrature's (theta, phi) node counts for a, and whether a is unitary.
+def _hopf_nodes(a: Symbol, theta_nodes: int | None, phi_nodes: int | None) -> tuple[int, int]:
+    """The S3 quadrature's (theta, phi) node counts for a.
 
-    unitary, when not given, is one unitarity_defect sample held to
-    UNITARY_TOL.  A count that is given is kept.  A missing count is sized
-    from the total degree d of a pointwise-unitary symbol, where the
+    A count that is given is kept.  A missing count is sized from the total
+    degree d of a pointwise-unitary symbol (a.unitary), where the
     quadrature is exact: a^-1 = a* makes every term of the integrand a
     trigonometric polynomial of degree at most 6d in each phi angle and,
     after the phi average, sin 2 theta times a polynomial of degree at most
@@ -245,29 +242,27 @@ def _hopf_nodes(a: Symbol, theta_nodes: int | None, phi_nodes: int | None,
     each).  A non-unitary symbol's integrand is rational, and its missing
     counts are DEFAULT_NODES.
     """
-    if unitary is None:
-        unitary = unitarity_defect(a) <= UNITARY_TOL
-    if unitary:
+    if a.unitary:
         degree = a.total_degree
         sized = (max(4, (3 * degree + 1) // 2), max(4, 6 * degree + 1))
     else:
         sized = (DEFAULT_NODES, DEFAULT_NODES)
     return (sized[0] if theta_nodes is None else int(theta_nodes),
-            sized[1] if phi_nodes is None else int(phi_nodes), unitary)
+            sized[1] if phi_nodes is None else int(phi_nodes))
 
 
 def chern_ladder(a: Symbol, steps: int | None = None, grid: int = DEFAULT_GRID,
-                 theta_nodes: int | None = None, phi_nodes: int | None = None, *,
-                 unitary: bool | None = None) -> list[tuple[int, complex]]:
+                 theta_nodes: int | None = None,
+                 phi_nodes: int | None = None) -> list[tuple[int, complex]]:
     """Raw Chern quadrature up a doubling resolution ladder, as (size, value) rungs.
 
     On S1 the rungs are circle grids of grid * 2^i points (4 by default); on
     S3, theta_nodes * 2^i x phi_nodes * 2^i Hopf nodes sized by the theta
-    count (3 by default), with pointwise-unitary symbols inverted by their
-    adjoint.  Missing node counts, and the unitarity decision when not
-    given, come from _hopf_nodes: for a pointwise-unitary symbol every rung
-    is then exact, and the rungs differ by rounding only.  A circle grid
-    below 16 points, or a Hopf node count below 4, raises ValueError.
+    count (3 by default), with pointwise-unitary symbols (a.unitary) inverted
+    by their adjoint.  Missing node counts come from _hopf_nodes: for a
+    pointwise-unitary symbol every rung is then exact, and the rungs differ
+    by rounding only.  A circle grid below 16 points, or a Hopf node count
+    below 4, raises ValueError.
     """
     if a.manifold is S1:
         resolution, default_steps = (int(grid),), 4
@@ -275,18 +270,17 @@ def chern_ladder(a: Symbol, steps: int | None = None, grid: int = DEFAULT_GRID,
             raise ValueError("grid must be at least 16")
         quadrature = partial(_chern_s1_raw, a)
     else:
-        theta_nodes, phi_nodes, unitary = _hopf_nodes(a, theta_nodes, phi_nodes, unitary)
-        resolution, default_steps = (theta_nodes, phi_nodes), 3
+        resolution, default_steps = _hopf_nodes(a, theta_nodes, phi_nodes), 3
         if min(resolution) < 4:
             raise ValueError("node counts must be at least 4")
-        quadrature = partial(_chern_s3_raw, a, unitary=unitary)
+        quadrature = partial(_chern_s3_raw, a, unitary=a.unitary)
     steps = default_steps if steps is None else int(steps)
     return [(resolution[0] * 2 ** i, quadrature(*(n * 2 ** i for n in resolution)))
             for i in range(steps)]
 
 
-def chern_s3(a: Symbol, theta_nodes: int | None = None, phi_nodes: int | None = None, *,
-             unitary: bool | None = None) -> ChernValue:
+def chern_s3(a: Symbol, theta_nodes: int | None = None,
+             phi_nodes: int | None = None) -> ChernValue:
     """Odd Chern character pairing on the three-sphere in Hopf coordinates.
 
     The top Chern form tr((a^-1 da)^3) reduces by cyclicity of the trace to
@@ -300,17 +294,15 @@ def chern_s3(a: Symbol, theta_nodes: int | None = None, phi_nodes: int | None = 
 
     Missing node counts are sized by _hopf_nodes: from the total degree of a
     pointwise-unitary symbol, where both the value and its refinement are
-    exact, and DEFAULT_NODES otherwise.  unitary is the caller's unitarity
-    decision, when it has made one.  The quadrature runs once per diagonal
-    block of a (see _chern_s3_raw).  Pointwise-unitary symbols (within
-    UNITARY_TOL) use the conjugate transpose for the inverse; everything
-    else goes through pointwise_inverse.
+    exact, and DEFAULT_NODES otherwise.  The quadrature runs once per
+    diagonal block of a (see _chern_s3_raw).  Pointwise-unitary symbols
+    (a.unitary) use the conjugate transpose for the inverse; everything else
+    goes through pointwise_inverse.
     """
     if a.manifold is not S3:
         raise ValueError("chern_s3 is defined for three-sphere symbols only")
-    theta_nodes, phi_nodes, unitary = _hopf_nodes(a, theta_nodes, phi_nodes, unitary)
-    (_, value), (_, refined) = chern_ladder(a, 2, theta_nodes=theta_nodes, phi_nodes=phi_nodes,
-                                            unitary=unitary)
+    theta_nodes, phi_nodes = _hopf_nodes(a, theta_nodes, phi_nodes)
+    (_, value), (_, refined) = chern_ladder(a, 2, theta_nodes=theta_nodes, phi_nodes=phi_nodes)
     return ChernValue(value, refined, (theta_nodes, phi_nodes))
 
 
@@ -319,9 +311,9 @@ def chern(a: Symbol, grid: int = DEFAULT_GRID, theta_nodes: int | None = None,
     """chern_s1 at the circle grid or chern_s3 at the Hopf node counts, by manifold."""
     if a.manifold is S1:
         return chern_s1(a, grid=grid)
-    # sized here, so that chern_s3 is called with the counts it runs at
-    theta_nodes, phi_nodes, unitary = _hopf_nodes(a, theta_nodes, phi_nodes)
-    return chern_s3(a, theta_nodes, phi_nodes, unitary=unitary)
+    # sized here because the traced benchmark's chern_s3 hook
+    # (perfbench/spans.py) reads the node counts as integers
+    return chern_s3(a, *_hopf_nodes(a, theta_nodes, phi_nodes))
 
 
 def topological_index(

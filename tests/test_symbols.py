@@ -7,14 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toeplitz_lab
+from toeplitz_lab import symbols
 from toeplitz_lab.errors import SymbolError
-from toeplitz_lab.symbols import (S1, S3, Symbol, adjoint, constant,
+from toeplitz_lab.symbols import (S1, S3, UNITARY_TOL, Symbol, adjoint, constant,
                                   det_laurent, direct_sum, eval_circle,
                                   eval_hopf_grid, identity, invertibility_margin,
                                   laurent_coefficients, margin_grid_size, multiply,
                                   power, require_invertible, transpose,
                                   unitarity_defect)
-from toeplitz_lab.families import random_matrix_symbol, su2_symbol, z_power
+from toeplitz_lab.families import (constant_sandwich, haar_unitary, random_matrix_symbol,
+                                   su2_power, su2_symbol, z_power)
 from toeplitz_lab.topology import winding_roots
 
 from oracles import HopfPoint, evaluate, hopf_partials
@@ -133,6 +135,12 @@ class TestAlgebra:
     def test_negative_power_rejects_nonunitary(self):
         with pytest.raises(ValueError, match="unitary"):
             power(Symbol(S1, {1: [[2.0]]}), -1)
+
+    def test_negative_power_rejects_a_symbol_unitary_on_32_points(self):
+        # |0.7 + 0.3 z^32| is 1 wherever z^32 = 1, and as low as 0.4 between
+        a = Symbol(S1, {0: [[0.7]], 32: [[0.3]]})
+        with pytest.raises(ValueError, match=r"unitarity defect 8\.\d+e-01 .* on a 136-point grid"):
+            power(a, -1)
 
 
 def structurally_singular(pattern):
@@ -309,6 +317,109 @@ class TestInvertibility:
         assert unitarity_defect(su2_symbol()) < 1e-12
         assert unitarity_defect(z_power(-4)) < 1e-12
         assert unitarity_defect(Symbol(S1, {1: [[2.0]]})) > 1.0
+
+
+def dense_gram_defect(a):
+    """Max of |a^dagger a - I| on 4 * margin_grid_size(a) points per axis, entry by entry.
+
+    At the n-th roots of unity z^k depends only on k mod n, so a's values at
+    n points per angle are the inverse FFT of its coefficients, placed at
+    their exponents mod n, times n per angle: an evaluation that shares no
+    code with the program's.  S3 runs in chunks of 16 theta rows.
+    """
+    n, r = 4 * margin_grid_size(a), a.rank
+    if a.manifold is S1:
+        coeffs = np.zeros((r, r, n), dtype=complex)
+        for k, c in a.terms.items():
+            coeffs[:, :, k % n] += c
+        chunks = [np.fft.ifft(coeffs) * n]
+    else:
+        theta = np.linspace(0.0, np.pi / 2, n)
+
+        def chunk(th):
+            coeffs = np.zeros((r, r, th.size, n, n), dtype=complex)
+            for (p, q, s, t), c in a.terms.items():
+                radial = np.cos(th) ** (p + s) * np.sin(th) ** (q + t)
+                coeffs[:, :, :, (p - s) % n, (q - t) % n] += c[:, :, None] * radial
+            return np.fft.ifft2(coeffs) * (n * n)
+
+        chunks = (chunk(theta[i:i + 16]) for i in range(0, n, 16))
+    worst = 0.0
+    for v in chunks:
+        for i, j in np.ndindex(r, r):
+            gram = sum(np.conj(v[k, i]) * v[k, j] for k in range(r))
+            worst = max(worst, float(np.max(np.abs(gram - (i == j)))))
+    return worst
+
+
+@st.composite
+def circle_unitaries(draw):
+    """U diag(z^k1, ..., z^kr) with U Haar-unitary, r <= 3 and |k| <= 20."""
+    rank = draw(st.integers(1, 3))
+    exponents = draw(st.lists(st.integers(-20, 20), min_size=rank, max_size=rank))
+    u = haar_unitary(np.random.default_rng(draw(st.integers(0, 2 ** 16))), rank)
+    terms: dict = {}
+    for i, k in enumerate(exponents):
+        terms[k] = terms.get(k, 0) + u * (np.arange(rank) == i)  # column i of U at z^k
+    return Symbol(S1, terms)
+
+
+@st.composite
+def sphere_unitaries(draw, max_degree=8):
+    """U su2^m with U Haar-unitary and 1 <= |m| <= max_degree."""
+    m = draw(st.integers(1, max_degree)) * draw(st.sampled_from([1, -1]))
+    u = haar_unitary(np.random.default_rng(draw(st.integers(0, 2 ** 16))), 2)
+    return multiply(constant(S3, u), su2_power(m))
+
+
+@st.composite
+def unitarity_cases(draw):
+    """(symbol, whether it is pointwise unitary), on S1 up to degree 40 and on S3 up to 8.
+
+    Unitary: Haar constants times diag(z^k) or su2^m, and direct sums of those.
+    Not unitary: constant sandwiches of those, and (1 - eps) + eps z^n for
+    n >= 32, which is unitary at every 32nd root of unity.
+    """
+    kind = draw(st.sampled_from(["unitary", "sum", "sandwich", "perturbed"]))
+    if kind == "perturbed":
+        eps = 10.0 ** -draw(st.floats(0.3, 8.0))
+        n = draw(st.integers(32, 40))
+        return Symbol(S1, {0: [[1.0 - eps]], n: [[eps]]}), False
+    if kind == "sum":
+        if draw(st.booleans()):
+            return direct_sum(draw(circle_unitaries()), draw(circle_unitaries())), True
+        # two rank-2 blocks of degree <= 2 keep the rank-4 reference cheap
+        return direct_sum(draw(sphere_unitaries(2)), draw(sphere_unitaries(2))), True
+    unitary = draw(st.one_of(circle_unitaries(), sphere_unitaries()))
+    if kind == "sandwich":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+        return constant_sandwich(unitary, rng), False
+    return unitary, True
+
+
+class TestUnitarity:
+    @settings(max_examples=20, deadline=None)
+    @given(case=unitarity_cases())
+    @example(case=(Symbol(S1, {0: [[0.7]], 32: [[0.3]]}), False))
+    @example(case=(su2_power(8), True))
+    @example(case=(su2_power(-8), True))
+    def test_decision_matches_a_dense_gram_four_times_finer(self, case):
+        a, unitary = case
+        assert a.unitary is unitary
+        assert (dense_gram_defect(a) <= UNITARY_TOL) is unitary
+
+    def test_decision_is_sampled_once_and_kept(self, monkeypatch):
+        calls = []
+
+        def counted(symbol):
+            calls.append(symbol)
+            return unitarity_defect(symbol)
+
+        monkeypatch.setattr(symbols, "unitarity_defect", counted)
+        a = su2_symbol()
+        assert a.unitary and a.unitary
+        assert power(a, -2) == power(adjoint(a), 2)
+        assert calls == [a]
 
 
 def test_every_exported_name_resolves():

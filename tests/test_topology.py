@@ -1,4 +1,5 @@
 """Winding oracles, Chern character quadratures, and the index-theorem gate."""
+import inspect
 import math
 
 import numpy as np
@@ -6,14 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toeplitz_lab import reports, topology
+from toeplitz_lab import reports, symbols, topology
 from toeplitz_lab.errors import (NonIntegralChernError, SymbolError,
                                  UndersampledError)
 from toeplitz_lab.families import (constant_sandwich, diag_laurent, haar_unitary,
                                    s3_representative, su2_power, su2_symbol, z_power)
 from toeplitz_lab.symbols import (S1, S3, Symbol, adjoint, constant, direct_sum,
                                   det_laurent, multiply, transpose, unitarity_defect)
-from toeplitz_lab.topology import (S3_ORIENTATION_SIGN, ChernValue, chern_s1,
+from toeplitz_lab.topology import (S3_ORIENTATION_SIGN, ChernValue, chern_ladder, chern_s1,
                                    chern_s3, topological_index,
                                    winding_argument, winding_roots)
 
@@ -252,21 +253,31 @@ class TestExactQuadrature:
         lambda a: reports.convergence_table(a),
         lambda a: reports.compute_index_report(a, trunc=8),
     ], ids=["topological_index", "convergence_table", "compute_index_report"])
-    @pytest.mark.parametrize("a", [su2_symbol(),
-                                   constant_sandwich(su2_symbol(), np.random.default_rng(3))],
-                             ids=["unitary", "non-unitary"])
-    def test_one_unitarity_sample_per_certified_value(self, monkeypatch, run, a):
-        # sizing the nodes reuses the quadrature's own unitarity decision: the
-        # 32^3 sample has more points than the whole degree-sized ladder
+    @pytest.mark.parametrize("make", [
+        su2_symbol,
+        lambda: constant_sandwich(su2_symbol(), np.random.default_rng(3)),
+    ], ids=["unitary", "non-unitary"])
+    def test_one_unitarity_sample_per_certified_value(self, monkeypatch, run, make):
+        # the symbol keeps its decision, so each run needs a fresh one; the
+        # node sizing and the quadrature's inverse both read it
         calls = []
 
         def counted(symbol):
             calls.append(symbol)
             return unitarity_defect(symbol)
 
-        monkeypatch.setattr(topology, "unitarity_defect", counted)
+        a = make()
+        monkeypatch.setattr(symbols, "unitarity_defect", counted)
         run(a)
         assert calls == [a]
+
+    def test_the_unitarity_decision_is_not_an_option(self):
+        # the adjoint as inverse of this index -1 symbol gives -1.317 with
+        # doubling defect 0, so no caller may choose the inverse path
+        for function in (chern_s3, chern_ladder):
+            assert "unitary" not in inspect.signature(function).parameters
+        a = constant_sandwich(su2_symbol(), np.random.default_rng(3))
+        assert not a.unitary and abs(chern_s3(a).refined - (-1)) <= 1e-6
 
 
 def test_gauss_legendre_nodes_are_made_once_per_count(monkeypatch):

@@ -9,10 +9,11 @@ Exit statuses: 0 success (and, for index/winding/verify, agreement), and
 1 computed-but-disagreeing, 2 parse failure or option value out of range,
 3 symbol rejected as non-invertible on its manifold, 4 numerical failure
 (unstabilized kernel, failed residual validation, undersampled winding,
-non-integral Chern value, a LAPACK routine that fails to converge).  main
-returns every status, argparse's own included; no output document is
-written on a parse failure or an out-of-range option.  An --out path that
-cannot be written exits 2 after the summary, leaving no file behind.
+non-integral Chern value, a LAPACK routine that fails to converge, an array
+too large to allocate).  main returns every status, argparse's own
+included; no output document is written on a parse failure or an
+out-of-range option.  An --out path that cannot be written exits 2 after
+the summary, leaving no file behind.
 """
 from __future__ import annotations
 
@@ -227,9 +228,9 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except np.linalg.LinAlgError as exc:
-        # a ValueError, but a numerical breakdown rather than a bad option value
-        print(f"error: {exc}", file=sys.stderr)
+    except (np.linalg.LinAlgError, MemoryError) as exc:
+        # numerical failures, not bad option values (LinAlgError is a ValueError)
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 4
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -139,9 +139,11 @@ def _s3_key(key) -> tuple[int, int, int, int]:
 
 
 def _hopf_sample(a: Symbol, n: int) -> np.ndarray:
+    from .kernel import one_blas_thread  # not at the top: kernel imports this module
     theta = np.linspace(0.0, np.pi / 2, n)
     phi = np.arange(n) * (2 * np.pi / n)
-    return eval_hopf_grid(a, theta, phi, phi).reshape(-1, a.rank, a.rank)
+    with one_blas_thread():  # as in topology._chern_s3_block: small BLAS products stall
+        return eval_hopf_grid(a, theta, phi, phi).reshape(-1, a.rank, a.rank)
 
 
 S1 = Manifold(
@@ -276,44 +278,38 @@ def eval_hopf_grid(a: Symbol, theta: np.ndarray, phi1: np.ndarray, phi2: np.ndar
 
     Returns value array of shape (nt, n1, n2, r, r); with partials=True returns
     (value, d_theta, d_phi1, d_phi2) using the exact per-term derivatives.
-    Each field is accumulated points-last, in an (r, r, nt, n1, n2) buffer with
-    one add per nonzero coefficient entry (none to a partial that the term
-    leaves exactly zero), and returned as an np.moveaxis view of that buffer.
+    A term z1^p z2^q z1bar^s z2bar^t is cos^(p+s) theta sin^(q+t) theta
+    e^{i(p-s) phi1} e^{i(q-t) phi2}, so a field is evaluated by frequency:
+    the coefficients times a radial table (d_theta: its derivative) and a
+    weight (d_phi1, d_phi2: i(p - s), i(q - t)) are summed per frequency
+    pair, and two products with the phase tables fill a points-last
+    (r, r, nt, n1, n2) buffer, returned as an np.moveaxis view.
     """
-    theta = np.asarray(theta, dtype=float)
-    phi1 = np.asarray(phi1, dtype=float)
-    phi2 = np.asarray(phi2, dtype=float)
-    ct, st = np.cos(theta), np.sin(theta)
-    shape = (a.rank, a.rank, theta.size, phi1.size, phi2.size)
-    fields = [np.zeros(shape, dtype=complex) for _ in range(4 if partials else 1)]
-    for (p, q, s, t), c in a.terms.items():
-        radial = ct ** (p + s) * st ** (q + t)
-        phase = (np.exp(1j * (p - s) * phi1)[:, None]
-                 * np.exp(1j * (q - t) * phi2)[None, :])
-        base = radial[:, None, None] * phase[None, :, :]
-        terms = [(fields[0], base)]
-        if partials:
-            # a partial that is exactly zero (the constant term's d_theta,
-            # d_phi1 when p = s, d_phi2 when q = t) is not added: a field
-            # starts at +0, so its running sum is never -0, and adding zero
-            # would change no bit
-            if p + s + q + t > 0:
-                # n * x^(n-1) is taken to be 0 when n = 0: no negative powers appear
-                drad = np.zeros_like(radial)
-                if p + s > 0:
-                    drad += (p + s) * ct ** (p + s - 1) * (-st) * st ** (q + t)
-                if q + t > 0:
-                    drad += (q + t) * st ** (q + t - 1) * ct * ct ** (p + s)
-                terms.append((fields[1], drad[:, None, None] * phase[None, :, :]))
-            if p != s:
-                terms.append((fields[2], (1j * (p - s)) * base))
-            if q != t:
-                terms.append((fields[3], (1j * (q - t)) * base))
-        for i, j in zip(*np.nonzero(c)):
-            for field, b in terms:
-                field[i, j] += b * c[i, j]
-    views = tuple(np.moveaxis(field, (0, 1), (3, 4)) for field in fields)
-    return views if partials else views[0]
+    theta, phi1, phi2 = (np.asarray(x, dtype=float) for x in (theta, phi1, phi2))
+    p, q, s, t = np.array(list(a.terms)).T
+    coeffs = np.array(list(a.terms.values())).reshape(p.size, -1).T  # (r r, K)
+    f1, k1 = np.unique(p - s, return_inverse=True)
+    f2, k2 = np.unique(q - t, return_inverse=True)
+    pairs = np.zeros((p.size, f1.size * f2.size))  # one-hot: term -> its frequency pair
+    pairs[np.arange(p.size), k1 * f2.size + k2] = 1.0
+    phase1, phase2 = np.exp(1j * np.outer(phi1, f1)), np.exp(1j * np.outer(f2, phi2))
+
+    def field(radial, weight):
+        by_pair = ((coeffs * weight)[:, None, :] * radial) @ pairs  # (r r, nt, F1 F2)
+        half = phase1 @ by_pair.reshape(-1, f1.size, f2.size)  # (r r nt, n1, F2)
+        out = np.empty((a.rank, a.rank, theta.size, phi1.size, phi2.size), dtype=complex)
+        np.matmul(half.reshape(-1, f2.size), phase2, out=out.reshape(-1, phi2.size))
+        return np.moveaxis(out, (0, 1), (3, 4))
+
+    ct, st, m, n = np.cos(theta)[:, None], np.sin(theta)[:, None], p + s, q + t
+    radial = ct ** m * st ** n  # (nt, K)
+    if not partials:
+        return field(radial, 1.0)
+    # d/dtheta cos^m sin^n, with no negative power: a zero exponent's term is 0
+    d_radial = (n * ct ** (m + 1) * st ** np.maximum(n - 1, 0)
+                - m * ct ** np.maximum(m - 1, 0) * st ** (n + 1))
+    return (field(radial, 1.0), field(d_radial, 1.0),
+            field(radial, 1j * (p - s)), field(radial, 1j * (q - t)))
 
 
 def pointwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

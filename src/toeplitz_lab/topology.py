@@ -23,7 +23,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import NonIntegralChernError, SymbolError, UndersampledError
-from .kernel import Entries, _blocks
+from .kernel import Entries, _blocks, one_blas_thread
 from .symbols import (S1, S3, Symbol, eval_circle, eval_hopf_grid, laurent_coefficients,
                       pointwise_inverse, pointwise_matmul, require_invertible)
 
@@ -222,9 +222,11 @@ def _chern_s3_block(a: Symbol, theta_nodes: int, phi_nodes: int, unitary: bool) 
     w_theta = weights / (2 * np.sqrt((1.0 - t) * (1.0 + t)))
     phi = np.arange(phi_nodes) * (2 * np.pi / phi_nodes)
     total = 0.0 + 0.0j
-    for start in range(0, theta_nodes, THETA_CHUNK):
-        integrand = _chern_s3_integrand(a, theta[start:start + THETA_CHUNK], phi, unitary)
-        total += np.einsum('t,tab->', w_theta[start:start + THETA_CHUNK], integrand)
+    # eval_hopf_grid's small BLAS products can stall on several OpenBLAS threads
+    with one_blas_thread():
+        for start in range(0, theta_nodes, THETA_CHUNK):
+            integrand = _chern_s3_integrand(a, theta[start:start + THETA_CHUNK], phi, unitary)
+            total += np.einsum('t,tab->', w_theta[start:start + THETA_CHUNK], integrand)
     total *= (2 * np.pi / phi_nodes) ** 2
     return complex(S3_ORIENTATION_SIGN * total / (24 * np.pi ** 2))
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from toeplitz_lab.hardy_s3 import log_monomial_norm_sq
 from toeplitz_lab.kernel import DEFAULT_TOL, Entries, _svd_split
-from toeplitz_lab.symbols import S1, Symbol, eval_hopf_grid
+from toeplitz_lab.symbols import S1, Symbol
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,26 @@ def evaluate(a: Symbol, point) -> np.ndarray:
 
 
 def hopf_partials(a: Symbol, point: HopfPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact partial derivatives (d_theta a, d_phi1 a, d_phi2 a) at one point."""
-    point = _hopf_point(point)
-    _, dth, dp1, dp2 = eval_hopf_grid(
-        a, np.array([point.theta]), np.array([point.phi1]), np.array([point.phi2]),
-        partials=True)
-    return dth[0, 0, 0], dp1[0, 0, 0], dp2[0, 0, 0]
+    """Exact partial derivatives (d_theta a, d_phi1 a, d_phi2 a) at one point, term by term.
+
+    d_theta differentiates cos^(p+s) theta sin^(q+t) theta by the product
+    rule; a phi partial multiplies a term by i(p - s) or i(q - t).
+    """
+    x = _hopf_point(point)
+    ct, st = np.cos(x.theta), np.sin(x.theta)
+    dth, dp1, dp2 = (np.zeros((a.rank, a.rank), dtype=complex) for _ in range(3))
+    for (p, q, s, t), c in a.terms.items():
+        monomial = _hopf_monomial((p, q, s, t), x)
+        phase = np.exp(1j * ((p - s) * x.phi1 + (q - t) * x.phi2))
+        d_radial = 0.0
+        if p + s > 0:
+            d_radial += (p + s) * ct ** (p + s - 1) * (-st) * st ** (q + t)
+        if q + t > 0:
+            d_radial += (q + t) * st ** (q + t - 1) * ct * ct ** (p + s)
+        dth += c * (d_radial * phase)
+        dp1 += c * (1j * (p - s) * monomial)
+        dp2 += c * (1j * (q - t) * monomial)
+    return dth, dp1, dp2
 
 
 def monomial_norm_sq(a, b):

@@ -12,6 +12,11 @@ three-sphere ladders from 8 nodes); those are pinned whole.  Rewrite the
 golden files only for a change that means to alter those documents:
 
     PYTHONPATH=src python tests/test_behaviour_pins.py
+
+It rewrites only the entries whose pinned form moved.  With --diff it writes
+nothing and prints, for each of those entries, the fields that moved, the
+largest absolute change of a float field, and every change of a field that
+is not a float.
 """
 import hashlib
 import json
@@ -149,11 +154,65 @@ def write_golden(path, golden):
         fh.write("\n")
 
 
+def leaves(value, path=""):
+    """(path, value) of every scalar in a JSON value, paths joined by '/'."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaves(item, f"{path}/{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from leaves(item, f"{path}/{i}")
+    else:
+        yield path, value
+
+
+def moved_entries(golden, outcomes, pin):
+    """Keys of the entries whose pinned form outcomes would change, added and dropped ones too."""
+    return sorted(key for key in set(golden) | set(outcomes)
+                  if key not in golden or key not in outcomes
+                  or pin(golden[key]) != pin(outcomes[key]))
+
+
+def diff_lines(golden, outcomes, keys):
+    """One line per entry of keys, naming the fields that moved between golden and outcomes.
+
+    Each line ends with the largest absolute change of a float field; a
+    field whose old or new value is not a float is flagged NON-FLOAT.
+    """
+    lines = []
+    for key in keys:
+        old = dict(leaves(golden.get(key)))
+        new = dict(leaves(outcomes.get(key)))
+        moved = [path for path in sorted(set(old) | set(new)) if old.get(path) != new.get(path)]
+        both_float = {path for path in moved
+                      if isinstance(old.get(path), float) and isinstance(new.get(path), float)}
+        largest = max((abs(new[path] - old[path]) for path in both_float), default=None)
+        lines.append(f"{key}: {', '.join(moved)}; "
+                     + ("no float change" if largest is None
+                        else f"largest float change {largest:.3e}"))
+        lines.extend(f"  NON-FLOAT {path}: {old.get(path)!r} -> {new.get(path)!r}"
+                     for path in moved if path not in both_float)
+    return lines
+
+
 if __name__ == "__main__":
+    # rewrites only the entries whose pinned form moved; with --diff it
+    # prints them instead and writes nothing
+    import contextlib
+    import io
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         out = os.path.join(tmp, "document.json")
-        write_golden(GOLDEN, {name: index_outcome(name, out) for name in shipped_symbols()})
-        write_golden(SUBCOMMAND_GOLDEN, {run_id(*run): subcommand_outcome(*run, out)
-                                         for run in subcommand_runs()})
+        runs = [(GOLDEN, settled, {name: index_outcome(name, out) for name in shipped_symbols()}),
+                (SUBCOMMAND_GOLDEN, lambda outcome: outcome,
+                 {run_id(*run): subcommand_outcome(*run, out) for run in subcommand_runs()})]
+    for path, pin, outcomes in runs:
+        golden = load_golden(path) if os.path.exists(path) else {}
+        moved = moved_entries(golden, outcomes, pin)
+        if "--diff" in sys.argv[1:]:
+            print(f"{os.path.basename(path)}:")
+            print("\n".join(diff_lines(golden, outcomes, moved)) or "no entry moves")
+        else:
+            write_golden(path, {key: outcomes[key] if key in moved else golden[key]
+                                for key in outcomes})

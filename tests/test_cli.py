@@ -248,6 +248,19 @@ class TestLapackFailure:
         assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command", ["index", "winding", "chern", "convergence"])
+def test_a_symbol_too_large_to_sample_exits_4_and_writes_nothing(command, tmp_path, capsys):
+    # the margin sample of 1 + z^(10^17) asks for 4 (10^17 + 2) points, 2.78 EiB:
+    # more than any address space, so the allocation fails and touches nothing
+    path = str(tmp_path / "huge.json")
+    save_symbol(Symbol(S1, {0: 1.0, 10 ** 17: 0.5}), path)
+    out = str(tmp_path / "never.json")
+    assert main([command, path, "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert not os.path.exists(out)
+
+
 class TestChernCommand:
     def test_scalar_chern_fields(self, tmp_path, capsys):
         out = str(tmp_path / "chern.json")

@@ -11,7 +11,7 @@ import pytest
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
-from toeplitz_lab import cli, kernel
+from toeplitz_lab import cli, kernel, symbols, topology
 from toeplitz_lab.errors import ResidualFailureError, UnstabilizedError
 from toeplitz_lab.families import (constant_sandwich, homotopy_path,
                                    random_matrix_symbol, random_scalar_symbol,
@@ -926,6 +926,26 @@ def test_the_residual_check_runs_on_one_blas_thread(caller_threads):
     caller_threads(2)
     assert stabilized_kernel_dim(builder, (8, 16)).dim == 1
     assert seen[17] == 1
+
+
+@needs_openblas
+def test_every_s3_evaluation_runs_on_one_blas_thread(caller_threads, monkeypatch):
+    # eval_hopf_grid's phase products are BLAS products: the margin and
+    # unitarity samples and chern_s3's quadrature run them on one thread
+    seen = []
+    evaluate = symbols.eval_hopf_grid
+
+    def counted(*args, **kwargs):
+        seen.append(blas_threads())
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(symbols, "eval_hopf_grid", counted)
+    monkeypatch.setattr(topology, "eval_hopf_grid", counted)
+    caller_threads(2)
+    assert topology.topological_index(su2_symbol()).rounded == -1
+    # the margin sample, the unitarity sample and one grid per rung and chunk
+    assert len(seen) == 4 and set(seen) == {1}
+    assert blas_threads() == 2
 
 
 @needs_openblas

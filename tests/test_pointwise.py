@@ -1,25 +1,33 @@
 """Points-last pointwise algebra of the S3 quadrature against the point-stack references.
 
-eval_hopf_grid accumulates into (r, r, nt, n1, n2) buffers and the S3 Chern
-quadrature multiplies (r, r, N) stacks with pointwise_matmul and inverts them
-with pointwise_inverse, one diagonal block of the symbol at a time.  The
-per-term evaluation into (nt, n1, n2, r, r) arrays and the stacked-@
-quadrature over the whole symbol, with LAPACK inverses, are kept here as
-references.
+eval_hopf_grid evaluates by frequency into (r, r, nt, n1, n2) buffers, and
+the S3 Chern quadrature multiplies (r, r, N) stacks with pointwise_matmul and
+inverts them with pointwise_inverse, one diagonal block of the symbol at a
+time.  The per-term evaluation into (nt, n1, n2, r, r) arrays and the
+stacked-@ quadrature over the whole symbol, with LAPACK inverses, are kept
+here as references.  Summing by frequency pair changes the order of the sum,
+so the grid agrees with the per-term loop and with the one-point oracles to
+1e-13 of each field's largest modulus, not bit for bit; the value alone
+equals the value of the partials call exactly.
 """
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toeplitz_lab import topology
 from toeplitz_lab.errors import SymbolError
-from toeplitz_lab.families import (constant_sandwich, s3_representative, su2_power,
-                                   su2_symbol, z_power)
+from toeplitz_lab.families import (constant_sandwich, haar_unitary, s3_representative,
+                                   su2_power, su2_symbol, z_power)
 from toeplitz_lab.symbols import (S3, Symbol, constant, direct_sum, eval_hopf_grid,
                                   margin_grid_size, multiply, pointwise_inverse,
                                   pointwise_matmul, unitarity_defect)
-from toeplitz_lab.topology import S3_ORIENTATION_SIGN, THETA_CHUNK, _chern_s3_raw
+from toeplitz_lab.topology import (S3_ORIENTATION_SIGN, THETA_CHUNK, _chern_s3_raw,
+                                   topological_index)
+
+from oracles import HopfPoint, evaluate, hopf_partials
 
 MS = range(-3, 4)
 
@@ -81,16 +89,62 @@ def hopf_axes(nt, n1, n2):
             np.arange(n1) * (2 * np.pi / n1), np.arange(n2) * (2 * np.pi / n2) + 0.3)
 
 
+def assert_fields_agree(got, want):
+    """Each field within 1e-13 times the largest modulus of the reference's field."""
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+
+
 @pytest.mark.parametrize("m", MS)
 def test_evaluation_equals_the_per_term_reference(m):
     axes = hopf_axes(5, 6, 7)
     for a in (s3_representative(m)[0], sandwich(m)):
         got = eval_hopf_grid(a, *axes, partials=True)
-        want = loop_eval_hopf_grid(a, *axes)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape
-            assert np.array_equal(g, w)
-        assert np.array_equal(eval_hopf_grid(a, *axes), want[0])
+        assert_fields_agree(got, loop_eval_hopf_grid(a, *axes))
+        assert np.array_equal(eval_hopf_grid(a, *axes), got[0])
+
+
+def su2_product(powers, rng):
+    """su2^k1 V1 su2^k2 V2 ... over powers, with Haar-random constant unitaries V between."""
+    a = su2_power(powers[0])
+    for k in powers[1:]:
+        a = multiply(a, multiply(constant(S3, haar_unitary(rng, 2)), su2_power(k)))
+    return a
+
+
+DENSE = su2_product((5, -3), np.random.default_rng(8))  # 92 terms of total degree 8
+
+
+@st.composite
+def dense_symbols(draw):
+    """Products of su2 powers of total degree at most 8, half of them constant sandwiches."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    powers = draw(st.lists(st.integers(-8, 8), min_size=1, max_size=3)
+                  .filter(lambda ks: sum(map(abs, ks)) <= 8))
+    a = su2_product(powers, rng)
+    return constant_sandwich(a, rng) if draw(st.booleans()) else a
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=dense_symbols(), seed=st.integers(0, 2 ** 32 - 1))
+@example(a=DENSE, seed=0)
+@example(a=constant_sandwich(DENSE, np.random.default_rng(9)), seed=1)
+def test_evaluation_matches_the_point_oracles(a, seed):
+    rng = np.random.default_rng(seed)
+    axes = (rng.uniform(0, np.pi / 2, 2), rng.uniform(0, 2 * np.pi, 3),
+            rng.uniform(0, 2 * np.pi, 4))
+    got = eval_hopf_grid(a, *axes, partials=True)
+    want = np.empty((4,) + got[0].shape, dtype=complex)
+    for i, j, k in np.ndindex(got[0].shape[:3]):
+        point = HopfPoint(axes[0][i], axes[1][j], axes[2][k])
+        want[:, i, j, k] = (evaluate(a, point), *hopf_partials(a, point))
+    assert_fields_agree(got, want)
+
+
+def test_the_dense_product_certifies_its_index():
+    assert len(DENSE.terms) == 92 and DENSE.total_degree == 8
+    assert topological_index(DENSE).rounded == -2
 
 
 def test_evaluation_returns_views_of_points_last_buffers():

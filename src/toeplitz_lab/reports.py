@@ -16,7 +16,7 @@ from .hardy_s1 import analytic_index_s1
 from .hardy_s3 import analytic_index_s3
 from .kernel import DEFAULT_RESIDUAL_TOL, DEFAULT_TOL
 from .symbols import S1, Symbol, require_invertible
-from .topology import DEFAULT_GRID, _certified_chern, chern_ladder
+from .topology import DEFAULT_GRID, chern_ladder, topological_index
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ def compute_index_report(
     t0 = time.perf_counter()
     analytic = analytic_index(symbol, tol=tol, residual_tol=residual_tol, **truncation)
     t1 = time.perf_counter()
-    # topological_index without its gate: the analytic route has just passed it
-    chern = _certified_chern(symbol, grid, theta_nodes, phi_nodes)
+    # both routes gate on symbol.margin, sampled once per symbol and kept
+    chern = topological_index(symbol, grid, theta_nodes, phi_nodes)
     t2 = time.perf_counter()
     return IndexReport(
         manifold=symbol.manifold.name,

@@ -46,11 +46,12 @@ class Symbol:
     integers stands for z1^p z2^q z1bar^s z2bar^t.  Scalars are promoted to
     1 x 1; at least one coefficient must be nonzero.  k_min, k_max and
     bandwidth describe S1 symbols, total_degree and max_shift S3 symbols.
-    unitary, whether unitarity_defect is at most UNITARY_TOL, is sampled on
-    first use and kept.
+    margin, min |det a|, and unitary, whether max |a^dagger a - I| is at most
+    UNITARY_TOL, come from one sample on the margin_grid_size grid, taken on
+    first use of either and kept.
     """
 
-    __slots__ = ("manifold", "rank", "_terms", "_defect")
+    __slots__ = ("manifold", "rank", "_terms", "_margin", "_defect")
 
     def __init__(self, manifold: Manifold, terms: Mapping, rank: int | None = None):
         cleaned: dict = {}
@@ -66,16 +67,21 @@ class Symbol:
         self.manifold = manifold
         self.rank = rank
         self._terms = MappingProxyType(dict(sorted(cleaned.items())))
-        self._defect = None
+        self._margin = self._defect = None
 
     @property
     def terms(self) -> Mapping:
         return self._terms
 
     @property
+    def margin(self) -> float:
+        if self._margin is None:
+            self._margin, self._defect = _sampled_margin_and_defect(self)
+        return self._margin
+
+    @property
     def unitary(self) -> bool:
-        if self._defect is None:
-            self._defect = unitarity_defect(self)
+        self.margin  # the one sample keeps the defect too
         return self._defect <= UNITARY_TOL
 
     @property
@@ -392,7 +398,7 @@ def invertibility_margin(a: Symbol, grid_size: int = 64) -> float:
 
 
 def margin_grid_size(a: Symbol) -> int:
-    """Points per axis, max(16, 4(d + 2)) at sampling degree d, of the margin and unitarity samples.
+    """Points per axis, max(16, 4(d + 2)) at sampling degree d, of a's one sample.
 
     More than a nonzero trigonometric polynomial of degree 2d (an entry of
     a^dagger a - I) can vanish on, and oversampling the zero set of det a.
@@ -400,27 +406,26 @@ def margin_grid_size(a: Symbol) -> int:
     return max(16, 4 * (a.manifold.degree(a) + 2))
 
 
+def _sampled_margin_and_defect(a: Symbol) -> tuple[float, float]:
+    """Symbol.margin and the unitarity defect: min |det a|, max |a^dagger a - I| on one sample."""
+    vals = a.manifold.sample(a, margin_grid_size(a))
+    margin = float(np.min(np.abs(np.linalg.det(vals))))
+    stack = np.moveaxis(vals, 0, -1)
+    gram = pointwise_matmul(np.conj(stack.transpose(1, 0, 2)), stack)
+    return margin, float(np.max(np.abs(gram - np.eye(a.rank)[:, :, None])))
+
+
 def require_invertible(a: Symbol) -> float:
     """Gate for index pipelines: reject symbols whose determinant gets too small.
 
-    Returns the margin sampled on the margin_grid_size(a) grid; raises
-    SymbolError below MARGIN_THRESHOLD, where the symbol is not safely
-    Fredholm and no index claim should be made.
+    Returns a.margin; raises SymbolError below MARGIN_THRESHOLD, where the
+    symbol is not safely Fredholm and no index claim should be made.
     """
-    gs = margin_grid_size(a)
-    margin = invertibility_margin(a, gs)
-    if margin < MARGIN_THRESHOLD:
+    if a.margin < MARGIN_THRESHOLD:
         raise SymbolError(
-            f"symbol is not invertible enough on the manifold: sampled "
-            f"|det| margin {margin:.3e} < {MARGIN_THRESHOLD:.0e} on a {gs}-point grid")
-    return margin
-
-
-def unitarity_defect(a: Symbol) -> float:
-    """Max over the margin_grid_size(a) grid of the entrywise deviation of a^dagger a from I."""
-    vals = np.moveaxis(a.manifold.sample(a, margin_grid_size(a)), 0, -1)
-    gram = pointwise_matmul(np.conj(vals.transpose(1, 0, 2)), vals)
-    return float(np.max(np.abs(gram - np.eye(a.rank)[:, :, None])))
+            f"symbol is not invertible enough on the manifold: sampled |det| margin "
+            f"{a.margin:.3e} < {MARGIN_THRESHOLD:.0e} on a {margin_grid_size(a)}-point grid")
+    return a.margin
 
 
 def power(a: Symbol, k: int) -> Symbol:

@@ -327,19 +327,13 @@ def topological_index(
     """Index-theorem pairing (ch(a) cup Td)[M] as a certified integer.
 
     Dispatches on the manifold (missing S3 node counts sized as chern_s3
-    sizes them), gates on the sampled invertibility margin,
-    and accepts the quadrature only when the refined value sits within
-    INTEGRALITY_TOL of an integer (imaginary part included) and of the value
-    before refinement.  The Fredholm index of the Toeplitz operator equals
-    the rounded value.
+    sizes them), gates on the symbol's kept invertibility margin
+    (Symbol.margin), and accepts the quadrature only when the refined value
+    sits within INTEGRALITY_TOL of an integer (imaginary part included) and
+    of the value before refinement.  The Fredholm index of the Toeplitz
+    operator equals the rounded value.
     """
     require_invertible(a)
-    return _certified_chern(a, grid, theta_nodes, phi_nodes)
-
-
-def _certified_chern(a: Symbol, grid: int, theta_nodes: int | None,
-                     phi_nodes: int | None) -> ChernValue:
-    """topological_index after its invertibility gate, for callers that gated a already."""
     report = chern(a, grid=grid, theta_nodes=theta_nodes, phi_nodes=phi_nodes)
     if report.integrality_defect > INTEGRALITY_TOL or \
             abs(report.refined.imag) > INTEGRALITY_TOL:

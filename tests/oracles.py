@@ -6,8 +6,9 @@ one-point forms stay here, as independent references for the tests: a
 symbol's value and exact partials at one manifold point, the squared
 monomial norm of H^2(S3), the six-term trace of the S3 Chern form, and the
 SVD kernel dimension of one matrix.  entries() gives a dense test matrix
-as the Entries the kernel engine takes.  Not collected by pytest; the test
-modules import it as ``oracles`` from their own directory.
+as the Entries the kernel engine takes, and sample_calls() records every
+symbol a manifold samples.  Not collected by pytest; the test modules import
+it as ``oracles`` from their own directory.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from toeplitz_lab.hardy_s3 import log_monomial_norm_sq
 from toeplitz_lab.kernel import DEFAULT_TOL, Entries, _svd_split
-from toeplitz_lab.symbols import S1, Symbol
+from toeplitz_lab.symbols import S1, S3, Symbol
 
 
 @dataclass(frozen=True)
@@ -113,3 +114,18 @@ def kernel_dim(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     singular vector is formed.
     """
     return _svd_split(entries(matrix), tol)[0]
+
+
+def sample_calls(monkeypatch) -> list:
+    """The symbols S1.sample and S3.sample are called on, in call order, while monkeypatch holds.
+
+    A Manifold is a frozen dataclass, so the counting sample goes into the
+    instance dictionary, where attribute lookup finds it first.
+    """
+    calls: list = []
+    for manifold in (S1, S3):
+        def counted(a, n, sample=manifold.sample):
+            calls.append(a)
+            return sample(a, n)
+        monkeypatch.setitem(vars(manifold), "sample", counted)
+    return calls

@@ -92,15 +92,15 @@ def test_chern_s3_evaluates_the_points_its_hook_counts(monkeypatch, theta_nodes,
 
 def test_traced_default_quadrature_counts_the_points_it_evaluates():
     # su2^2 has degree 2: its default nodes are 4 x 13^2, refined at 8 x 26^2,
-    # 9 * 4 * 13^2 points in all; eval_hopf_grid also samples the margin
-    # gate's grid and, on the same grid size, the one unitarity check
+    # 9 * 4 * 13^2 points in all; eval_hopf_grid also takes the symbol's one
+    # sample, on the margin grid, for the gate and the unitarity decision
     a = su2_power(2)
     with spans.Tracer() as tracer:
         assert topology.topological_index(a).resolution == (4, 13)
     nodes = tracer.layers["topology.chern_s3"].counts["quadrature_nodes"]
     points = tracer.layers["symbols.eval_hopf_grid"].counts["points"]
     assert nodes == 9 * 4 * 13 ** 2 == 6084
-    assert points - margin_grid_size(a) ** 3 - margin_grid_size(a) ** 3 == nodes
+    assert points - margin_grid_size(a) ** 3 == nodes
 
 
 @pytest.mark.parametrize("m, call", [

@@ -9,7 +9,7 @@ from toeplitz_lab.families import (_expm, constant_sandwich, diag_laurent,
                                    s3_representative, su2_power, su2_symbol,
                                    well_conditioned_matrix, z_power)
 from toeplitz_lab.symbols import (adjoint, det_laurent, invertibility_margin,
-                                  multiply, unitarity_defect)
+                                  multiply)
 from toeplitz_lab.topology import winding_roots
 
 from oracles import HopfPoint, evaluate
@@ -18,7 +18,7 @@ from oracles import HopfPoint, evaluate
 class TestSU2Family:
     def test_generator_is_pointwise_special_unitary(self):
         g = su2_symbol()
-        assert unitarity_defect(g) < 1e-12
+        assert g.unitary and g._defect < 1e-12
         for point in (HopfPoint(0.3, 1.0, 2.0), HopfPoint(1.2, 4.0, 0.5)):
             val = evaluate(g, point)
             assert np.isclose(np.linalg.det(val), 1.0)

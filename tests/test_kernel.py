@@ -930,8 +930,8 @@ def test_the_residual_check_runs_on_one_blas_thread(caller_threads):
 
 @needs_openblas
 def test_every_s3_evaluation_runs_on_one_blas_thread(caller_threads, monkeypatch):
-    # eval_hopf_grid's phase products are BLAS products: the margin and
-    # unitarity samples and chern_s3's quadrature run them on one thread
+    # eval_hopf_grid's phase products are BLAS products: the symbol's one
+    # sample and chern_s3's quadrature run them on one thread
     seen = []
     evaluate = symbols.eval_hopf_grid
 
@@ -943,8 +943,8 @@ def test_every_s3_evaluation_runs_on_one_blas_thread(caller_threads, monkeypatch
     monkeypatch.setattr(topology, "eval_hopf_grid", counted)
     caller_threads(2)
     assert topology.topological_index(su2_symbol()).rounded == -1
-    # the margin sample, the unitarity sample and one grid per rung and chunk
-    assert len(seen) == 4 and set(seen) == {1}
+    # the one sample of margin and unitarity, and one grid per rung and chunk
+    assert len(seen) == 3 and set(seen) == {1}
     assert blas_threads() == 2
 
 

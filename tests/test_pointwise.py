@@ -21,9 +21,9 @@ from toeplitz_lab import topology
 from toeplitz_lab.errors import SymbolError
 from toeplitz_lab.families import (constant_sandwich, haar_unitary, s3_representative,
                                    su2_power, su2_symbol, z_power)
-from toeplitz_lab.symbols import (S3, Symbol, constant, direct_sum, eval_hopf_grid,
+from toeplitz_lab.symbols import (S3, UNITARY_TOL, Symbol, constant, direct_sum, eval_hopf_grid,
                                   margin_grid_size, multiply, pointwise_inverse,
-                                  pointwise_matmul, unitarity_defect)
+                                  pointwise_matmul)
 from toeplitz_lab.topology import (S3_ORIENTATION_SIGN, THETA_CHUNK, _chern_s3_raw,
                                    topological_index)
 
@@ -185,10 +185,12 @@ def test_pointwise_matmul_matches_stacked_matmul():
                                                                      np.random.default_rng(4))],
                          ids=["su2", "m=3", "sandwich(m=-2)", "z^3 rank 2", "sandwich(z^-2)"])
 def test_unitarity_defect_matches_the_stacked_gram(a):
+    # the defect the symbol keeps beside its margin, filled by its one sample
     vals = a.manifold.sample(a, margin_grid_size(a))
     gram = np.conj(np.swapaxes(vals, -1, -2)) @ vals
     want = float(np.max(np.abs(gram - np.eye(a.rank))))
-    assert abs(unitarity_defect(a) - want) <= 1e-14 * max(1.0, want)
+    assert a.unitary is (want <= UNITARY_TOL)
+    assert abs(a._defect - want) <= 1e-14 * max(1.0, want)
 
 
 def test_quadrature_peak_memory_stays_within_the_stacked_path():

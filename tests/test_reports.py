@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from toeplitz_lab import hardy_s1, hardy_s3, kernel, reports, symbols, topology
+from toeplitz_lab import hardy_s1, hardy_s3, topology
 from toeplitz_lab.families import su2_symbol, z_power
 from toeplitz_lab.reports import (compute_index_report, convergence_table,
                                   convergence_text, convergence_to_csv,
@@ -12,6 +12,8 @@ from toeplitz_lab.reports import (compute_index_report, convergence_table,
                                   index_report_to_dict)
 from toeplitz_lab.symbol_io import load_symbol
 from toeplitz_lab.symbols import S1, Symbol
+
+from oracles import sample_calls
 
 SYMBOLS = os.path.join(os.path.dirname(__file__), "..", "symbols")
 
@@ -57,29 +59,24 @@ class TestIndexReport:
         report = compute_index_report(load_symbol(os.path.join(SYMBOLS, name)))
         assert report.agreement
 
-    @pytest.mark.parametrize("symbol, trunc, quadrature", [
-        (z_power(-1), 16, dict(grid=64)),
-        (su2_symbol(), 8, dict(theta_nodes=12, phi_nodes=12)),
+    @pytest.mark.parametrize("make, trunc, quadrature", [
+        (lambda: z_power(-1), 16, dict(grid=64)),
+        (su2_symbol, 8, dict(theta_nodes=12, phi_nodes=12)),
     ], ids=["s1", "s3"])
-    def test_invertibility_gate_runs_once_per_report(self, monkeypatch, symbol, trunc,
+    def test_invertibility_gate_runs_once_per_report(self, monkeypatch, make, trunc,
                                                      quadrature):
-        calls = []
-
-        def counted(a, *args, **kwargs):
-            calls.append(a)
-            return symbols.require_invertible(a, *args, **kwargs)
-
-        for module in (kernel, reports, topology):
-            monkeypatch.setattr(module, "require_invertible", counted)
+        # both routes gate, on the margin the symbol sampled once and kept
+        calls = sample_calls(monkeypatch)
+        symbol = make()
         doc = index_report_to_dict(compute_index_report(symbol, trunc=trunc, **quadrature))
         assert calls == [symbol]
 
         # the same document as both routes run on their own, each gating
-        analytic_index = hardy_s1.analytic_index_s1 if symbol.manifold is symbols.S1 \
+        analytic_index = hardy_s1.analytic_index_s1 if symbol.manifold is S1 \
             else hardy_s3.analytic_index_s3
         analytic = analytic_index(symbol, trunc=trunc)
         chern = topology.topological_index(symbol, **quadrature)
-        assert len(calls) == 3
+        assert calls == [symbol]
         assert (doc["analytic_index"], doc["ker_dim"], doc["coker_dim"]) == \
             (analytic.index, analytic.ker_dim, analytic.coker_dim)
         assert doc["truncation_sizes"] == list(analytic.sizes)

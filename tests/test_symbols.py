@@ -7,19 +7,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toeplitz_lab
-from toeplitz_lab import symbols
+from toeplitz_lab import cli
 from toeplitz_lab.errors import SymbolError
-from toeplitz_lab.symbols import (S1, S3, UNITARY_TOL, Symbol, adjoint, constant,
-                                  det_laurent, direct_sum, eval_circle,
+from toeplitz_lab.symbols import (MARGIN_THRESHOLD, S1, S3, UNITARY_TOL, Symbol, adjoint,
+                                  constant, det_laurent, direct_sum, eval_circle,
                                   eval_hopf_grid, identity, invertibility_margin,
                                   laurent_coefficients, margin_grid_size, multiply,
-                                  power, require_invertible, transpose,
-                                  unitarity_defect)
+                                  power, require_invertible, transpose)
 from toeplitz_lab.families import (constant_sandwich, haar_unitary, random_matrix_symbol,
                                    su2_power, su2_symbol, z_power)
-from toeplitz_lab.topology import winding_roots
+from toeplitz_lab.reports import compute_index_report, convergence_table
+from toeplitz_lab.symbol_io import save_symbol
+from toeplitz_lab.topology import topological_index, winding_roots
 
-from oracles import HopfPoint, evaluate, hopf_partials
+from oracles import HopfPoint, evaluate, hopf_partials, sample_calls
 
 
 class TestConstruction:
@@ -314,9 +315,11 @@ class TestInvertibility:
         assert margin_grid_size(Symbol(S1, {-6: 1.0, 6: 1.0})) == 4 * 14
 
     def test_unitarity_defect(self):
-        assert unitarity_defect(su2_symbol()) < 1e-12
-        assert unitarity_defect(z_power(-4)) < 1e-12
-        assert unitarity_defect(Symbol(S1, {1: [[2.0]]})) > 1.0
+        # the defect the symbol keeps beside its margin
+        for a in (su2_symbol(), z_power(-4)):
+            assert a.unitary and a._defect < 1e-12
+        doubled = Symbol(S1, {1: [[2.0]]})
+        assert not doubled.unitary and doubled._defect > 1.0
 
 
 def dense_gram_defect(a):
@@ -403,23 +406,43 @@ class TestUnitarity:
     @example(case=(Symbol(S1, {0: [[0.7]], 32: [[0.3]]}), False))
     @example(case=(su2_power(8), True))
     @example(case=(su2_power(-8), True))
+    @example(case=(Symbol(S1, {0: [[0.5]], 1: [[0.5]]}), False))  # det 0 at z = -1
     def test_decision_matches_a_dense_gram_four_times_finer(self, case):
         a, unitary = case
         assert a.unitary is unitary
         assert (dense_gram_defect(a) <= UNITARY_TOL) is unitary
+        # the margin kept from the same sample is the explicit grid's, bit for bit
+        assert a.margin == invertibility_margin(a, margin_grid_size(a))
+        if a.margin < MARGIN_THRESHOLD:
+            with pytest.raises(SymbolError, match="margin"):
+                require_invertible(a)
+        else:
+            assert require_invertible(a) == a.margin
 
     def test_decision_is_sampled_once_and_kept(self, monkeypatch):
-        calls = []
-
-        def counted(symbol):
-            calls.append(symbol)
-            return unitarity_defect(symbol)
-
-        monkeypatch.setattr(symbols, "unitarity_defect", counted)
+        calls = sample_calls(monkeypatch)
         a = su2_symbol()
         assert a.unitary and a.unitary
+        assert require_invertible(a) == a.margin
         assert power(a, -2) == power(adjoint(a), 2)
         assert calls == [a]
+
+
+def test_one_sample_per_symbol_on_every_route(monkeypatch, tmp_path, capsys):
+    # every gate and every unitarity decision reads what the first one sampled
+    calls = sample_calls(monkeypatch)
+    circle, sphere = z_power(-1), su2_symbol()
+    for a in (circle, sphere):
+        compute_index_report(a, trunc=8, grid=64, theta_nodes=8, phi_nodes=8)
+        convergence_table(a, grid=64, theta_nodes=8, phi_nodes=8)
+        topological_index(a, grid=64, theta_nodes=8, phi_nodes=8)
+    assert power(sphere, -1) == adjoint(sphere)
+    assert calls == [circle, sphere]
+    path = str(tmp_path / "z2.json")
+    save_symbol(z_power(2, rank=2), path)
+    assert cli.main(["winding", path]) == 0
+    capsys.readouterr()
+    assert len(calls) == 3 and calls[2] == z_power(2, rank=2)
 
 
 def test_every_exported_name_resolves():

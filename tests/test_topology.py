@@ -7,18 +7,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toeplitz_lab import reports, symbols, topology
+from toeplitz_lab import reports, topology
 from toeplitz_lab.errors import (NonIntegralChernError, SymbolError,
                                  UndersampledError)
 from toeplitz_lab.families import (constant_sandwich, diag_laurent, haar_unitary,
                                    s3_representative, su2_power, su2_symbol, z_power)
 from toeplitz_lab.symbols import (S1, S3, Symbol, adjoint, constant, direct_sum,
-                                  det_laurent, multiply, transpose, unitarity_defect)
+                                  det_laurent, multiply, transpose)
 from toeplitz_lab.topology import (S3_ORIENTATION_SIGN, ChernValue, chern_ladder, chern_s1,
                                    chern_s3, topological_index,
                                    winding_argument, winding_roots)
 
-from oracles import HopfPoint, evaluate, hopf_partials, six_term_trace
+from oracles import HopfPoint, evaluate, hopf_partials, sample_calls, six_term_trace
 
 
 def root_product(shift, roots):
@@ -258,16 +258,10 @@ class TestExactQuadrature:
         lambda: constant_sandwich(su2_symbol(), np.random.default_rng(3)),
     ], ids=["unitary", "non-unitary"])
     def test_one_unitarity_sample_per_certified_value(self, monkeypatch, run, make):
-        # the symbol keeps its decision, so each run needs a fresh one; the
-        # node sizing and the quadrature's inverse both read it
-        calls = []
-
-        def counted(symbol):
-            calls.append(symbol)
-            return unitarity_defect(symbol)
-
+        # the symbol keeps its sample, so each run needs a fresh one; the
+        # gate, the node sizing and the quadrature's inverse all read it
+        calls = sample_calls(monkeypatch)
         a = make()
-        monkeypatch.setattr(symbols, "unitarity_defect", counted)
         run(a)
         assert calls == [a]
 

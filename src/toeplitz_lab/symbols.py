@@ -279,7 +279,7 @@ def eval_circle(a: Symbol, z: np.ndarray) -> np.ndarray:
 
 
 def eval_hopf_grid(a: Symbol, theta: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,
-                   partials: bool = False):
+                   partials: bool = False, out=None):
     """Vectorized evaluation on the product Hopf grid theta x phi1 x phi2.
 
     Returns value array of shape (nt, n1, n2, r, r); with partials=True returns
@@ -289,7 +289,9 @@ def eval_hopf_grid(a: Symbol, theta: np.ndarray, phi1: np.ndarray, phi2: np.ndar
     the coefficients times a radial table (d_theta: its derivative) and a
     weight (d_phi1, d_phi2: i(p - s), i(q - t)) are summed per frequency
     pair, and two products with the phase tables fill a points-last
-    (r, r, nt, n1, n2) buffer, returned as an np.moveaxis view.
+    (r, r, nt, n1, n2) buffer, returned as an np.moveaxis view.  out, when
+    given, is that buffer (with partials, a sequence of four): C-contiguous
+    complex arrays the fields are written into instead of new ones.
     """
     theta, phi1, phi2 = (np.asarray(x, dtype=float) for x in (theta, phi1, phi2))
     p, q, s, t = np.array(list(a.terms)).T
@@ -299,33 +301,41 @@ def eval_hopf_grid(a: Symbol, theta: np.ndarray, phi1: np.ndarray, phi2: np.ndar
     pairs = np.zeros((p.size, f1.size * f2.size))  # one-hot: term -> its frequency pair
     pairs[np.arange(p.size), k1 * f2.size + k2] = 1.0
     phase1, phase2 = np.exp(1j * np.outer(phi1, f1)), np.exp(1j * np.outer(f2, phi2))
+    shape = (a.rank, a.rank, theta.size, phi1.size, phi2.size)
 
-    def field(radial, weight):
+    def field(radial, weight, buffer):
         by_pair = ((coeffs * weight)[:, None, :] * radial) @ pairs  # (r r, nt, F1 F2)
         half = phase1 @ by_pair.reshape(-1, f1.size, f2.size)  # (r r nt, n1, F2)
-        out = np.empty((a.rank, a.rank, theta.size, phi1.size, phi2.size), dtype=complex)
-        np.matmul(half.reshape(-1, f2.size), phase2, out=out.reshape(-1, phi2.size))
-        return np.moveaxis(out, (0, 1), (3, 4))
+        if buffer is None:
+            buffer = np.empty(shape, dtype=complex)
+        elif buffer.shape != shape or not buffer.flags.c_contiguous:
+            # reshaping any other array copies it, and the product would be lost
+            raise ValueError(f"out must be C-contiguous of shape {shape}")
+        np.matmul(half.reshape(-1, f2.size), phase2, out=buffer.reshape(-1, phi2.size))
+        return np.moveaxis(buffer, (0, 1), (3, 4))
 
     ct, st, m, n = np.cos(theta)[:, None], np.sin(theta)[:, None], p + s, q + t
     radial = ct ** m * st ** n  # (nt, K)
     if not partials:
-        return field(radial, 1.0)
+        return field(radial, 1.0, out)
     # d/dtheta cos^m sin^n, with no negative power: a zero exponent's term is 0
     d_radial = (n * ct ** (m + 1) * st ** np.maximum(n - 1, 0)
                 - m * ct ** np.maximum(m - 1, 0) * st ** (n + 1))
-    return (field(radial, 1.0), field(d_radial, 1.0),
-            field(radial, 1j * (p - s)), field(radial, 1j * (q - t)))
+    out = (None,) * 4 if out is None else out
+    return (field(radial, 1.0, out[0]), field(d_radial, 1.0, out[1]),
+            field(radial, 1j * (p - s), out[2]), field(radial, 1j * (q - t), out[3]))
 
 
-def pointwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def pointwise_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix product at every point of points-last stacks: (r, k, N) x (k, s, N) -> (r, s, N).
 
     Each entry is k multiply-adds over whole point vectors; numpy's stacked @
-    on (N, r, r) stacks runs one tiny matrix product per point instead.
+    on (N, r, r) stacks runs one tiny matrix product per point instead.  The
+    product is written into out when it is given, and returned.
     """
     k, n = a.shape[1], a.shape[2]
-    out = np.empty((a.shape[0], b.shape[1], n), dtype=np.result_type(a, b))
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[1], n), dtype=np.result_type(a, b))
     term = np.empty(n, dtype=out.dtype)
     for i, j in np.ndindex(out.shape[:2]):
         np.multiply(a[i, 0], b[0, j], out=out[i, j])
@@ -334,24 +344,23 @@ def pointwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def pointwise_inverse(a: np.ndarray) -> np.ndarray:
+def pointwise_inverse(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse at every point of a points-last stack: (r, r, N) -> (r, r, N).
 
     Gauss-Jordan elimination with partial pivoting, run on all points at
     once: each row operation is one multiply-add over whole point vectors,
-    and the pivot row, chosen per point, is swapped in through flat indices.
-    The eliminated copy of a and the inverse are two (r, r, N) buffers.  An
-    exactly zero pivot, which makes a singular at that point, raises
-    SymbolError.
+    and the pivot row, chosen per point, is swapped in by a masked swap of
+    rows k and k + i at the points whose pivot is i.  The eliminated copy of
+    a and the inverse are two (r, r, N) buffers; the inverse is written into
+    out when it is given, and returned.  An exactly zero pivot, which makes
+    a singular at that point, raises SymbolError.
     """
     r, n = a.shape[0], a.shape[2]
     work = a.copy()
-    inv = np.zeros_like(work)
-    for i in range(r):
-        inv[i, i] = 1.0
+    inv = np.empty_like(work) if out is None else out
+    inv[...] = np.eye(r)[:, :, None]
     scale = np.empty(n, dtype=work.dtype)
     term = np.empty((r, n), dtype=work.dtype)
-    points = np.arange(n)
     for k in range(r):
         # first row of largest modulus, as np.argmax would pick it along axis 0
         mag = np.abs(work[k:, k])
@@ -359,17 +368,17 @@ def pointwise_inverse(a: np.ndarray) -> np.ndarray:
         for i in range(1, r - k):
             np.copyto(pivot, i, where=mag[i] > mag[0])
             np.maximum(mag[0], mag[i], out=mag[0])
-        if pivot.any():
+        for i in range(1, r - k):
+            swap = pivot == i
+            if not swap.any():
+                continue
             # rows from k down are zero in the columns before k, so work
             # swaps columns k on and inv every column
             for buffer, first in ((work, k), (inv, 0)):
-                flat = buffer.reshape(-1)
-                columns = (np.arange(first, r) * n)[:, None]
-                src = (k + pivot) * (r * n) + points + columns
-                dst = k * (r * n) + points + columns
-                row = flat[src]
-                flat[src] = flat[dst]
-                flat[dst] = row
+                top, row = buffer[k, first:], buffer[k + i, first:]
+                held = np.where(swap, row, top)
+                np.copyto(row, top, where=swap)
+                top[...] = held
         if not np.all(work[k, k]):
             raise SymbolError("symbol is singular at a quadrature node")
         np.divide(1.0, work[k, k], out=scale)

@@ -34,7 +34,8 @@ ROOT_ON_CIRCLE_TOL = 1e-8
 INTEGRALITY_TOL = 1e-4
 MAX_PHASE_STEP = np.pi / 2
 MAX_DOUBLINGS = 3
-THETA_CHUNK = 8  # Gauss-Legendre nodes in t = cos 2 theta per batch of the S3 quadrature
+THETA_CHUNK = 8  # Gauss-Legendre nodes in t = cos 2 theta per summed block of the S3 quadrature
+CHUNK_ENTRIES = 18_432  # most pointwise matrix entries per field in one batch of those nodes
 DEFAULT_GRID = 512  # circle quadrature and winding grid points
 DEFAULT_NODES = 24  # Hopf nodes in theta and in each phi angle of a non-unitary symbol
 
@@ -154,22 +155,31 @@ def chern_s1(a: Symbol, grid: int = DEFAULT_GRID) -> ChernValue:
     return ChernValue(value, refined, (grid,))
 
 
-def _chern_s3_integrand(a: Symbol, theta: np.ndarray, phi: np.ndarray,
-                        unitary: bool) -> np.ndarray:
-    """3 tr(A_theta [A_phi1, A_phi2]) on the grid theta x phi x phi, shape (nt, n, n)."""
-    r = a.rank
-    # eval_hopf_grid's (r, r, nt, n1, n2) buffers as (r, r, N) views, no copy
-    val, dth, dp1, dp2 = (np.moveaxis(f, (3, 4), (0, 1)).reshape(r, r, -1)
-                          for f in eval_hopf_grid(a, theta, phi, phi, partials=True))
-    inv = np.conj(val.transpose(1, 0, 2)) if unitary else pointwise_inverse(val)
-    del val  # both inverses are new buffers; the value's is freed before the products
-    a_th = pointwise_matmul(inv, dth)
-    a_p1 = pointwise_matmul(inv, dp1)
-    a_p2 = pointwise_matmul(inv, dp2)
-    comm = pointwise_matmul(a_p1, a_p2)
-    comm -= pointwise_matmul(a_p2, a_p1)
-    integrand = 3.0 * np.einsum('ijn,jin->n', a_th, comm)
-    return integrand.reshape(theta.size, phi.size, phi.size)
+def _chern_s3_integrand(a: Symbol, theta: np.ndarray, phi: np.ndarray, unitary: bool,
+                        workspace: np.ndarray, out: np.ndarray) -> None:
+    """3 tr(A_theta [A_phi1, A_phi2]) on the grid theta x phi x phi, written into out.
+
+    out holds nt n n entries, in the grid's order.  workspace holds ten flat
+    buffers (four fields, the inverse, five products), each used through its
+    leading r r nt n n entries as one contiguous (r, r, N) stack.
+    """
+    r, count = a.rank, theta.size * phi.size ** 2
+    val, dth, dp1, dp2, inv, a_th, a_p1, a_p2, comm, swapped = (
+        buffer[:r * r * count].reshape(r, r, count) for buffer in workspace)
+    grid = (r, r, theta.size, phi.size, phi.size)
+    eval_hopf_grid(a, theta, phi, phi, partials=True,
+                   out=[f.reshape(grid) for f in (val, dth, dp1, dp2)])
+    if unitary:
+        np.conj(val.transpose(1, 0, 2), out=inv)
+    else:
+        pointwise_inverse(val, out=inv)
+    pointwise_matmul(inv, dth, out=a_th)
+    pointwise_matmul(inv, dp1, out=a_p1)
+    pointwise_matmul(inv, dp2, out=a_p2)
+    pointwise_matmul(a_p1, a_p2, out=comm)
+    comm -= pointwise_matmul(a_p2, a_p1, out=swapped)
+    np.einsum('ijn,jin->n', a_th, comm, out=out)
+    out *= 3.0
 
 
 def _diagonal_blocks(a: Symbol) -> list[Symbol]:
@@ -221,12 +231,22 @@ def _chern_s3_block(a: Symbol, theta_nodes: int, phi_nodes: int, unitary: bool) 
     theta = np.arccos(t) / 2
     w_theta = weights / (2 * np.sqrt((1.0 - t) * (1.0 + t)))
     phi = np.arange(phi_nodes) * (2 * np.pi / phi_nodes)
+    # THETA_CHUNK nodes summed as one integrand, evaluated in batches over one workspace
+    plane = phi_nodes ** 2
+    batch = max(1, min(THETA_CHUNK, CHUNK_ENTRIES // (a.rank ** 2 * plane)))
+    workspace = np.empty((10, a.rank ** 2 * batch * plane), dtype=complex)
+    integrand = np.empty(THETA_CHUNK * plane, dtype=complex)
     total = 0.0 + 0.0j
     # eval_hopf_grid's small BLAS products can stall on several OpenBLAS threads
     with one_blas_thread():
         for start in range(0, theta_nodes, THETA_CHUNK):
-            integrand = _chern_s3_integrand(a, theta[start:start + THETA_CHUNK], phi, unitary)
-            total += np.einsum('t,tab->', w_theta[start:start + THETA_CHUNK], integrand)
+            chunk = theta[start:start + THETA_CHUNK]
+            for first in range(0, chunk.size, batch):
+                nodes = chunk[first:first + batch]
+                _chern_s3_integrand(a, nodes, phi, unitary, workspace,
+                                    integrand[first * plane:(first + nodes.size) * plane])
+            total += np.einsum('t,tab->', w_theta[start:start + THETA_CHUNK],
+                               integrand[:chunk.size * plane].reshape(-1, phi_nodes, phi_nodes))
     total *= (2 * np.pi / phi_nodes) ** 2
     return complex(S3_ORIENTATION_SIGN * total / (24 * np.pi ** 2))
 

@@ -4,8 +4,9 @@ No program path evaluates a symbol at a single point: the analytic route
 splits truncations and the topological route runs grid quadrature.  These
 one-point forms stay here, as independent references for the tests: a
 symbol's value and exact partials at one manifold point, the squared
-monomial norm of H^2(S3), the six-term trace of the S3 Chern form, and the
-SVD kernel dimension of one matrix.  entries() gives a dense test matrix
+monomial norm of H^2(S3), the six-term trace of the S3 Chern form, the
+pointwise Gauss-Jordan inverse with its pivot rows swapped in through flat
+indices, and the SVD kernel dimension of one matrix.  entries() gives a dense test matrix
 as the Entries the kernel engine takes, and sample_calls() records every
 symbol a manifold samples.  Not collected by pytest; the test modules import
 it as ``oracles`` from their own directory.
@@ -18,6 +19,7 @@ import numpy as np
 
 from toeplitz_lab.hardy_s3 import log_monomial_norm_sq
 from toeplitz_lab.kernel import DEFAULT_TOL, Entries, _svd_split
+from toeplitz_lab.errors import SymbolError
 from toeplitz_lab.symbols import S1, S3, Symbol
 
 
@@ -96,6 +98,52 @@ def six_term_trace(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> complex:
         np.trace(a1 @ a2 @ a3) - np.trace(a1 @ a3 @ a2)
         + np.trace(a2 @ a3 @ a1) - np.trace(a2 @ a1 @ a3)
         + np.trace(a3 @ a1 @ a2) - np.trace(a3 @ a2 @ a1))
+
+
+def flat_index_inverse(a: np.ndarray, pivots: list | None = None) -> np.ndarray:
+    """symbols.pointwise_inverse with each pivot row swapped in by a flat-index gather and scatter.
+
+    The same Gauss-Jordan elimination over a points-last (r, r, N) stack and
+    the same pivot choice; the pivot rows of step k, counted from k, are
+    appended to pivots when it is given.
+    """
+    r, n = a.shape[0], a.shape[2]
+    work = a.copy()
+    inv = np.zeros_like(work)
+    for i in range(r):
+        inv[i, i] = 1.0
+    scale = np.empty(n, dtype=work.dtype)
+    term = np.empty((r, n), dtype=work.dtype)
+    points = np.arange(n)
+    for k in range(r):
+        mag = np.abs(work[k:, k])
+        pivot = np.zeros(n, dtype=np.intp)
+        for i in range(1, r - k):
+            np.copyto(pivot, i, where=mag[i] > mag[0])
+            np.maximum(mag[0], mag[i], out=mag[0])
+        if pivots is not None:
+            pivots.append(pivot)
+        if pivot.any():
+            for buffer, first in ((work, k), (inv, 0)):
+                flat = buffer.reshape(-1)
+                columns = (np.arange(first, r) * n)[:, None]
+                src = (k + pivot) * (r * n) + points + columns
+                dst = k * (r * n) + points + columns
+                row = flat[src]
+                flat[src] = flat[dst]
+                flat[dst] = row
+        if not np.all(work[k, k]):
+            raise SymbolError("symbol is singular at a quadrature node")
+        np.divide(1.0, work[k, k], out=scale)
+        work[k, k + 1:] *= scale
+        inv[k] *= scale
+        for i in range(r):
+            if i != k:
+                factor = work[i, k]
+                rest = term[:r - k - 1]
+                work[i, k + 1:] -= np.multiply(work[k, k + 1:], factor, out=rest)
+                inv[i] -= np.multiply(inv[k], factor, out=term)
+    return inv
 
 
 def entries(matrix) -> Entries:

@@ -81,9 +81,9 @@ def test_chern_s3_evaluates_the_points_its_hook_counts(monkeypatch, theta_nodes,
     points = []
     evaluate = topology.eval_hopf_grid
 
-    def counted(a, theta, phi1, phi2, partials=False):
+    def counted(a, theta, phi1, phi2, partials=False, **kwargs):
         points.append(np.size(theta) * np.size(phi1) * np.size(phi2))
-        return evaluate(a, theta, phi1, phi2, partials)
+        return evaluate(a, theta, phi1, phi2, partials, **kwargs)
 
     monkeypatch.setattr(topology, "eval_hopf_grid", counted)
     topology.chern_s3(s3_representative(2)[0], theta_nodes, phi_nodes)

@@ -3,9 +3,10 @@
 eval_hopf_grid evaluates by frequency into (r, r, nt, n1, n2) buffers, and
 the S3 Chern quadrature multiplies (r, r, N) stacks with pointwise_matmul and
 inverts them with pointwise_inverse, one diagonal block of the symbol at a
-time.  The per-term evaluation into (nt, n1, n2, r, r) arrays and the
-stacked-@ quadrature over the whole symbol, with LAPACK inverses, are kept
-here as references.  Summing by frequency pair changes the order of the sum,
+time, in batches of theta nodes over one workspace per block.  The
+per-term evaluation into (nt, n1, n2, r, r) arrays and the stacked-@
+quadrature over the whole symbol, with LAPACK inverses, are kept here as
+references.  Summing by frequency pair changes the order of the sum,
 so the grid agrees with the per-term loop and with the one-point oracles to
 1e-13 of each field's largest modulus, not bit for bit; the value alone
 equals the value of the partials call exactly.
@@ -21,13 +22,14 @@ from toeplitz_lab import topology
 from toeplitz_lab.errors import SymbolError
 from toeplitz_lab.families import (constant_sandwich, haar_unitary, s3_representative,
                                    su2_power, su2_symbol, z_power)
+from toeplitz_lab.reports import convergence_table
 from toeplitz_lab.symbols import (S3, UNITARY_TOL, Symbol, constant, direct_sum, eval_hopf_grid,
                                   margin_grid_size, multiply, pointwise_inverse,
                                   pointwise_matmul)
 from toeplitz_lab.topology import (S3_ORIENTATION_SIGN, THETA_CHUNK, _chern_s3_raw,
                                    topological_index)
 
-from oracles import HopfPoint, evaluate, hopf_partials
+from oracles import HopfPoint, evaluate, flat_index_inverse, hopf_partials
 
 MS = range(-3, 4)
 
@@ -194,17 +196,20 @@ def test_unitarity_defect_matches_the_stacked_gram(a):
 
 
 def test_quadrature_peak_memory_stays_within_the_stacked_path():
-    # the stacked-@ path peaked at 64.1 MiB here; larger chunks or leftover
-    # temporaries would show as a larger traced peak
-    a = s3_representative(3)[0]
-    _chern_s3_raw(a, 4, 4, unitary=True)  # first-call allocations outside the measurement
-    tracemalloc.start()
-    try:
-        _chern_s3_raw(a, 48, 48, unitary=True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 64.1 * 2 ** 20, peak / 2 ** 20
+    # the stacked-@ path peaked at 64.1 MiB on m = 3, and fresh arrays for
+    # every 8-node chunk at 10.7 MiB on either call; the batches' one
+    # workspace per block peaks near 3.3 MiB, and a larger batch or a
+    # leftover temporary would show as a larger traced peak
+    _chern_s3_raw(su2_symbol(), 4, 4, unitary=True)  # first-call allocations outside
+    for quadrature in (lambda: _chern_s3_raw(s3_representative(3)[0], 48, 48, unitary=True),
+                       lambda: convergence_table(su2_power(2), theta_nodes=12, phi_nodes=12)):
+        tracemalloc.start()
+        try:
+            quadrature()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2 ** 20, peak / 2 ** 20
 
 
 def random_stack(rng, r, n):
@@ -229,6 +234,22 @@ def test_pointwise_inverse_matches_lapack(r):
     got = pointwise_inverse(a)
     assert got.shape == a.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_masked_pivot_swaps_match_the_flat_index_swaps_bit_for_bit(r):
+    # Gaussian stacks over enough points that every elimination step takes
+    # its pivot from every candidate row somewhere
+    rng = np.random.default_rng(30 + r)
+    a = rng.standard_normal((r, r, 400)) + 1j * rng.standard_normal((r, r, 400))
+    pivots = []
+    want = flat_index_inverse(a, pivots)
+    for k, pivot in enumerate(pivots):
+        assert set(pivot.tolist()) == set(range(r - k)), k
+    assert np.array_equal(pointwise_inverse(a), want)
+    out = np.full_like(a, np.nan)
+    assert pointwise_inverse(a, out=out) is out
+    assert np.array_equal(out, want)
 
 
 @pytest.mark.parametrize("singular", [[[0.0]], [[1.0, 0.0], [2.0, 0.0]],
@@ -275,9 +296,9 @@ def test_chern_s3_evaluates_one_grid_per_block(monkeypatch):
     points = []
     evaluate = topology.eval_hopf_grid
 
-    def counted(a, theta, phi1, phi2, partials=False):
+    def counted(a, theta, phi1, phi2, partials=False, **kwargs):
         points.append(np.size(theta) * np.size(phi1) * np.size(phi2))
-        return evaluate(a, theta, phi1, phi2, partials)
+        return evaluate(a, theta, phi1, phi2, partials, **kwargs)
 
     monkeypatch.setattr(topology, "eval_hopf_grid", counted)
     theta_nodes, phi_nodes = 12, 8
@@ -286,8 +307,9 @@ def test_chern_s3_evaluates_one_grid_per_block(monkeypatch):
 
 
 def test_inverse_path_peak_memory_stays_within_the_lapack_path():
-    # the LAPACK inverse path peaked at 45.6 MiB here; an augmented (r, 2r, N)
-    # elimination buffer peaked at 50.1 MiB
+    # the LAPACK inverse path peaked at 45.6 MiB here, an augmented (r, 2r, N)
+    # elimination buffer at 50.1 MiB and fresh arrays for every 8-node chunk
+    # at 41.1 MiB; one-node batches over one workspace peak near 7.1 MiB
     a = constant_sandwich(s3_representative(3)[0], np.random.default_rng(0))
     _chern_s3_raw(a, 4, 4, unitary=False)  # first-call allocations outside the measurement
     tracemalloc.start()
@@ -296,4 +318,40 @@ def test_inverse_path_peak_memory_stays_within_the_lapack_path():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 45.6 * 2 ** 20, peak / 2 ** 20
+    assert peak <= 10 * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("a", [su2_power(2), su2_power(5), sandwich(3)],
+                         ids=["su2^2", "su2^5", "rank-4 sandwich"])
+def test_batches_of_theta_nodes_leave_the_quadrature_bit_identical(monkeypatch, a):
+    # every point's integrand is the same arithmetic in a batch of any size,
+    # and each THETA_CHUNK block is summed as one; 10 nodes end on a short
+    # batch (8 + 2 at batch 4)
+    sizes = []
+    evaluate = topology.eval_hopf_grid
+
+    def counted(a, theta, phi1, phi2, partials=False, **kwargs):
+        sizes.append(np.size(theta))
+        return evaluate(a, theta, phi1, phi2, partials, **kwargs)
+
+    monkeypatch.setattr(topology, "eval_hopf_grid", counted)
+    theta_nodes, phi_nodes = 10, 12
+    values, batches = [], {1: [1] * 10, 2: [2] * 5, 4: [4, 4, 2], 8: [8, 2]}
+    for batch, expected in batches.items():
+        monkeypatch.setattr(topology, "CHUNK_ENTRIES", batch * a.rank ** 2 * phi_nodes ** 2)
+        sizes.clear()
+        values.append(_chern_s3_raw(a, theta_nodes, phi_nodes, a.unitary))
+        assert sizes == expected, (batch, sizes)
+    assert all(v == values[0] for v in values), values
+
+
+def test_evaluation_writes_into_the_given_buffers():
+    a, axes = sandwich(2), hopf_axes(3, 4, 5)
+    want = eval_hopf_grid(a, *axes, partials=True)
+    out = np.full((4, a.rank, a.rank, 3, 4, 5), np.nan, dtype=complex)
+    got = eval_hopf_grid(a, *axes, partials=True, out=out)
+    for g, w, buffer in zip(got, want, out, strict=True):
+        assert np.shares_memory(g, buffer) and np.array_equal(g, w)
+    # a strided destination would be reshaped into a copy, losing the product
+    with pytest.raises(ValueError, match="C-contiguous"):
+        eval_hopf_grid(a, *axes, out=out[0].transpose(1, 0, 2, 3, 4))

@@ -50,134 +50,34 @@ other group (a stack of equal blocks such as the S3 weight-space blocks, a
 wide block, any block on a numpy without those routines) takes one stacked
 values-only np.linalg.svd, and its kernel vectors, when asked for, come from
 np.linalg.svd with vectors on just the blocks that have a kernel.  The
-LAPACKE routines are those of numpy's bundled OpenBLAS, called through
-ctypes; a routine that fails, or a singular value that is not finite, raises
-numpy's LinAlgError, as np.linalg.svd does.
+LAPACKE routines are those of numpy's bundled OpenBLAS, looked up by
+blas._lapacke; a routine that fails, or a singular value that is not
+finite, raises numpy's LinAlgError, as np.linalg.svd does.
 
 The residual check's product T_{N+1} [v; 0] is summed from the larger
 truncation's entries, so a column with no entry contributes nothing and an
 exact kernel vector's residual is exactly 0.
 
-Every SVD runs on one BLAS thread, and the caller's thread count is
-restored afterwards.  The engine's SVDs are small (S1 truncations of about
-100 to 400 columns, torus-equivariant S3 blocks of a few dozen): a second
-OpenBLAS thread slows them down, and once woken it keeps a core busy after
-the call.  With one thread their rounding, and so the reported gaps, no
-longer depends on the caller's thread count either.
+Every SVD runs on one BLAS thread (blas.one_blas_thread), and the caller's
+thread count is restored afterwards.
 """
 from __future__ import annotations
 
-import ctypes
-import glob
-import os
-import threading
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import blas
+from .blas import _COL_MAJOR, _lapack_check
 from .errors import ResidualFailureError, UnstabilizedError
 from .symbols import Symbol, adjoint, require_invertible
 
 DEFAULT_TOL = 1e-8
 DEFAULT_RESIDUAL_TOL = 1e-6
 GAP_WARN_RATIO = 1e3
-
-
-_int, _char, _ptr, _double = ctypes.c_int64, ctypes.c_char, ctypes.c_void_p, ctypes.c_double
-# LAPACKE routines of the bidiagonal path -> their argument types.  The
-# library is ILP64: every lapack_int is 64-bit, the leading layout a C int.
-_LAPACKE = {
-    "zgebrd": [ctypes.c_int, _int, _int, _ptr, _int, _ptr, _ptr, _ptr, _ptr],
-    "dbdsqr": [ctypes.c_int, _char, _int, _int, _int, _int, _ptr, _ptr,
-               _ptr, _int, _ptr, _int, _ptr, _int],
-    "dstevx": [ctypes.c_int, _char, _char, _int, _ptr, _ptr, _double, _double,
-               _int, _int, _double, _ptr, _ptr, _ptr, _int, _ptr],
-    "zunmbr": [ctypes.c_int, _char, _char, _char, _int, _int, _int, _ptr,
-               _int, _ptr, _ptr, _int],
-}
-_COL_MAJOR = 102
-
-
-def _bundled_openblas():
-    """numpy's bundled OpenBLAS, if numpy links it, else None.
-
-    numpy wheels ship it as numpy.libs/libscipy_openblas64_*.so; loading that
-    path again returns the library numpy already uses.  A numpy built against
-    another BLAS has no such file or lacks the thread-count symbols.  The
-    LAPACKE routines of the bidiagonal path get their signatures here, where
-    the library has them.
-    """
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
-        try:
-            lib = ctypes.CDLL(path)
-            get, set_ = (lib.scipy_openblas_get_num_threads64_,
-                         lib.scipy_openblas_set_num_threads64_)
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        for name, argtypes in _LAPACKE.items():
-            routine = getattr(lib, f"scipy_LAPACKE_{name}64_", None)
-            if routine is not None:
-                routine.argtypes, routine.restype = argtypes, _int
-        return lib
-    return None
-
-
-_OPENBLAS = _bundled_openblas()
-_blas_lock = threading.Lock()
-_blas_holders = 0
-_blas_caller_threads = 0
-
-
-@contextmanager
-def one_blas_thread():
-    """Run the block on one OpenBLAS thread, then restore the caller's count.
-
-    The count is process-wide, so nested and concurrent holders share one
-    change: the first to enter saves the caller's count and sets 1, the last
-    to leave puts the saved count back, on return or on an exception.
-    Without numpy's bundled OpenBLAS (another BLAS build) it does nothing.
-    """
-    global _blas_holders, _blas_caller_threads
-    lib = _OPENBLAS
-    if lib is None:
-        yield
-        return
-    with _blas_lock:
-        if _blas_holders == 0:
-            _blas_caller_threads = lib.scipy_openblas_get_num_threads64_()
-            lib.scipy_openblas_set_num_threads64_(1)
-        _blas_holders += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_holders -= 1
-            if _blas_holders == 0:
-                lib.scipy_openblas_set_num_threads64_(_blas_caller_threads)
-
-
-def _lapacke():
-    """The bidiagonal path's LAPACKE routines by name, or None without them.
-
-    Reads _OPENBLAS at each call, so a build without the library, or with a
-    library that lacks one of the routines, takes the stacked SVD instead.
-    """
-    try:
-        return {name: getattr(_OPENBLAS, f"scipy_LAPACKE_{name}64_") for name in _LAPACKE}
-    except AttributeError:
-        return None
-
-
-def _lapack_check(name: str, info: int) -> None:
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACKE {name} failed with info {info}")
 
 
 def _bidiagonal(lapacke: dict, block: np.ndarray):
@@ -377,9 +277,9 @@ def _svd_split(t: Entries, tol: float):
     BLAS thread (see the module docstring).
     """
     rows, cols = t.shape
-    lapacke = _lapacke()
+    lapacke = blas._lapacke()
     groups = []
-    with one_blas_thread():
+    with blas.one_blas_thread():
         for _, col_index, blocks in _blocks(t):
             nr, nc = blocks.shape[1:]
             reduction = None
@@ -404,7 +304,7 @@ def _svd_split(t: Entries, tol: float):
     def kernel_basis() -> np.ndarray:
         basis = np.zeros((cols, dim), dtype=complex)
         filled = 0
-        with one_blas_thread():
+        with blas.one_blas_thread():
             for col_index, s, blocks, reduction in groups:
                 nc = col_index.shape[1]
                 n_kept = np.count_nonzero(s > thresh, axis=1)
@@ -491,7 +391,7 @@ def stabilized_kernel_dim(
     residual = 0.0
     if dim > 0:
         basis_top = kernel_basis()
-        with one_blas_thread():
+        with blas.one_blas_thread():
             image = _zero_extended_product(builder(sizes[-1] + 1), basis_top)
         residual = float(np.max(np.linalg.norm(image, axis=0)))
         if residual > residual_tol:

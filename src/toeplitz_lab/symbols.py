@@ -20,6 +20,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .errors import SymbolError
 
 MARGIN_THRESHOLD = 1e-6
@@ -48,10 +49,10 @@ class Symbol:
     bandwidth describe S1 symbols, total_degree and max_shift S3 symbols.
     margin, min |det a|, and unitary, whether max |a^dagger a - I| is at most
     UNITARY_TOL, come from one sample on the margin_grid_size grid, taken on
-    first use of either and kept.
+    first use of either and kept, as is an S3 symbol's _hopf_plan.
     """
 
-    __slots__ = ("manifold", "rank", "_terms", "_margin", "_defect")
+    __slots__ = ("manifold", "rank", "_terms", "_margin", "_defect", "_plan")
 
     def __init__(self, manifold: Manifold, terms: Mapping, rank: int | None = None):
         cleaned: dict = {}
@@ -67,7 +68,7 @@ class Symbol:
         self.manifold = manifold
         self.rank = rank
         self._terms = MappingProxyType(dict(sorted(cleaned.items())))
-        self._margin = self._defect = None
+        self._margin = self._defect = self._plan = None
 
     @property
     def terms(self) -> Mapping:
@@ -145,7 +146,6 @@ def _s3_key(key) -> tuple[int, int, int, int]:
 
 
 def _hopf_sample(a: Symbol, n: int) -> np.ndarray:
-    from .kernel import one_blas_thread  # not at the top: kernel imports this module
     theta = np.linspace(0.0, np.pi / 2, n)
     phi = np.arange(n) * (2 * np.pi / n)
     with one_blas_thread():  # as in topology._chern_s3_block: small BLAS products stall
@@ -278,6 +278,17 @@ def eval_circle(a: Symbol, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _hopf_plan(a: Symbol) -> tuple:
+    """eval_hopf_grid's tables of a alone: exponents, coefficients, frequencies, pair map."""
+    p, q, s, t = np.array(list(a.terms)).T
+    coeffs = np.array(list(a.terms.values())).reshape(p.size, -1).T  # (r r, K)
+    f1, k1 = np.unique(p - s, return_inverse=True)
+    f2, k2 = np.unique(q - t, return_inverse=True)
+    pairs = np.zeros((p.size, f1.size * f2.size))  # one-hot: term -> its frequency pair
+    pairs[np.arange(p.size), k1 * f2.size + k2] = 1.0
+    return p, q, s, t, coeffs, f1, f2, pairs
+
+
 def eval_hopf_grid(a: Symbol, theta: np.ndarray, phi1: np.ndarray, phi2: np.ndarray,
                    partials: bool = False, out=None):
     """Vectorized evaluation on the product Hopf grid theta x phi1 x phi2.
@@ -289,17 +300,15 @@ def eval_hopf_grid(a: Symbol, theta: np.ndarray, phi1: np.ndarray, phi2: np.ndar
     the coefficients times a radial table (d_theta: its derivative) and a
     weight (d_phi1, d_phi2: i(p - s), i(q - t)) are summed per frequency
     pair, and two products with the phase tables fill a points-last
-    (r, r, nt, n1, n2) buffer, returned as an np.moveaxis view.  out, when
-    given, is that buffer (with partials, a sequence of four): C-contiguous
-    complex arrays the fields are written into instead of new ones.
+    (r, r, nt, n1, n2) buffer, returned as an np.moveaxis view.  The
+    frequency pairs come from a's _hopf_plan, made once and kept on a.
+    out, when given, is that buffer (with partials, a sequence of four):
+    C-contiguous complex arrays the fields are written into, not new ones.
     """
     theta, phi1, phi2 = (np.asarray(x, dtype=float) for x in (theta, phi1, phi2))
-    p, q, s, t = np.array(list(a.terms)).T
-    coeffs = np.array(list(a.terms.values())).reshape(p.size, -1).T  # (r r, K)
-    f1, k1 = np.unique(p - s, return_inverse=True)
-    f2, k2 = np.unique(q - t, return_inverse=True)
-    pairs = np.zeros((p.size, f1.size * f2.size))  # one-hot: term -> its frequency pair
-    pairs[np.arange(p.size), k1 * f2.size + k2] = 1.0
+    if a._plan is None:
+        a._plan = _hopf_plan(a)
+    p, q, s, t, coeffs, f1, f2, pairs = a._plan
     phase1, phase2 = np.exp(1j * np.outer(phi1, f1)), np.exp(1j * np.outer(f2, phi2))
     shape = (a.rank, a.rank, theta.size, phi1.size, phi2.size)
 

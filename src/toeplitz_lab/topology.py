@@ -22,8 +22,9 @@ from functools import lru_cache, partial
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .errors import NonIntegralChernError, SymbolError, UndersampledError
-from .kernel import Entries, _blocks, one_blas_thread
+from .kernel import Entries, _blocks
 from .symbols import (S1, S3, Symbol, eval_circle, eval_hopf_grid, laurent_coefficients,
                       pointwise_inverse, pointwise_matmul, require_invertible)
 

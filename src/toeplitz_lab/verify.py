@@ -28,12 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .families import (homotopy_path, random_matrix_symbol,
                        random_scalar_symbol, su2_symbol, z_power)
 from .hardy_s1 import analytic_index_s1
 from .hardy_s3 import analytic_index_s3
 from .errors import NumericsError
-from .kernel import DEFAULT_RESIDUAL_TOL, DEFAULT_TOL, one_blas_thread
+from .kernel import DEFAULT_RESIDUAL_TOL, DEFAULT_TOL
 from .symbols import S1, Symbol, adjoint, det_laurent, direct_sum, identity, multiply
 from .symbol_io import document_json, symbol_to_dict
 from .topology import chern, chern_s1, winding_argument, winding_roots

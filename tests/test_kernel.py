@@ -11,7 +11,7 @@ import pytest
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
-from toeplitz_lab import cli, kernel, symbols, topology
+from toeplitz_lab import blas, cli, kernel, symbols, topology
 from toeplitz_lab.errors import ResidualFailureError, UnstabilizedError
 from toeplitz_lab.families import (constant_sandwich, homotopy_path,
                                    random_matrix_symbol, random_scalar_symbol,
@@ -498,7 +498,7 @@ def test_vectors_are_taken_once_at_the_top_size_only_for_a_kernel(dominant, dim,
     assert vector_svd_shapes == ([top] if dim else [])
 
 
-has_lapacke = pytest.mark.skipif(kernel._lapacke() is None,
+has_lapacke = pytest.mark.skipif(blas._lapacke() is None,
                                  reason="numpy's OpenBLAS lacks the bidiagonal path's LAPACKE routines")
 
 
@@ -604,7 +604,7 @@ def test_bidiagonal_path_matches_dense_and_values_only(case):
         dim, sigma, _, kernel_basis = _svd_split(entries(block), DEFAULT_TOL)
         ref_dim, _, _, ref_basis = dense_svd_split(entries(block), DEFAULT_TOL)
         # on one BLAS thread, as the engine runs it: its rounding follows the count
-        with kernel.one_blas_thread():
+        with blas.one_blas_thread():
             values = np.linalg.svd(block, compute_uv=False)
         assert dim == ref_dim
         rows, cols = block.shape
@@ -713,8 +713,8 @@ def test_reports_match_taking_vectors_at_every_size(name, run, monkeypatch):
 def test_representative_kernel_reports_match_dense(m, monkeypatch):
     sym, sizes = s3_representative(m)
     # without the library a lone tall block takes the stacked SVD too
-    monkeypatch.setattr(kernel, "_OPENBLAS", None)
-    assert kernel._lapacke() is None
+    monkeypatch.setattr(blas, "_OPENBLAS", None)
+    assert blas._lapacke() is None
     assert_reports_match_dense(f"s3_m{m}", lambda: analytic_index_s3(sym, sizes=sizes),
                                monkeypatch)
 
@@ -753,18 +753,18 @@ def test_wrong_manifold_symbol_is_a_value_error(call, manifold):
         call()
 
 
-needs_openblas = pytest.mark.skipif(kernel._OPENBLAS is None,
+needs_openblas = pytest.mark.skipif(blas._OPENBLAS is None,
                                     reason="numpy does not link its bundled OpenBLAS")
 
 
 def blas_threads():
-    return kernel._OPENBLAS.scipy_openblas_get_num_threads64_()
+    return blas._OPENBLAS.scipy_openblas_get_num_threads64_()
 
 
 @pytest.fixture
 def caller_threads():
     """Set the caller's OpenBLAS thread count for one test, then restore it."""
-    lib = kernel._OPENBLAS
+    lib = blas._OPENBLAS
     before = lib.scipy_openblas_get_num_threads64_()
     yield lib.scipy_openblas_set_num_threads64_
     lib.scipy_openblas_set_num_threads64_(before)
@@ -791,18 +791,18 @@ DSTEVX_FAULTS = {"info 1": dstevx_info_1, "one short": dstevx_one_short}
 
 def with_dstevx(fake, call):
     """call() with the bidiagonal path's dstevx replaced by fake(routine, *args)."""
-    lapacke = kernel._lapacke
+    lapacke = blas._lapacke
 
     def faulty_lapacke():
         routines = lapacke()
         routines["dstevx"] = functools.partial(fake, routines["dstevx"])
         return routines
 
-    kernel._lapacke = faulty_lapacke
+    blas._lapacke = faulty_lapacke
     try:
         return call()
     finally:
-        kernel._lapacke = lapacke
+        blas._lapacke = lapacke
 
 
 def nan_at_the_top(n):
@@ -859,7 +859,7 @@ def test_an_infinite_entry_is_a_linalg_error(matrix, monkeypatch):
     # the bidiagonal path's dbdsqr rejects the NaN that zgebrd makes of it
     with pytest.raises(np.linalg.LinAlgError):
         kernel_dim(matrix())
-    monkeypatch.setattr(kernel, "_OPENBLAS", None)
+    monkeypatch.setattr(blas, "_OPENBLAS", None)
     with pytest.raises(np.linalg.LinAlgError, match="^SVD gave a non-finite singular value$"):
         kernel_dim(matrix())
 
@@ -886,7 +886,7 @@ def test_a_dstevx_failure_is_a_linalg_error(fault, message, capsys):
 
 @needs_openblas
 def test_every_engine_svd_runs_on_one_blas_thread(caller_threads, monkeypatch):
-    svd, lapacke = np.linalg.svd, kernel._lapacke
+    svd, lapacke = np.linalg.svd, blas._lapacke
     seen, lapacke_seen = [], []
 
     def counted_svd(*args, **kwargs):
@@ -904,14 +904,14 @@ def test_every_engine_svd_runs_on_one_blas_thread(caller_threads, monkeypatch):
         return routines and {name: counted(name, r) for name, r in routines.items()}
 
     monkeypatch.setattr(kernel.np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(kernel, "_lapacke", counted_lapacke)
+    monkeypatch.setattr(blas, "_lapacke", counted_lapacke)
     caller_threads(2)
     # z^2 splits into stacks; the cokernel of z - 0.2 is one tall block
     analytic_index_s1(z_power(2), trunc=16)
     assert analytic_index_s1(z_minus(0.2), trunc=16).coker_dim == 1
     assert seen and set(seen) == {1}
     if lapacke() is not None:
-        assert {name for name, _ in lapacke_seen} == set(kernel._LAPACKE)
+        assert {name for name, _ in lapacke_seen} == set(blas._LAPACKE)
         assert {threads for _, threads in lapacke_seen} == {1}
 
 
@@ -957,14 +957,14 @@ def test_overlapping_holders_share_one_change(caller_threads):
     seen = []
 
     def first():
-        with kernel.one_blas_thread():
+        with blas.one_blas_thread():
             a_in.set()
             b_in.wait(10)
         a_out.set()
 
     def second():
         a_in.wait(10)
-        with kernel.one_blas_thread():
+        with blas.one_blas_thread():
             b_in.set()
             a_out.wait(10)
             seen.append(blas_threads())
@@ -978,8 +978,8 @@ def test_overlapping_holders_share_one_change(caller_threads):
     assert seen == [1]
     assert blas_threads() == 2
 
-    with kernel.one_blas_thread():
-        with kernel.one_blas_thread():
+    with blas.one_blas_thread():
+        with blas.one_blas_thread():
             assert blas_threads() == 1
         assert blas_threads() == 1
     assert blas_threads() == 2
@@ -993,7 +993,7 @@ def test_concurrent_engine_calls_restore_the_callers_blas_threads(caller_threads
     def engine_loop():
         try:
             for _ in range(20):
-                with kernel.one_blas_thread():
+                with blas.one_blas_thread():
                     if blas_threads() != 1:
                         errors.append(blas_threads())
                 kernel_dim(shift_matrix(6).matrix)
@@ -1018,8 +1018,8 @@ def test_concurrent_engine_calls_restore_the_callers_blas_threads(caller_threads
 @has_lapacke
 def test_without_the_library_the_stacked_svd_gives_the_same_index(monkeypatch):
     result = analytic_index_s1(generic_rank3(), trunc=32)
-    monkeypatch.setattr(kernel, "_OPENBLAS", None)
-    assert kernel._lapacke() is None
+    monkeypatch.setattr(blas, "_OPENBLAS", None)
+    assert blas._lapacke() is None
     fallback = analytic_index_s1(generic_rank3(), trunc=32)
     assert ((result.index, result.ker_dim, result.coker_dim)
             == (fallback.index, fallback.ker_dim, fallback.coker_dim) == (2, 4, 2))
@@ -1029,10 +1029,10 @@ def test_without_the_library_the_stacked_svd_gives_the_same_index(monkeypatch):
 
 @needs_openblas
 def test_the_guard_does_nothing_without_the_library(caller_threads, monkeypatch):
-    lib = kernel._OPENBLAS
+    lib = blas._OPENBLAS
     caller_threads(2)
-    monkeypatch.setattr(kernel, "_OPENBLAS", None)
-    with kernel.one_blas_thread():
+    monkeypatch.setattr(blas, "_OPENBLAS", None)
+    with blas.one_blas_thread():
         assert lib.scipy_openblas_get_num_threads64_() == 2
     assert analytic_index_s1(z_power(-1), trunc=16).index == 1
     assert lib.scipy_openblas_get_num_threads64_() == 2

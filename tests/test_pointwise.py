@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toeplitz_lab import topology
+from toeplitz_lab import symbols, topology
 from toeplitz_lab.errors import SymbolError
 from toeplitz_lab.families import (constant_sandwich, haar_unitary, s3_representative,
                                    su2_power, su2_symbol, z_power)
@@ -105,6 +105,11 @@ def test_evaluation_equals_the_per_term_reference(m):
         got = eval_hopf_grid(a, *axes, partials=True)
         assert_fields_agree(got, loop_eval_hopf_grid(a, *axes))
         assert np.array_equal(eval_hopf_grid(a, *axes), got[0])
+        # with its plan kept, a evaluates as a fresh equal symbol does
+        assert a._plan is not None
+        kept = eval_hopf_grid(a, *axes, partials=True)
+        fresh = eval_hopf_grid(Symbol(S3, a.terms), *axes, partials=True)
+        assert all(map(np.array_equal, kept, fresh))
 
 
 def su2_product(powers, rng):
@@ -293,8 +298,10 @@ def test_symbol_with_a_zero_row_or_column_is_singular(terms):
 def test_chern_s3_evaluates_one_grid_per_block(monkeypatch):
     # s3_representative(3) is su2^-2 + su2^-1: two rank-2 blocks, so twice the
     # 9 t p^2 points of the value at (t, p) and the refinement at (2t, 2p)
-    points = []
-    evaluate = topology.eval_hopf_grid
+    a, b = s3_representative(3)[0], su2_power(2)  # built first: su2_power(-k) samples su2
+    points, plans = [], []
+    evaluate, plan = topology.eval_hopf_grid, symbols._hopf_plan
+    monkeypatch.setattr(symbols, "_hopf_plan", lambda a: plans.append(a) or plan(a))
 
     def counted(a, theta, phi1, phi2, partials=False, **kwargs):
         points.append(np.size(theta) * np.size(phi1) * np.size(phi2))
@@ -302,8 +309,16 @@ def test_chern_s3_evaluates_one_grid_per_block(monkeypatch):
 
     monkeypatch.setattr(topology, "eval_hopf_grid", counted)
     theta_nodes, phi_nodes = 12, 8
-    topology.chern_s3(s3_representative(3)[0], theta_nodes, phi_nodes)
+    topology.chern_s3(a, theta_nodes, phi_nodes)
     assert sum(points) == 2 * 9 * theta_nodes * phi_nodes ** 2
+    # one plan for a's sample, then one per block per rung: each rung splits a anew
+    assert len(plans) == 1 + 2 * 2 and plans[0] is a
+    # a symbol that does not split plans once for its sample, both rungs and
+    # every batch: 4 theta nodes in one batch, then 8 in batches of 6 and 2
+    points.clear()
+    plans.clear()
+    topological_index(b)
+    assert len(points) == 3 and len(plans) == 1 and plans[0] is b
 
 
 def test_inverse_path_peak_memory_stays_within_the_lapack_path():

@@ -58,13 +58,28 @@ The residual check's product T_{N+1} [v; 0] is summed from the larger
 truncation's entries, so a column with no entry contributes nothing and an
 exact kernel vector's residual is exactly 0.
 
-Every SVD runs on one BLAS thread (blas.one_blas_thread), and the caller's
-thread count is restored afterwards.
+The kernel's and the cokernel's families are independent, and
+analytic_index_from_truncations reduces them at once where it can.  The
+adjoint's truncations are built and split first; where one is a single
+connected component and tall, its block's reduction starts on a helper
+thread, and the caller stabilizes the kernel meanwhile.  The helper runs
+only _bidiagonal's LAPACK calls, which drop the GIL, on the array the
+inline order would pass, so every value is the same to the bit; builds,
+splits and the stabilization stay on the caller's thread.  It is used only
+where the process's affinity mask holds a second CPU: verify pins each of
+its workers to one CPU, so none of them starts it, and no S3 truncation
+(split into weight blocks) is one component.  The helper is made on first
+use and joined before the call returns or raises.
+
+Every SVD runs on one BLAS thread (blas.one_blas_thread), the helper's
+inside its own hold, and the caller's thread count is restored afterwards.
 """
 from __future__ import annotations
 
+import os
 import warnings
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -104,6 +119,15 @@ def _bidiagonal(lapacke: dict, block: np.ndarray):
         _COL_MAJOR, b"U", cols, 0, 0, 0, s.ctypes.data, work.ctypes.data,
         None, 1, None, 1, None, 1))
     return s, (a, d, e, taup)
+
+
+def _reduce(lapacke: dict, block: np.ndarray):
+    """_bidiagonal on the helper thread, under its own one-thread hold.
+
+    The caller's hold may end before the helper's reduction does.
+    """
+    with blas.one_blas_thread():
+        return _bidiagonal(lapacke, block)
 
 
 def _bidiagonal_kernel(lapacke: dict, reduction, k: int) -> np.ndarray:
@@ -152,13 +176,16 @@ class Entries:
 
     rows, cols and values hold one entry per coordinate and no exact zero,
     so they are exactly the sparsity graph of the matrix of the given shape.
-    matrix is that dense array, formed on first use and kept.
+    matrix is that dense array, formed on first use and kept.  split, when
+    set, is the split of t that _start_split began (None for a plain
+    truncation).
     """
 
     shape: tuple[int, int]
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
+    split: list | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -253,6 +280,35 @@ def _blocks(t: Entries):
         yield row_index, col_index, blocks
 
 
+def _spare_cpu() -> bool:
+    """Whether this process's affinity mask holds a second CPU, for the helper thread."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+def _one_tall_block(blocks: np.ndarray) -> bool:
+    """Whether a shape group is one block with at least as many rows as columns, and some."""
+    return len(blocks) == 1 and blocks.shape[1] >= blocks.shape[2] > 0
+
+
+def _start_split(t: Entries, helper: ThreadPoolExecutor | None) -> Entries:
+    """t with its split set, for _svd_split to finish.
+
+    The split is _blocks(t) as (col_index, blocks, reduced) per shape
+    group.  When t is one connected component and tall, and a helper is
+    given, the one block's bidiagonal reduction starts on the helper
+    (_reduce), and reduced is its Future in place of the block; the LAPACK
+    calls drop the GIL, so it runs while the caller goes on.  Every other
+    group is left to _svd_split, with reduced None.
+    """
+    split = [(col_index, blocks, None) for _, col_index, blocks in _blocks(t)]
+    lapacke = blas._lapacke()
+    if helper is not None and lapacke is not None and len(split) == 1:
+        col_index, blocks, _ = split[0]
+        if _one_tall_block(blocks):
+            split[0] = (col_index, None, helper.submit(_reduce, lapacke, blocks[0]))
+    return replace(t, split=split)
+
+
 def _svd_split(t: Entries, tol: float):
     """Split the SVD of a truncation, given by its entries, into (dim, sigma, gap, kernel_basis).
 
@@ -260,13 +316,15 @@ def _svd_split(t: Entries, tol: float):
     entries' sparsity graph (see the module docstring), and every block takes
     values only: a block alone in its shape group and tall goes through
     _bidiagonal when the LAPACKE routines are at hand, every other group
-    through one stacked values-only np.linalg.svd.  sigma holds every block's
-    singular values in descending order, padded with zeros to min(rows, cols),
-    as the SVD of the whole matrix would give them.  dim counts singular
-    values at most tol * sigma_max, with sigma_max taken over all blocks, plus
-    each block's columns beyond its number of singular values (possible only
-    for wide blocks, and always for a zero column); a zero matrix has every
-    column in the kernel.  gap is the ratio of the smallest kept to the
+    through one stacked values-only np.linalg.svd.  When _start_split set
+    t.split, its groups are used, and a started reduction is awaited here in
+    place of _bidiagonal: the same call on the same block.  sigma holds
+    every block's singular values in descending order, padded with zeros to
+    min(rows, cols), as the SVD of the whole matrix would give them.  dim
+    counts singular values at most tol * sigma_max, with sigma_max taken
+    over all blocks, plus each block's columns beyond its number of singular
+    values (possible only for wide blocks, and always for a zero column); a
+    zero matrix has every column in the kernel.  gap is the ratio of the smallest kept to the
     largest rejected singular value of sigma.  kernel_basis() returns the
     (cols, dim) kernel basis, each block's kernel right singular vectors
     zero-extended into the block's columns, and forms them only when called:
@@ -278,16 +336,18 @@ def _svd_split(t: Entries, tol: float):
     """
     rows, cols = t.shape
     lapacke = blas._lapacke()
+    split = t.split
+    if split is None:
+        split = ((col_index, blocks, None) for _, col_index, blocks in _blocks(t))
     groups = []
     with blas.one_blas_thread():
-        for _, col_index, blocks in _blocks(t):
-            nr, nc = blocks.shape[1:]
-            reduction = None
-            if lapacke is not None and len(blocks) == 1 and nr >= nc > 0:
-                s, reduction = _bidiagonal(lapacke, blocks[0])
+        for col_index, blocks, reduced in split:
+            if reduced is not None or lapacke is not None and _one_tall_block(blocks):
+                s, reduction = (reduced.result() if reduced is not None
+                                else _bidiagonal(lapacke, blocks[0]))
                 s, blocks = s[None], None  # the reduction keeps its own copy
             else:
-                s = np.linalg.svd(blocks, compute_uv=False)
+                s, reduction = np.linalg.svd(blocks, compute_uv=False), None
             groups.append((col_index, s, blocks, reduction))
 
     values = np.concatenate([s.ravel() for _, s, _, _ in groups]) if groups else np.zeros(0)
@@ -354,6 +414,17 @@ def _zero_extended_product(t: Entries, vectors: np.ndarray) -> np.ndarray:
     return image.reshape(t.shape[0], k)
 
 
+def _schedule(sizes: Sequence[int], tol: float, residual_tol: float) -> tuple[int, ...]:
+    """sizes as a tuple of ints, once it and both tolerances are checked (ValueError)."""
+    sizes = tuple(int(n) for n in sizes)
+    if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must be at least two strictly increasing truncation sizes")
+    if not (0.0 <= tol < np.inf and 0.0 <= residual_tol < np.inf):
+        raise ValueError(f"tol {tol} and residual_tol {residual_tol} must be finite "
+                         f"and non-negative")
+    return sizes
+
+
 def stabilized_kernel_dim(
     builder: Callable[[int], Entries],
     sizes: Sequence[int],
@@ -373,13 +444,7 @@ def stabilized_kernel_dim(
     the dimensions agree on a kernel.  Raises ValueError unless tol and
     residual_tol are finite and non-negative.
     """
-    sizes = tuple(int(n) for n in sizes)
-    if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("sizes must be at least two strictly increasing truncation sizes")
-    if not (0.0 <= tol < np.inf and 0.0 <= residual_tol < np.inf):
-        raise ValueError(f"tol {tol} and residual_tol {residual_tol} must be finite "
-                         f"and non-negative")
-
+    sizes = _schedule(sizes, tol, residual_tol)
     dims = [_svd_split(builder(n), tol)[0] for n in sizes[:-1]]
     dim, sigma_top, gap_top, kernel_basis = _svd_split(builder(sizes[-1]), tol)
     dims.append(dim)
@@ -444,18 +509,30 @@ def analytic_index_from_truncations(
     cokernel dimension from the adjoint symbol's truncations (coker T_a is
     conjugate-isomorphic to ker T_{a*}).  The symbol must clear the sampled
     invertibility margin first; otherwise it is rejected as non-Fredholm.
+    The adjoint's truncations are built and split first, and a helper thread
+    may reduce them while the kernel is stabilized (see the module
+    docstring); it is joined before this returns or raises.
     """
     require_invertible(a)
     a_star = adjoint(a)
-    ker = stabilized_kernel_dim(lambda n: truncate(a, n), sizes, tol, residual_tol,
-                                label="kernel")
-    coker = stabilized_kernel_dim(lambda n: truncate(a_star, n), sizes, tol, residual_tol,
-                                  label="cokernel")
+    sizes = _schedule(sizes, tol, residual_tol)
+    helper = ThreadPoolExecutor(max_workers=1) if _spare_cpu() else None
+    try:
+        star = {n: _start_split(truncate(a_star, n), helper) for n in sizes}
+        ker = stabilized_kernel_dim(lambda n: truncate(a, n), sizes, tol, residual_tol,
+                                    label="kernel")
+        coker = stabilized_kernel_dim(lambda n: star[n] if n in star else truncate(a_star, n),
+                                      sizes, tol, residual_tol, label="cokernel")
+    finally:
+        # a reduction left unread follows an error that ended the call, so
+        # the inline order would not have run it
+        if helper is not None:
+            helper.shutdown(cancel_futures=True)
     return AnalyticIndex(
         index=ker.dim - coker.dim,
         ker_dim=ker.dim,
         coker_dim=coker.dim,
-        sizes=tuple(int(n) for n in sizes),
+        sizes=sizes,
         ker=ker,
         coker=coker,
     )

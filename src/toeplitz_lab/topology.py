@@ -205,15 +205,15 @@ def _diagonal_blocks(a: Symbol) -> list[Symbol]:
             for rows, cols in blocks]
 
 
-def _chern_s3_raw(a: Symbol, theta_nodes: int, phi_nodes: int, unitary: bool) -> complex:
-    """The S3 quadrature of a: the sum of its diagonal blocks' quadratures.
+def _chern_s3_raw(blocks: list[Symbol], theta_nodes: int, phi_nodes: int,
+                  unitary: bool) -> complex:
+    """The S3 quadrature of a symbol from its diagonal blocks (_diagonal_blocks): their sum.
 
     The odd Chern character is additive over direct sums and unchanged by
     constant row and column permutations, so each block is integrated alone
     and the zero blocks between them never enter a pointwise product.
     """
-    values = [_chern_s3_block(block, theta_nodes, phi_nodes, unitary)
-              for block in _diagonal_blocks(a)]
+    values = [_chern_s3_block(block, theta_nodes, phi_nodes, unitary) for block in blocks]
     return sum(values[1:], values[0])
 
 
@@ -282,7 +282,8 @@ def chern_ladder(a: Symbol, steps: int | None = None, grid: int = DEFAULT_GRID,
     On S1 the rungs are circle grids of grid * 2^i points (4 by default); on
     S3, theta_nodes * 2^i x phi_nodes * 2^i Hopf nodes sized by the theta
     count (3 by default), with pointwise-unitary symbols (a.unitary) inverted
-    by their adjoint.  Missing node counts come from _hopf_nodes: for a
+    by their adjoint and split into their diagonal blocks once, before the
+    first rung.  Missing node counts come from _hopf_nodes: for a
     pointwise-unitary symbol every rung is then exact, and the rungs differ
     by rounding only.  A circle grid below 16 points, or a Hopf node count
     below 4, raises ValueError.
@@ -296,7 +297,8 @@ def chern_ladder(a: Symbol, steps: int | None = None, grid: int = DEFAULT_GRID,
         resolution, default_steps = _hopf_nodes(a, theta_nodes, phi_nodes), 3
         if min(resolution) < 4:
             raise ValueError("node counts must be at least 4")
-        quadrature = partial(_chern_s3_raw, a, unitary=a.unitary)
+        # split once: the blocks, and the frequency plans they keep, serve every rung
+        quadrature = partial(_chern_s3_raw, _diagonal_blocks(a), unitary=a.unitary)
     steps = default_steps if steps is None else int(steps)
     return [(resolution[0] * 2 ** i, quadrature(*(n * 2 ** i for n in resolution)))
             for i in range(steps)]

@@ -12,9 +12,10 @@ symbol serialized inline so the case can be replayed from the report alone.
 Symbols are drawn serially from the one seeded stream.  A case is then a
 function that shares no state: it returns its failed checks as (message,
 symbol document) pairs.  `_run_cases` runs the cases in a pool of forked
-worker processes, one per usable CPU, each case on one BLAS thread, and
-returns every case's failures in draw order; the suite folds them into its
-property results, so the report does not depend on the number of workers.
+worker processes, one per usable CPU and pinned to it, each case on one
+BLAS thread, and returns every case's failures in draw order; the suite
+folds them into its property results, so the report does not depend on the
+number of workers.
 Fork lets the workers run the cases' closures, which cannot be pickled: a
 worker inherits the case list and receives only an index.
 """
@@ -76,10 +77,17 @@ def _cpu_count() -> int:
 _worker_cases: list = []
 
 
-def _start_worker(cases: list) -> None:
-    """Pool initializer: keep the run's case list, inherited through fork."""
+def _start_worker(cases: list, cpus) -> None:
+    """Pool initializer: keep the run's case list, inherited through fork, and take one CPU.
+
+    cpus is the queue of CPU ids _run_cases filled, one per worker, or None
+    where the platform cannot pin a process.  In a worker pinned to one CPU
+    the kernel engine starts no helper thread (kernel._spare_cpu).
+    """
     global _worker_cases
     _worker_cases = cases
+    if cpus is not None:
+        os.sched_setaffinity(0, {cpus.get()})
 
 
 def _run_case(i: int) -> list[tuple[str, dict]]:
@@ -99,15 +107,23 @@ def _run_case(i: int) -> list[tuple[str, dict]]:
 def _run_cases(cases: list) -> list[list[tuple[str, dict]]]:
     """Run every (symbol, fn) case in a fork pool; return their failures in input order.
 
-    A worker that dies breaks the pool; that is a NumericsError naming how
-    many cases went unevaluated, never a hang or a partial result.  An
-    empty case list returns [] without starting a pool.
+    Each worker is pinned to one CPU of this process's affinity mask, the
+    CPUs handed out round-robin, one id per worker.  A worker that dies
+    breaks the pool; that is a NumericsError naming how many cases went
+    unevaluated, never a hang or a partial result.  An empty case list
+    returns [] without starting a pool.
     """
     if not cases:
         return []
-    pool = ProcessPoolExecutor(max_workers=min(_cpu_count(), len(cases)),
-                               mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(cases,))
+    context = multiprocessing.get_context("fork")
+    workers = min(_cpu_count(), len(cases))
+    cpus = None
+    if hasattr(os, "sched_setaffinity"):
+        cpus, mask = context.SimpleQueue(), sorted(os.sched_getaffinity(0))
+        for worker in range(workers):
+            cpus.put(mask[worker % len(mask)])
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                               initializer=_start_worker, initargs=(cases, cpus))
     futures = []
     try:
         for i in range(len(cases)):
@@ -119,6 +135,8 @@ def _run_cases(cases: list) -> list[list[tuple[str, dict]]]:
                             f"{len(cases)} cases went unevaluated ({exc})") from exc
     finally:
         pool.shutdown(cancel_futures=True)
+        if cpus is not None:
+            cpus.close()
 
 
 def run_verify(

@@ -9,13 +9,15 @@ import importlib.util
 import inspect
 import os
 import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from toeplitz_lab import hardy_s1, hardy_s3, kernel, topology
-from toeplitz_lab.families import s3_representative, su2_power, su2_symbol, z_power
+from toeplitz_lab.families import (random_matrix_symbol, s3_representative, su2_power,
+                                   su2_symbol, z_power)
 from toeplitz_lab.hardy_s1 import toeplitz_rect_s1
 from toeplitz_lab.hardy_s3 import toeplitz_rect_s3
 from toeplitz_lab.symbols import margin_grid_size
@@ -120,6 +122,35 @@ def test_tracer_sees_the_programs_own_calls(m, call):
     assert (stabilize.counts["svd_count"], stabilize.counts["residual_checks"]) == (4, 1)
     # kernel and cokernel at both sizes, and one residual check for the cokernel
     assert layers[f"hardy_{m}.toeplitz_rect_{m}"].calls == 5
+
+
+@pytest.mark.skipif(kernel.blas._lapacke() is None,
+                    reason="numpy's OpenBLAS lacks the bidiagonal path's LAPACKE routines")
+def test_traced_spans_nest_while_the_helper_thread_reduces(monkeypatch):
+    # the cokernel's helper thread runs untraced LAPACK only: every traced
+    # call stays on the caller's thread, so each span lies inside its
+    # parent's and the self times add up to no more than the wall time
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    reduce, threads = kernel._reduce, []
+
+    def counted(lapacke, block):
+        threads.append(threading.get_ident())
+        return reduce(lapacke, block)
+
+    monkeypatch.setattr(kernel, "_reduce", counted)
+    generic = random_matrix_symbol(np.random.default_rng(5), rank=3)[0]
+    with spans.Tracer() as tracer:
+        start = time.perf_counter()
+        assert hardy_s1.analytic_index_s1(generic).index == 2
+        wall = time.perf_counter() - start
+    assert threads and threading.get_ident() not in threads
+    for _, name, parent, begin, end in tracer.spans:
+        assert begin <= end, name
+        if parent >= 0:
+            _, _, _, parent_begin, parent_end = tracer.spans[parent]
+            assert parent_begin <= begin and end <= parent_end, name
+    assert all(layer.self_s >= 0 for layer in tracer.layers.values())
+    assert tracer.self_seconds() <= wall
 
 
 def test_every_workload_builds_its_cases():

@@ -1036,3 +1036,189 @@ def test_the_guard_does_nothing_without_the_library(caller_threads, monkeypatch)
         assert lib.scipy_openblas_get_num_threads64_() == 2
     assert analytic_index_s1(z_power(-1), trunc=16).index == 1
     assert lib.scipy_openblas_get_num_threads64_() == 2
+
+
+def on_cpus(monkeypatch, count):
+    """Patch the affinity mask kernel._spare_cpu reads to hold count CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def helper_reductions(monkeypatch):
+    """The threads on which kernel._reduce runs, one entry per reduction started on the helper."""
+    reduce, threads = kernel._reduce, []
+
+    def counted(lapacke, block):
+        threads.append(threading.get_ident())
+        return reduce(lapacke, block)
+
+    monkeypatch.setattr(kernel, "_reduce", counted)
+    return threads
+
+
+def helper_cases():
+    rng = np.random.default_rng(11)
+    cases = []
+    for rank in (1, 2, 3):
+        a = random_matrix_symbol(rng, rank=rank)[0]
+        cases += [(f"rank{rank}", a, analytic_index_s1),
+                  (f"rank{rank}*", adjoint(a), analytic_index_s1)]
+    a = generic_rank3()
+    cases += [("generic3", a, analytic_index_s1), ("generic3*", adjoint(a), analytic_index_s1)]
+    cases += [(f"z^{m}", z_power(m), analytic_index_s1) for m in (-2, -1, 0, 1, 2)]
+    cases += [(f"s3_m{m}", s3_representative(m)[0], analytic_index_s3) for m in (-2, -1, 1, 2)]
+    return cases
+
+
+HELPER_CASES = helper_cases()
+
+
+def assert_identical_kernel_reports(report, ref):
+    assert (report.dim, report.sizes, report.dims) == (ref.dim, ref.sizes, ref.dims)
+    assert np.array_equal(report.singular_values, ref.singular_values)
+    assert (report.spectral_gap, report.residual) == (ref.spectral_gap, ref.residual)
+
+
+@pytest.mark.parametrize("name, symbol, index", HELPER_CASES,
+                         ids=[name for name, _, _ in HELPER_CASES])
+def test_the_helper_thread_leaves_every_value_as_the_inline_path_gives_it(
+        name, symbol, index, monkeypatch):
+    # one CPU in the mask keeps every reduction on the caller's thread
+    on_cpus(monkeypatch, 1)
+    inline = index(symbol)
+    on_cpus(monkeypatch, 2)
+    reductions = helper_reductions(monkeypatch)
+    before = threading.active_count()
+    helped = index(symbol)
+    assert threading.active_count() == before
+    assert (helped.index, helped.ker_dim, helped.coker_dim, helped.sizes) == \
+        (inline.index, inline.ker_dim, inline.coker_dim, inline.sizes)
+    assert_identical_kernel_reports(helped.ker, inline.ker)
+    assert_identical_kernel_reports(helped.coker, inline.coker)
+    assert threading.get_ident() not in reductions
+    # no S3 truncation is one component, so no S3 call starts a thread
+    if name.startswith("s3"):
+        assert reductions == []
+
+
+def one_tall_component(t):
+    """Whether a truncation's sparsity graph is one connected component, with rows >= cols."""
+    rows, cols = t.shape
+    graph = coo_array((np.ones(t.rows.size), (t.rows, rows + t.cols)),
+                      shape=(rows + cols, rows + cols))
+    return connected_components(graph, directed=False)[0] == 1 and rows >= cols
+
+
+@has_lapacke
+def test_the_helper_reduces_each_adjoint_truncation_that_is_one_tall_component(monkeypatch):
+    on_cpus(monkeypatch, 2)
+    reductions = helper_reductions(monkeypatch)
+    want = 0
+    for name, symbol, index in HELPER_CASES:
+        sizes = index(symbol).sizes
+        builder = toeplitz_rect_s1 if index is analytic_index_s1 else toeplitz_rect_s3
+        want += sum(one_tall_component(builder(adjoint(symbol), n)) for n in sizes)
+    # at both sizes: the rank-2 symbol and its adjoint, and generic3's adjoint
+    assert len(reductions) == want >= 6
+
+
+def test_one_cpu_starts_no_thread(monkeypatch):
+    on_cpus(monkeypatch, 1)
+    reductions = helper_reductions(monkeypatch)
+    started = []
+    monkeypatch.setattr(kernel, "ThreadPoolExecutor", lambda *a, **k: started.append(a))
+    assert analytic_index_s1(generic_rank3(), trunc=32).index == 2
+    assert reductions == [] and started == []
+
+
+def raise_on_block(monkeypatch, block, exc):
+    """Make kernel._bidiagonal raise exc on the given block only; return the raising threads."""
+    bidiagonal, raised = kernel._bidiagonal, []
+
+    def failing(lapacke, b):
+        if np.array_equal(b, block):
+            raised.append(threading.get_ident())
+            raise exc
+        return bidiagonal(lapacke, b)
+
+    monkeypatch.setattr(kernel, "_bidiagonal", failing)
+    return raised
+
+
+def failure_on(monkeypatch, cpus, call):
+    on_cpus(monkeypatch, cpus)
+    before = threading.active_count()
+    with pytest.raises(Exception) as info:
+        call()
+    assert threading.active_count() == before
+    return type(info.value), str(info.value)
+
+
+@has_lapacke
+def test_a_linalg_error_in_the_helpers_reduction_surfaces_as_inline(monkeypatch):
+    a = generic_rank3()
+    top = toeplitz_rect_s1(adjoint(a), 64).matrix
+    raised = raise_on_block(monkeypatch, top,
+                            np.linalg.LinAlgError("LAPACKE zgebrd failed with info -4"))
+    reductions = helper_reductions(monkeypatch)
+    call = lambda: analytic_index_s1(a, trunc=32)  # noqa: E731
+    inline = failure_on(monkeypatch, 1, call)
+    assert reductions == [] and raised == [threading.get_ident()]
+    helped = failure_on(monkeypatch, 2, call)
+    assert helped == inline == (np.linalg.LinAlgError, "LAPACKE zgebrd failed with info -4")
+    # the second raise was the helper's, on another thread
+    assert len(reductions) == 2 and raised[1] in reductions
+    assert raised[1] != threading.get_ident()
+
+
+@has_lapacke
+def test_an_unstabilized_kernel_joins_the_started_reductions(monkeypatch):
+    # conj(z - 0.8) = z^-1 - 0.8: its kernel's singular value 0.8^n is above
+    # the threshold at 64 only, while its adjoint's truncations, z - 0.8, are
+    # one tall component each and start on the helper
+    a = adjoint(z_minus(0.8))
+    reductions = helper_reductions(monkeypatch)
+    inline = failure_on(monkeypatch, 1, lambda: analytic_index_s1(a))
+    helped = failure_on(monkeypatch, 2, lambda: analytic_index_s1(a))
+    assert helped == inline
+    assert inline[0] is UnstabilizedError and inline[1].startswith("kernel dimension")
+    assert len(reductions) == 2
+
+
+@has_lapacke
+@needs_openblas
+def test_concurrent_index_calls_with_helpers_give_the_serial_reports(caller_threads, monkeypatch):
+    # four callers, each with its own helper, on a shortened switch interval:
+    # every report must be the serial one to the bit, the callers' count is
+    # restored and no helper outlives its call
+    on_cpus(monkeypatch, 2)
+    caller_threads(2)
+    symbol = next(s for name, s, _ in HELPER_CASES if name == "rank2")
+    want = analytic_index_s1(symbol, trunc=16)
+    reductions = helper_reductions(monkeypatch)
+    before = threading.active_count()
+    errors, results = [], []
+
+    def index_loop():
+        try:
+            for _ in range(5):
+                results.append(analytic_index_s1(symbol, trunc=16))
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=index_loop) for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert errors == [] and len(results) == 20 and len(reductions) == 2 * 20
+    for result in results:
+        assert_identical_kernel_reports(result.ker, want.ker)
+        assert_identical_kernel_reports(result.coker, want.coker)
+    assert blas_threads() == 2
+    assert threading.active_count() == before

@@ -27,7 +27,7 @@ from toeplitz_lab.symbols import (S3, UNITARY_TOL, Symbol, constant, direct_sum,
                                   margin_grid_size, multiply, pointwise_inverse,
                                   pointwise_matmul)
 from toeplitz_lab.topology import (S3_ORIENTATION_SIGN, THETA_CHUNK, _chern_s3_raw,
-                                   topological_index)
+                                   _diagonal_blocks, topological_index)
 
 from oracles import HopfPoint, evaluate, flat_index_inverse, hopf_partials
 
@@ -54,6 +54,11 @@ def loop_eval_hopf_grid(a, theta, phi1, phi2):
         dp1 += (1j * (p - s)) * base[..., None, None] * c
         dp2 += (1j * (q - t)) * base[..., None, None] * c
     return val, dth, dp1, dp2
+
+
+def chern_s3_raw(a, theta_nodes, phi_nodes, unitary):
+    """topology._chern_s3_raw on a's diagonal blocks, split as chern_ladder splits a."""
+    return _chern_s3_raw(_diagonal_blocks(a), theta_nodes, phi_nodes, unitary)
 
 
 def stacked_chern_s3_raw(a, theta_nodes, phi_nodes, unitary):
@@ -166,7 +171,7 @@ def test_raw_chern_agrees_with_the_stacked_reference(m, theta_nodes):
     rep = s3_representative(m)[0]
     cases = [(rep, True), (rep, False), (sandwich(m), False)]
     for a, unitary in cases:
-        got = _chern_s3_raw(a, theta_nodes, 8, unitary)
+        got = chern_s3_raw(a, theta_nodes, 8, unitary)
         want = stacked_chern_s3_raw(a, theta_nodes, 8, unitary)
         assert abs(got - want) <= 1e-12, (m, theta_nodes, unitary, got, want)
 
@@ -175,7 +180,7 @@ def test_singular_node_raises_symbol_error():
     # the one Gauss-Legendre theta node is pi/4; z1 - cos(pi/4) vanishes there at phi1 = 0
     a = Symbol(S3, {(1, 0, 0, 0): [[1.0]], (0, 0, 0, 0): [[-np.cos(np.pi / 4)]]})
     with pytest.raises(SymbolError, match="singular at a quadrature node"):
-        _chern_s3_raw(a, 1, 4, unitary=False)
+        chern_s3_raw(a, 1, 4, unitary=False)
 
 
 def test_pointwise_matmul_matches_stacked_matmul():
@@ -205,8 +210,8 @@ def test_quadrature_peak_memory_stays_within_the_stacked_path():
     # every 8-node chunk at 10.7 MiB on either call; the batches' one
     # workspace per block peaks near 3.3 MiB, and a larger batch or a
     # leftover temporary would show as a larger traced peak
-    _chern_s3_raw(su2_symbol(), 4, 4, unitary=True)  # first-call allocations outside
-    for quadrature in (lambda: _chern_s3_raw(s3_representative(3)[0], 48, 48, unitary=True),
+    chern_s3_raw(su2_symbol(), 4, 4, unitary=True)  # first-call allocations outside
+    for quadrature in (lambda: chern_s3_raw(s3_representative(3)[0], 48, 48, unitary=True),
                        lambda: convergence_table(su2_power(2), theta_nodes=12, phi_nodes=12)):
         tracemalloc.start()
         try:
@@ -278,8 +283,8 @@ def test_quadrature_of_a_permuted_direct_sum_is_the_sum_of_its_blocks(unitary):
               else (sandwich(2), constant_sandwich(su2_symbol(), np.random.default_rng(3))))
     a = multiply(permutation(4, (2, 0, 3, 1)),
                  multiply(direct_sum(*blocks), permutation(4, (1, 3, 0, 2))))
-    got = _chern_s3_raw(a, 12, 8, unitary)
-    parts = sum(_chern_s3_raw(b, 12, 8, unitary) for b in blocks)
+    got = chern_s3_raw(a, 12, 8, unitary)
+    parts = sum(chern_s3_raw(b, 12, 8, unitary) for b in blocks)
     assert abs(got - parts) <= 1e-12, (got, parts)
     want = stacked_chern_s3_raw(a, 12, 8, unitary)
     assert abs(got - want) <= 1e-12, (got, want)
@@ -292,7 +297,7 @@ def test_quadrature_of_a_permuted_direct_sum_is_the_sum_of_its_blocks(unitary):
 ], ids=["zero row", "zero column"])
 def test_symbol_with_a_zero_row_or_column_is_singular(terms):
     with pytest.raises(SymbolError, match="singular at a quadrature node"):
-        _chern_s3_raw(Symbol(S3, terms), 4, 4, unitary=False)
+        chern_s3_raw(Symbol(S3, terms), 4, 4, unitary=False)
 
 
 def test_chern_s3_evaluates_one_grid_per_block(monkeypatch):
@@ -311,8 +316,9 @@ def test_chern_s3_evaluates_one_grid_per_block(monkeypatch):
     theta_nodes, phi_nodes = 12, 8
     topology.chern_s3(a, theta_nodes, phi_nodes)
     assert sum(points) == 2 * 9 * theta_nodes * phi_nodes ** 2
-    # one plan for a's sample, then one per block per rung: each rung splits a anew
-    assert len(plans) == 1 + 2 * 2 and plans[0] is a
+    # one plan for a's sample, then one per block: the ladder splits a once,
+    # and both rungs evaluate the same blocks
+    assert len(plans) == 1 + 2 and plans[0] is a
     # a symbol that does not split plans once for its sample, both rungs and
     # every batch: 4 theta nodes in one batch, then 8 in batches of 6 and 2
     points.clear()
@@ -326,10 +332,10 @@ def test_inverse_path_peak_memory_stays_within_the_lapack_path():
     # elimination buffer at 50.1 MiB and fresh arrays for every 8-node chunk
     # at 41.1 MiB; one-node batches over one workspace peak near 7.1 MiB
     a = constant_sandwich(s3_representative(3)[0], np.random.default_rng(0))
-    _chern_s3_raw(a, 4, 4, unitary=False)  # first-call allocations outside the measurement
+    chern_s3_raw(a, 4, 4, unitary=False)  # first-call allocations outside the measurement
     tracemalloc.start()
     try:
-        _chern_s3_raw(a, 48, 48, unitary=False)
+        chern_s3_raw(a, 48, 48, unitary=False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -355,7 +361,7 @@ def test_batches_of_theta_nodes_leave_the_quadrature_bit_identical(monkeypatch, 
     for batch, expected in batches.items():
         monkeypatch.setattr(topology, "CHUNK_ENTRIES", batch * a.rank ** 2 * phi_nodes ** 2)
         sizes.clear()
-        values.append(_chern_s3_raw(a, theta_nodes, phi_nodes, a.unitary))
+        values.append(chern_s3_raw(a, theta_nodes, phi_nodes, a.unitary))
         assert sizes == expected, (batch, sizes)
     assert all(v == values[0] for v in values), values
 

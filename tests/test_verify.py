@@ -1,10 +1,11 @@
 """Verification suite: determinism, property coverage, fault behavior."""
+import multiprocessing
 import os
 import time
 
 import pytest
 
-from toeplitz_lab import verify
+from toeplitz_lab import kernel, verify
 from toeplitz_lab.errors import NumericsError
 from toeplitz_lab.families import z_power
 from toeplitz_lab.symbol_io import symbol_from_dict, symbol_to_dict
@@ -149,6 +150,33 @@ class TestWorkerPool:
             [("first", symbol_to_dict(g)), ("second", symbol_to_dict(h))],
             [("ValueError: bad case", symbol_to_dict(raiser))],
         ]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="the platform cannot pin a process to a CPU")
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_each_worker_is_pinned_to_one_cpu(self, workers, monkeypatch):
+        # every case waits until all workers hold one, so each runs in its own
+        # worker; the CPUs go round-robin over the mask, one per worker, so
+        # two workers on a 2-CPU mask get different CPUs, and no worker has
+        # the spare CPU the kernel engine's helper thread needs
+        mask = sorted(os.sched_getaffinity(0))
+        barrier = multiprocessing.get_context("fork").Barrier(workers)
+        f = z_power(1)
+
+        def report_affinity():
+            barrier.wait(timeout=30)
+            cpus = ",".join(str(cpu) for cpu in sorted(os.sched_getaffinity(0)))
+            return verify._failed((False, f"{os.getpid()} {cpus} {kernel._spare_cpu()}", f))
+
+        monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
+        outcomes = verify._run_cases([(f, report_affinity)] * workers)
+        pinned = [failures[0][0].split() for failures in outcomes]
+        assert len({pid for pid, _, _ in pinned}) == workers
+        assert all("," not in cpus for _, cpus, _ in pinned)  # one CPU each
+        assert all(spare == "False" for _, _, spare in pinned)
+        assert sorted(int(cpus) for _, cpus, _ in pinned) == \
+            sorted(mask[i % len(mask)] for i in range(workers))
+        assert sorted(os.sched_getaffinity(0)) == mask
 
     def test_run_cases_without_cases_starts_no_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):

@@ -1,10 +1,12 @@
-"""numpy's bundled OpenBLAS: the one-thread policy and the engine's LAPACKE routines.
+"""The engine's CPUs: numpy's bundled OpenBLAS, its one-thread policy and LAPACKE routines.
 
 Below symbols and kernel; it imports nothing of the package.  The SVD engine,
 the S3 sample, the S3 quadrature and each verify case run their small BLAS
 products inside one_blas_thread: a second OpenBLAS thread slows them down,
 once woken keeps a core busy after the call, and makes their rounding, and
-so the reported gaps, depend on the caller's thread count.
+so the reported gaps, depend on the caller's thread count.  A thread inside
+that hold uses one CPU: spare_cpu, which decides whether the kernel engine
+may start a helper thread, is False there.
 """
 from __future__ import annotations
 
@@ -63,6 +65,20 @@ _OPENBLAS = _bundled_openblas()
 _blas_lock = threading.Lock()
 _blas_holders = 0
 _blas_caller_threads = 0
+_held = threading.local()  # depth: the calling thread's open one_blas_thread blocks
+
+
+def cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask, or os.cpu_count() without one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def spare_cpu() -> bool:
+    """Whether the calling thread may use a second CPU: it is inside no
+    one_blas_thread block, and the process may run on two CPUs."""
+    return getattr(_held, "depth", 0) == 0 and cpu_count() >= 2
 
 
 @contextmanager
@@ -72,24 +88,25 @@ def one_blas_thread():
     The count is process-wide, so nested and concurrent holders share one
     change: the first to enter saves the caller's count and sets 1, the last
     to leave puts the saved count back, on return or on an exception.
-    Without numpy's bundled OpenBLAS (another BLAS build) it does nothing.
+    Without numpy's bundled OpenBLAS (another BLAS build) the count is left
+    alone.  Either way the calling thread counts its open blocks, for
+    spare_cpu.
     """
     global _blas_holders, _blas_caller_threads
     lib = _OPENBLAS
-    if lib is None:
-        yield
-        return
+    _held.depth = getattr(_held, "depth", 0) + 1
     with _blas_lock:
-        if _blas_holders == 0:
+        if _blas_holders == 0 and lib is not None:
             _blas_caller_threads = lib.scipy_openblas_get_num_threads64_()
             lib.scipy_openblas_set_num_threads64_(1)
         _blas_holders += 1
     try:
         yield
     finally:
+        _held.depth -= 1
         with _blas_lock:
             _blas_holders -= 1
-            if _blas_holders == 0:
+            if _blas_holders == 0 and lib is not None:
                 lib.scipy_openblas_set_num_threads64_(_blas_caller_threads)
 
 

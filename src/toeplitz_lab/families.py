@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .symbols import (S1, S3, Symbol, constant, direct_sum, invertibility_margin,
+from .symbols import (S1, S3, Symbol, adjoint, constant, direct_sum, invertibility_margin,
                       multiply, power)
 
 # Root radii for random scalar symbols: interior roots in [0.15, 0.70],
@@ -70,7 +70,8 @@ def su2_symbol() -> Symbol:
 
 def su2_power(k: int) -> Symbol:
     """Pointwise power of the SU(2) generator; index of its Toeplitz operator is -k."""
-    return power(su2_symbol(), k)
+    # a negative power is one of the adjoint, the inverse, so nothing is sampled
+    return power(su2_symbol(), k) if k >= 0 else power(adjoint(su2_symbol()), -k)
 
 
 def s3_representative(m: int) -> tuple[Symbol, tuple[int, int]]:

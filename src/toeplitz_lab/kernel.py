@@ -60,23 +60,26 @@ exact kernel vector's residual is exactly 0.
 
 The kernel's and the cokernel's families are independent, and
 analytic_index_from_truncations reduces them at once where it can.  The
-adjoint's truncations are built and split first; where one is a single
-connected component and tall, its block's reduction starts on a helper
-thread, and the caller stabilizes the kernel meanwhile.  The helper runs
-only _bidiagonal's LAPACK calls, which drop the GIL, on the array the
-inline order would pass, so every value is the same to the bit; builds,
-splits and the stabilization stay on the caller's thread.  It is used only
-where the process's affinity mask holds a second CPU: verify pins each of
-its workers to one CPU, so none of them starts it, and no S3 truncation
-(split into weight blocks) is one component.  The helper is made on first
-use and joined before the call returns or raises.
+adjoint's truncations are built and split first; where the only shape group
+with entries is one tall block (a tall connected component, beside any
+empty rows and columns), its reduction starts on a helper thread, and the
+caller stabilizes the kernel meanwhile.  The helper runs only
+_bidiagonal's LAPACK calls, which drop the GIL, on the array the inline
+order would pass, so every value is the same to the bit; builds, splits and
+the stabilization stay on the caller's thread.  It is used only where the
+caller has a spare CPU (blas.spare_cpu): the process may run on two CPUs,
+and the caller is inside no one_blas_thread block.  So no verify case,
+which runs inside one, starts it, and no S3 truncation (split into weight
+blocks) qualifies.  The call decides before it enters its own hold, which
+lasts until the helper is joined.  The helper is made on first use and
+joined before the call returns or raises.
 
 Every SVD runs on one BLAS thread (blas.one_blas_thread), the helper's
-inside its own hold, and the caller's thread count is restored afterwards.
+inside its caller's hold, and the caller's thread count is restored
+afterwards.
 """
 from __future__ import annotations
 
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -119,15 +122,6 @@ def _bidiagonal(lapacke: dict, block: np.ndarray):
         _COL_MAJOR, b"U", cols, 0, 0, 0, s.ctypes.data, work.ctypes.data,
         None, 1, None, 1, None, 1))
     return s, (a, d, e, taup)
-
-
-def _reduce(lapacke: dict, block: np.ndarray):
-    """_bidiagonal on the helper thread, under its own one-thread hold.
-
-    The caller's hold may end before the helper's reduction does.
-    """
-    with blas.one_blas_thread():
-        return _bidiagonal(lapacke, block)
 
 
 def _bidiagonal_kernel(lapacke: dict, reduction, k: int) -> np.ndarray:
@@ -280,11 +274,6 @@ def _blocks(t: Entries):
         yield row_index, col_index, blocks
 
 
-def _spare_cpu() -> bool:
-    """Whether this process's affinity mask holds a second CPU, for the helper thread."""
-    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-
-
 def _one_tall_block(blocks: np.ndarray) -> bool:
     """Whether a shape group is one block with at least as many rows as columns, and some."""
     return len(blocks) == 1 and blocks.shape[1] >= blocks.shape[2] > 0
@@ -294,18 +283,20 @@ def _start_split(t: Entries, helper: ThreadPoolExecutor | None) -> Entries:
     """t with its split set, for _svd_split to finish.
 
     The split is _blocks(t) as (col_index, blocks, reduced) per shape
-    group.  When t is one connected component and tall, and a helper is
-    given, the one block's bidiagonal reduction starts on the helper
-    (_reduce), and reduced is its Future in place of the block; the LAPACK
-    calls drop the GIL, so it runs while the caller goes on.  Every other
-    group is left to _svd_split, with reduced None.
+    group.  When the only group with entries is one tall block, and a helper
+    is given, that block's bidiagonal reduction starts on the helper, and
+    reduced is its Future in place of the block; the LAPACK calls drop the
+    GIL, so it runs while the caller goes on.  Every other group, such as
+    the empty rows and columns beside that block, is left to _svd_split,
+    with reduced None.
     """
     split = [(col_index, blocks, None) for _, col_index, blocks in _blocks(t)]
     lapacke = blas._lapacke()
-    if helper is not None and lapacke is not None and len(split) == 1:
-        col_index, blocks, _ = split[0]
+    full = [k for k, (_, blocks, _) in enumerate(split) if blocks.size]
+    if helper is not None and lapacke is not None and len(full) == 1:
+        col_index, blocks, _ = split[full[0]]
         if _one_tall_block(blocks):
-            split[0] = (col_index, None, helper.submit(_reduce, lapacke, blocks[0]))
+            split[full[0]] = (col_index, None, helper.submit(_bidiagonal, lapacke, blocks[0]))
     return replace(t, split=split)
 
 
@@ -511,23 +502,27 @@ def analytic_index_from_truncations(
     invertibility margin first; otherwise it is rejected as non-Fredholm.
     The adjoint's truncations are built and split first, and a helper thread
     may reduce them while the kernel is stabilized (see the module
-    docstring); it is joined before this returns or raises.
+    docstring); it is joined before this returns or raises.  A caller inside
+    blas.one_blas_thread starts none.
     """
     require_invertible(a)
     a_star = adjoint(a)
     sizes = _schedule(sizes, tol, residual_tol)
-    helper = ThreadPoolExecutor(max_workers=1) if _spare_cpu() else None
-    try:
-        star = {n: _start_split(truncate(a_star, n), helper) for n in sizes}
-        ker = stabilized_kernel_dim(lambda n: truncate(a, n), sizes, tol, residual_tol,
-                                    label="kernel")
-        coker = stabilized_kernel_dim(lambda n: star[n] if n in star else truncate(a_star, n),
-                                      sizes, tol, residual_tol, label="cokernel")
-    finally:
-        # a reduction left unread follows an error that ended the call, so
-        # the inline order would not have run it
-        if helper is not None:
-            helper.shutdown(cancel_futures=True)
+    # decided before this call's own hold, inside which it has no spare CPU
+    helper = ThreadPoolExecutor(max_workers=1) if blas.spare_cpu() else None
+    with blas.one_blas_thread():
+        try:
+            star = {n: _start_split(truncate(a_star, n), helper) for n in sizes}
+            ker = stabilized_kernel_dim(lambda n: truncate(a, n), sizes, tol, residual_tol,
+                                        label="kernel")
+            coker = stabilized_kernel_dim(lambda n: star[n] if n in star
+                                          else truncate(a_star, n),
+                                          sizes, tol, residual_tol, label="cokernel")
+        finally:
+            # a reduction left unread follows an error that ended the call, so
+            # the inline order would not have run it
+            if helper is not None:
+                helper.shutdown(cancel_futures=True)
     return AnalyticIndex(
         index=ker.dim - coker.dim,
         ker_dim=ker.dim,

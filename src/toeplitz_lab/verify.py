@@ -12,24 +12,25 @@ symbol serialized inline so the case can be replayed from the report alone.
 Symbols are drawn serially from the one seeded stream.  A case is then a
 function that shares no state: it returns its failed checks as (message,
 symbol document) pairs.  `_run_cases` runs the cases in a pool of forked
-worker processes, one per usable CPU and pinned to it, each case on one
-BLAS thread, and returns every case's failures in draw order; the suite
-folds them into its property results, so the report does not depend on the
-number of workers.
+worker processes, one per usable CPU (blas.cpu_count), each case inside
+blas.one_blas_thread, and returns every case's failures in draw order; the
+suite folds them into its property results, so the report does not depend
+on the number of workers.  The workers keep the parent's affinity mask; a
+case's hold alone keeps the kernel engine from starting a helper thread
+(blas.spare_cpu), since the workers already keep every CPU busy.
 Fork lets the workers run the cases' closures, which cannot be pickled: a
 worker inherits the case list and receives only an index.
 """
 from __future__ import annotations
 
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blas import one_blas_thread
+from .blas import cpu_count, one_blas_thread
 from .families import (homotopy_path, random_matrix_symbol,
                        random_scalar_symbol, su2_symbol, z_power)
 from .hardy_s1 import analytic_index_s1
@@ -67,34 +68,21 @@ def _failed(*checks: tuple[bool, str, Symbol]) -> list[tuple[str, dict]]:
     return [(message, symbol_to_dict(symbol)) for ok, message, symbol in checks if not ok]
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on, which bounds the number of workers."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 _worker_cases: list = []
 
 
-def _start_worker(cases: list, cpus) -> None:
-    """Pool initializer: keep the run's case list, inherited through fork, and take one CPU.
-
-    cpus is the queue of CPU ids _run_cases filled, one per worker, or None
-    where the platform cannot pin a process.  In a worker pinned to one CPU
-    the kernel engine starts no helper thread (kernel._spare_cpu).
-    """
+def _start_worker(cases: list) -> None:
+    """Pool initializer: keep the run's case list, inherited through fork."""
     global _worker_cases
     _worker_cases = cases
-    if cpus is not None:
-        os.sched_setaffinity(0, {cpus.get()})
 
 
 def _run_case(i: int) -> list[tuple[str, dict]]:
-    """Run case i in a worker on one BLAS thread; return its failures.
+    """Run case i in a worker inside one_blas_thread; return its failures.
 
-    The other workers hold the other CPUs.  A case that raises has one
-    failure, the exception, with the case's symbol.
+    The other workers hold the other CPUs, so the hold also keeps the case
+    from starting a helper thread.  A case that raises has one failure, the
+    exception, with the case's symbol.
     """
     symbol, fn = _worker_cases[i]
     try:
@@ -107,23 +95,15 @@ def _run_case(i: int) -> list[tuple[str, dict]]:
 def _run_cases(cases: list) -> list[list[tuple[str, dict]]]:
     """Run every (symbol, fn) case in a fork pool; return their failures in input order.
 
-    Each worker is pinned to one CPU of this process's affinity mask, the
-    CPUs handed out round-robin, one id per worker.  A worker that dies
-    breaks the pool; that is a NumericsError naming how many cases went
-    unevaluated, never a hang or a partial result.  An empty case list
-    returns [] without starting a pool.
+    A worker that dies breaks the pool; that is a NumericsError naming how
+    many cases went unevaluated, never a hang or a partial result.  An empty
+    case list returns [] without starting a pool.
     """
     if not cases:
         return []
     context = multiprocessing.get_context("fork")
-    workers = min(_cpu_count(), len(cases))
-    cpus = None
-    if hasattr(os, "sched_setaffinity"):
-        cpus, mask = context.SimpleQueue(), sorted(os.sched_getaffinity(0))
-        for worker in range(workers):
-            cpus.put(mask[worker % len(mask)])
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=context,
-                               initializer=_start_worker, initargs=(cases, cpus))
+    pool = ProcessPoolExecutor(max_workers=min(cpu_count(), len(cases)), mp_context=context,
+                               initializer=_start_worker, initargs=(cases,))
     futures = []
     try:
         for i in range(len(cases)):
@@ -135,8 +115,6 @@ def _run_cases(cases: list) -> list[list[tuple[str, dict]]]:
                             f"{len(cases)} cases went unevaluated ({exc})") from exc
     finally:
         pool.shutdown(cancel_futures=True)
-        if cpus is not None:
-            cpus.close()
 
 
 def run_verify(

@@ -131,13 +131,14 @@ def test_traced_spans_nest_while_the_helper_thread_reduces(monkeypatch):
     # call stays on the caller's thread, so each span lies inside its
     # parent's and the self times add up to no more than the wall time
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    reduce, threads = kernel._reduce, []
+    bidiagonal, threads = kernel._bidiagonal, []
 
     def counted(lapacke, block):
-        threads.append(threading.get_ident())
-        return reduce(lapacke, block)
+        if threading.current_thread().name.startswith("ThreadPoolExecutor"):
+            threads.append(threading.get_ident())
+        return bidiagonal(lapacke, block)
 
-    monkeypatch.setattr(kernel, "_reduce", counted)
+    monkeypatch.setattr(kernel, "_bidiagonal", counted)
     generic = random_matrix_symbol(np.random.default_rng(5), rank=3)[0]
     with spans.Tracer() as tracer:
         start = time.perf_counter()

@@ -3,13 +3,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from toeplitz_lab import symbols
 from toeplitz_lab.families import (_expm, constant_sandwich, diag_laurent,
                                    haar_unitary, homotopy_path,
                                    random_matrix_symbol, random_scalar_symbol,
                                    s3_representative, su2_power, su2_symbol,
                                    well_conditioned_matrix, z_power)
 from toeplitz_lab.symbols import (adjoint, det_laurent, invertibility_margin,
-                                  multiply)
+                                  multiply, power)
 from toeplitz_lab.topology import winding_roots
 
 from oracles import HopfPoint, evaluate
@@ -28,6 +29,17 @@ class TestSU2Family:
         assert su2_power(2) == multiply(g, g)
         assert su2_power(0).terms.keys() == {(0, 0, 0, 0)}
         assert su2_power(-1) == adjoint(g)
+
+    def test_negative_powers_are_built_without_a_sample(self, monkeypatch):
+        # a negative power is a power of the adjoint, equal to the sampled
+        # power's; building it evaluates no symbol, so it makes no S3 plan
+        want = {k: power(su2_symbol(), k) for k in (-2, -1)}
+        plans, plan = [], symbols._hopf_plan
+        monkeypatch.setattr(symbols, "_hopf_plan", lambda a: plans.append(a) or plan(a))
+        assert all(su2_power(k) == power_k for k, power_k in want.items())
+        for m in (-3, 3):
+            s3_representative(m)
+        assert plans == []
 
     def test_negative_powers_evaluate_to_matrix_inverses(self):
         point = HopfPoint(0.9, 2.2, 5.1)

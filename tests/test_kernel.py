@@ -1039,19 +1039,21 @@ def test_the_guard_does_nothing_without_the_library(caller_threads, monkeypatch)
 
 
 def on_cpus(monkeypatch, count):
-    """Patch the affinity mask kernel._spare_cpu reads to hold count CPUs."""
+    """Patch the affinity mask blas.cpu_count reads to hold count CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 def helper_reductions(monkeypatch):
-    """The threads on which kernel._reduce runs, one entry per reduction started on the helper."""
-    reduce, threads = kernel._reduce, []
+    """The threads on which kernel._bidiagonal runs in a helper's executor, one entry per
+    reduction there; a caller's own reductions, on any thread, are not counted."""
+    bidiagonal, threads = kernel._bidiagonal, []
 
     def counted(lapacke, block):
-        threads.append(threading.get_ident())
-        return reduce(lapacke, block)
+        if threading.current_thread().name.startswith("ThreadPoolExecutor"):
+            threads.append(threading.get_ident())
+        return bidiagonal(lapacke, block)
 
-    monkeypatch.setattr(kernel, "_reduce", counted)
+    monkeypatch.setattr(kernel, "_bidiagonal", counted)
     return threads
 
 
@@ -1101,11 +1103,16 @@ def test_the_helper_thread_leaves_every_value_as_the_inline_path_gives_it(
 
 
 def one_tall_component(t):
-    """Whether a truncation's sparsity graph is one connected component, with rows >= cols."""
+    """Whether a truncation's sparsity graph, its isolated rows and columns left out, is one
+    connected component with at least as many rows as columns."""
     rows, cols = t.shape
     graph = coo_array((np.ones(t.rows.size), (t.rows, rows + t.cols)),
                       shape=(rows + cols, rows + cols))
-    return connected_components(graph, directed=False)[0] == 1 and rows >= cols
+    labels = connected_components(graph, directed=False)[1]
+    used = np.unique(labels[np.concatenate([t.rows, rows + t.cols])])
+    if used.size != 1:
+        return False
+    return np.count_nonzero(labels[:rows] == used[0]) >= np.count_nonzero(labels[rows:] == used[0])
 
 
 @has_lapacke
@@ -1117,8 +1124,9 @@ def test_the_helper_reduces_each_adjoint_truncation_that_is_one_tall_component(m
         sizes = index(symbol).sizes
         builder = toeplitz_rect_s1 if index is analytic_index_s1 else toeplitz_rect_s3
         want += sum(one_tall_component(builder(adjoint(symbol), n)) for n in sizes)
-    # at both sizes: the rank-2 symbol and its adjoint, and generic3's adjoint
-    assert len(reductions) == want >= 6
+    # at both sizes: each rank-2 and rank-3 symbol and its adjoint, isolated
+    # rows and columns beside the one component included
+    assert len(reductions) == want >= 12
 
 
 def test_one_cpu_starts_no_thread(monkeypatch):
@@ -1128,6 +1136,37 @@ def test_one_cpu_starts_no_thread(monkeypatch):
     monkeypatch.setattr(kernel, "ThreadPoolExecutor", lambda *a, **k: started.append(a))
     assert analytic_index_s1(generic_rank3(), trunc=32).index == 2
     assert reductions == [] and started == []
+
+
+@has_lapacke
+def test_a_call_inside_the_one_thread_hold_starts_no_helper(monkeypatch):
+    # on a 2-CPU mask a caller inside the hold uses one CPU, so its call
+    # reduces inline, with the same reports; the depth is per thread, and a
+    # block that raises leaves it at 0
+    on_cpus(monkeypatch, 2)
+    reductions = helper_reductions(monkeypatch)
+    executor, started = kernel.ThreadPoolExecutor, []
+    monkeypatch.setattr(kernel, "ThreadPoolExecutor",
+                        lambda *a, **k: started.append(a) or executor(*a, **k))
+    with blas.one_blas_thread():
+        assert not blas.spare_cpu()
+        spare_elsewhere = []
+        other = threading.Thread(target=lambda: spare_elsewhere.append(blas.spare_cpu()))
+        other.start()
+        other.join()
+        held = analytic_index_s1(generic_rank3(), trunc=32)
+    assert spare_elsewhere == [True]
+    assert reductions == [] and started == []
+    free = analytic_index_s1(generic_rank3(), trunc=32)
+    assert len(started) == 1 and len(reductions) == 2
+    assert (held.index, held.ker_dim, held.coker_dim) == (free.index, free.ker_dim,
+                                                          free.coker_dim) == (2, 4, 2)
+    assert_identical_kernel_reports(held.ker, free.ker)
+    assert_identical_kernel_reports(held.coker, free.coker)
+    with pytest.raises(ValueError, match="inside the hold"):
+        with blas.one_blas_thread(), blas.one_blas_thread():
+            raise ValueError("inside the hold")
+    assert blas._held.depth == 0 and blas.spare_cpu()
 
 
 def raise_on_block(monkeypatch, block, exc):
@@ -1174,9 +1213,18 @@ def test_a_linalg_error_in_the_helpers_reduction_surfaces_as_inline(monkeypatch)
 def test_an_unstabilized_kernel_joins_the_started_reductions(monkeypatch):
     # conj(z - 0.8) = z^-1 - 0.8: its kernel's singular value 0.8^n is above
     # the threshold at 64 only, while its adjoint's truncations, z - 0.8, are
-    # one tall component each and start on the helper
+    # one tall component each and start on the helper.  The kernel's error
+    # cancels a reduction the helper has not begun, so the reductions are
+    # counted as they are handed to it
     a = adjoint(z_minus(0.8))
-    reductions = helper_reductions(monkeypatch)
+    executor, reductions = kernel.ThreadPoolExecutor, []
+
+    class Counted(executor):
+        def submit(self, fn, *args, **kwargs):
+            reductions.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(kernel, "ThreadPoolExecutor", Counted)
     inline = failure_on(monkeypatch, 1, lambda: analytic_index_s1(a))
     helped = failure_on(monkeypatch, 2, lambda: analytic_index_s1(a))
     assert helped == inline
@@ -1189,7 +1237,9 @@ def test_an_unstabilized_kernel_joins_the_started_reductions(monkeypatch):
 def test_concurrent_index_calls_with_helpers_give_the_serial_reports(caller_threads, monkeypatch):
     # four callers, each with its own helper, on a shortened switch interval:
     # every report must be the serial one to the bit, the callers' count is
-    # restored and no helper outlives its call
+    # restored and no helper outlives its call; reductions are counted on the
+    # executors' threads, since every caller's inline ones run off the main
+    # thread too
     on_cpus(monkeypatch, 2)
     caller_threads(2)
     symbol = next(s for name, s, _ in HELPER_CASES if name == "rank2")

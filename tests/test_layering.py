@@ -3,7 +3,7 @@
 No module imports inside a function, and the relative imports between the
 package's modules form no cycle, counting imports at any depth: a module
 that has to defer an import to dodge a cycle has a decision in the wrong
-home.
+home.  Only blas reads how many CPUs the process has, and no module pins one.
 """
 import ast
 from pathlib import Path
@@ -60,3 +60,14 @@ def test_no_function_level_import_and_no_import_cycle():
     graph = {name: imported_modules(tree, trees) - {name} for name, tree in trees.items()}
     found = cycles(graph)
     assert (inner, found) == ([], []), f"imports in functions: {inner}; cycles: {found}"
+
+
+def test_only_blas_reads_the_cpus_and_nothing_pins_a_process():
+    # one home for the CPU count (blas.cpu_count), and no process narrows its
+    # own or a worker's affinity mask
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    readers = [name for name, text in sources.items()
+               if "os.sched_getaffinity" in text or "os.cpu_count" in text]
+    pinners = [name for name, text in sources.items()
+               if "sched_setaffinity" in text or "SimpleQueue" in text]
+    assert (readers, pinners) == (["blas.py"], [])

@@ -303,7 +303,7 @@ def test_symbol_with_a_zero_row_or_column_is_singular(terms):
 def test_chern_s3_evaluates_one_grid_per_block(monkeypatch):
     # s3_representative(3) is su2^-2 + su2^-1: two rank-2 blocks, so twice the
     # 9 t p^2 points of the value at (t, p) and the refinement at (2t, 2p)
-    a, b = s3_representative(3)[0], su2_power(2)  # built first: su2_power(-k) samples su2
+    a, b = s3_representative(3)[0], su2_power(2)
     points, plans = [], []
     evaluate, plan = topology.eval_hopf_grid, symbols._hopf_plan
     monkeypatch.setattr(symbols, "_hopf_plan", lambda a: plans.append(a) or plan(a))

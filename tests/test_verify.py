@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from toeplitz_lab import kernel, verify
+from toeplitz_lab import blas, verify
 from toeplitz_lab.errors import NumericsError
 from toeplitz_lab.families import z_power
 from toeplitz_lab.symbol_io import symbol_from_dict, symbol_to_dict
@@ -124,7 +124,7 @@ class TestWorkerPool:
         # tol = 1.0 fails cases in every property but one, so the merged
         # failures order and each first failing symbol are pinned too
         default = verify_report_json(run_verify(0, **kwargs))
-        monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(verify, "cpu_count", lambda: workers)
         assert verify_report_json(run_verify(0, **kwargs)) == default
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -142,7 +142,7 @@ class TestWorkerPool:
         def raising():
             raise ValueError("bad case")
 
-        monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(verify, "cpu_count", lambda: workers)
         outcomes = verify._run_cases([(f, passing), (g, two_failed_checks),
                                       (raiser, raising)])
         assert outcomes == [
@@ -151,32 +151,31 @@ class TestWorkerPool:
             [("ValueError: bad case", symbol_to_dict(raiser))],
         ]
 
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                        reason="the platform cannot pin a process to a CPU")
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_each_worker_is_pinned_to_one_cpu(self, workers, monkeypatch):
-        # every case waits until all workers hold one, so each runs in its own
-        # worker; the CPUs go round-robin over the mask, one per worker, so
-        # two workers on a 2-CPU mask get different CPUs, and no worker has
-        # the spare CPU the kernel engine's helper thread needs
-        mask = sorted(os.sched_getaffinity(0))
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="the platform has no affinity mask")
+    def test_no_case_has_a_spare_cpu_and_every_worker_keeps_the_mask(self, monkeypatch):
+        # one worker more than the mask has CPUs (3 on a 2-CPU mask), and every
+        # case waits until all workers hold one, so each runs in its own
+        # worker and all of them finish; each case runs inside its one-thread
+        # hold, so the kernel engine has no spare CPU for its helper thread,
+        # though nothing narrowed the worker's mask
+        mask = ",".join(str(cpu) for cpu in sorted(os.sched_getaffinity(0)))
+        workers = blas.cpu_count() + 1
         barrier = multiprocessing.get_context("fork").Barrier(workers)
         f = z_power(1)
 
         def report_affinity():
             barrier.wait(timeout=30)
             cpus = ",".join(str(cpu) for cpu in sorted(os.sched_getaffinity(0)))
-            return verify._failed((False, f"{os.getpid()} {cpus} {kernel._spare_cpu()}", f))
+            return verify._failed((False, f"{os.getpid()} {cpus} {blas.spare_cpu()}", f))
 
-        monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(verify, "cpu_count", lambda: workers)
         outcomes = verify._run_cases([(f, report_affinity)] * workers)
-        pinned = [failures[0][0].split() for failures in outcomes]
-        assert len({pid for pid, _, _ in pinned}) == workers
-        assert all("," not in cpus for _, cpus, _ in pinned)  # one CPU each
-        assert all(spare == "False" for _, _, spare in pinned)
-        assert sorted(int(cpus) for _, cpus, _ in pinned) == \
-            sorted(mask[i % len(mask)] for i in range(workers))
-        assert sorted(os.sched_getaffinity(0)) == mask
+        seen = [failures[0][0].split() for failures in outcomes]
+        assert len({pid for pid, _, _ in seen}) == workers
+        assert all(cpus == mask for _, cpus, _ in seen)
+        assert all(spare == "False" for _, _, spare in seen)
+        assert ",".join(str(cpu) for cpu in sorted(os.sched_getaffinity(0))) == mask
 
     def test_run_cases_without_cases_starts_no_pool(self, monkeypatch):
         def no_pool(*args, **kwargs):

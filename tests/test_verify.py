@@ -153,14 +153,16 @@ class TestWorkerPool:
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                         reason="the platform has no affinity mask")
-    def test_no_case_has_a_spare_cpu_and_every_worker_keeps_the_mask(self, monkeypatch):
-        # one worker more than the mask has CPUs (3 on a 2-CPU mask), and every
-        # case waits until all workers hold one, so each runs in its own
-        # worker and all of them finish; each case runs inside its one-thread
-        # hold, so the kernel engine has no spare CPU for its helper thread,
-        # though nothing narrowed the worker's mask
+    @pytest.mark.parametrize("surplus", [0, 1], ids=["as_many_as_cpus", "one_more_than_cpus"])
+    def test_no_case_has_a_spare_cpu_and_every_worker_keeps_the_mask(self, surplus,
+                                                                      monkeypatch):
+        # as many workers as the mask has CPUs, or one more (3 on a 2-CPU
+        # mask), and every case waits until all workers hold one, so each runs
+        # in its own worker and all of them finish; each case runs inside its
+        # one-thread hold, so the kernel engine has no spare CPU for its helper
+        # thread, though nothing narrowed the worker's mask
         mask = ",".join(str(cpu) for cpu in sorted(os.sched_getaffinity(0)))
-        workers = blas.cpu_count() + 1
+        workers = blas.cpu_count() + surplus
         barrier = multiprocessing.get_context("fork").Barrier(workers)
         f = z_power(1)
 

@@ -70,7 +70,8 @@ def toeplitz_rect_s3(a: Symbol, domain_band: int) -> Entries:
     Domain: monomial bands 0..domain_band.  Codomain: bands 0..codomain_band
     with codomain_band = domain_band + a.max_shift.  Shape is
     (band_dim(codomain_band) * rank, band_dim(domain_band) * rank); most of
-    the dense matrix is zero.
+    the dense matrix is zero.  The entries of all terms are formed in one array
+    pass over every (term, domain monomial) pair, and come in row-major order.
     """
     if a.manifold is not S3:
         raise ValueError("toeplitz_rect_s3 is defined for three-sphere symbols only")
@@ -78,40 +79,39 @@ def toeplitz_rect_s3(a: Symbol, domain_band: int) -> Entries:
     if n_band < 0:
         raise ValueError("domain_band must be non-negative")
     r = a.rank
-    m_band = n_band + a.max_shift
     dom_a, dom_b = monomials_up_to(n_band)
-    n_dom = dom_a.size
-    n_cod = band_dim(m_band)
-    n_cols = n_dom * r
-    # seeded empty, for a band that no term reaches
-    keys, values = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=complex)]
-    log_h_dom = log_monomial_norm_sq(dom_a, dom_b)
-    for (p, q, s, t), coeff in a.terms.items():
-        tgt_a = dom_a + (p - s)
-        tgt_b = dom_b + (q - t)
-        valid = (tgt_a >= 0) & (tgt_b >= 0)
-        if not np.any(valid):
-            continue
-        src = np.nonzero(valid)[0]
-        ta, tb = tgt_a[src], tgt_b[src]
-        log_pair = log_monomial_norm_sq(dom_a[src] + p, dom_b[src] + q)
-        log_h_tgt = log_monomial_norm_sq(ta, tb)
-        weights = np.exp(log_pair - 0.5 * (log_h_dom[src] + log_h_tgt))
-        targets = monomial_position(ta, tb)
-        # entry (targets * r + i, src * r + j) as the flat key row * n_cols +
-        # col; one term sends distinct domain monomials to distinct targets,
-        # so its own keys are distinct
-        i, j = coeff.nonzero()
-        keys.append(((targets * r)[:, None] + i) * n_cols + ((src * r)[:, None] + j))
-        values.append(weights[:, None] * coeff[i, j])
+    n_cols = dom_a.size * r
+    p, q, s, t = np.array(list(a.terms)).T
+    coeffs = np.array(list(a.terms.values()))
+    # every (term, domain monomial) pair that lands on a monomial, in term
+    # order and then domain order
+    shift_a, shift_b = p - s, q - t
+    term, src = np.nonzero((dom_a + shift_a[:, None] >= 0) & (dom_b + shift_b[:, None] >= 0))
+    ta, tb = dom_a[src] + shift_a[term], dom_b[src] + shift_b[term]
+    log_pair = log_monomial_norm_sq(dom_a[src] + p[term], dom_b[src] + q[term])
+    weights = np.exp(log_pair - 0.5 * (log_monomial_norm_sq(dom_a, dom_b)[src]
+                                       + log_monomial_norm_sq(ta, tb)))
+    # a pair's entries (target * r + i, src * r + j) as flat keys row * n_cols
+    # + col, one per nonzero (i, j) of its term's coefficient in c.nonzero()
+    # order: entry e of a pair is nonzero nz of all terms', its term's first
+    # plus e's place in the pair.  One term's keys are distinct: it sends
+    # distinct domain monomials to distinct targets.
+    nz_term, nz_i, nz_j = np.nonzero(coeffs != 0)
+    per_term = np.bincount(nz_term, minlength=p.size)
+    count = per_term[term]
+    pair = np.repeat(np.arange(term.size), count)
+    nz = np.arange(pair.size) + np.repeat((np.cumsum(per_term) - per_term)[term]
+                                          - (np.cumsum(count) - count), count)
+    keys = (monomial_position(ta, tb)[pair] * r + nz_i[nz]) * n_cols + (src[pair] * r + nz_j[nz])
     # terms meeting at one coordinate are summed in term order from 0, as
     # adding each term into a zero matrix would; sums that cancel are dropped
-    keys, at = np.unique(np.concatenate([k.ravel() for k in keys]), return_inverse=True)
+    keys, at = np.unique(keys, return_inverse=True)
     summed = np.zeros(keys.size, dtype=complex)
-    np.add.at(summed, at, np.concatenate([v.ravel() for v in values]))
+    np.add.at(summed, at, weights[pair] * coeffs[nz_term, nz_i, nz_j][nz])
     nonzero = summed != 0
     rows, cols = np.divmod(keys[nonzero], n_cols)
-    return Entries(shape=(n_cod * r, n_cols), rows=rows, cols=cols, values=summed[nonzero])
+    n_rows = band_dim(n_band + a.max_shift) * r
+    return Entries(shape=(n_rows, n_cols), rows=rows, cols=cols, values=summed[nonzero])
 
 
 def analytic_index_s3(

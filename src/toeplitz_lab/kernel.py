@@ -240,37 +240,46 @@ def _blocks(t: Entries):
     of their smallest node, rows before columns, and each one's rows and
     columns in increasing order.  Rows and columns without an entry are
     components of their own: a zero column is a (0, 1) block, a zero row a
-    (1, 0) block.
+    (1, 0) block.  Components, rows, columns and entries are placed once for
+    all shapes; each shape's stack then takes slices of them and one scatter.
     """
     n_rows, n_cols = t.shape
     count, labels = _connected_components(n_rows + n_cols, t.rows, n_rows + t.cols)
     row_label, col_label = labels[:n_rows], labels[n_rows:]
-    row_order = np.argsort(row_label, kind="stable")
-    col_order = np.argsort(col_label, kind="stable")
     block_rows = np.bincount(row_label, minlength=count)
     block_cols = np.bincount(col_label, minlength=count)
-    row_start = np.cumsum(block_rows) - block_rows
-    col_start = np.cumsum(block_cols) - block_cols
     # block_cols <= n_cols, so the key orders shapes as (rows, cols) pairs do
     keys, group = np.unique(block_rows * (n_cols + 1) + block_cols, return_inverse=True)
+    members = np.bincount(group, minlength=keys.size)
+    # rank: each component's place among all by group, then number; block_at: in its group
+    rank = np.empty(count, dtype=np.intp)
+    rank[np.argsort(group, kind="stable")] = np.arange(count)
+    block_at = rank - (np.cumsum(members) - members)[group]
+
+    def placed(label):
+        """Nodes by group, component and index, and each node's place in its component."""
+        order = np.argsort(rank[label], kind="stable")
+        ranked, at = rank[label[order]], np.empty(label.size, dtype=np.intp)
+        at[order] = np.arange(label.size) - np.searchsorted(ranked, ranked)
+        return order, at
+
+    row_order, row_at = placed(row_label)
+    col_order, col_at = placed(col_label)
+    # every entry's (block, row, column), the entries by group
     entry_group = group[row_label[t.rows]]
     order = np.argsort(entry_group, kind="stable")
-    bounds = np.searchsorted(entry_group[order], np.arange(keys.size + 1))
-    # component -> its block in its group; row and column -> its place in its block
-    block_at = np.empty(count, dtype=np.intp)
-    row_at, col_at = np.empty(n_rows, dtype=np.intp), np.empty(n_cols, dtype=np.intp)
-    for k, key in enumerate(keys):
-        nr, nc = divmod(int(key), n_cols + 1)
-        members = np.flatnonzero(group == k)
-        row_index = row_order[row_start[members, None] + np.arange(nr)]
-        col_index = col_order[col_start[members, None] + np.arange(nc)]
-        block_at[members] = np.arange(members.size)
-        row_at[row_index], col_at[col_index] = np.arange(nr), np.arange(nc)
-        entries = order[bounds[k]:bounds[k + 1]]
-        rows = t.rows[entries]
-        blocks = np.zeros((members.size, nr, nc), dtype=complex)
-        blocks[block_at[row_label[rows]], row_at[rows], col_at[t.cols[entries]]] = \
-            t.values[entries]
+    rows, cols, values = t.rows[order], t.cols[order], t.values[order]
+    entry_block, entry_row, entry_col = block_at[row_label[rows]], row_at[rows], col_at[cols]
+    shape_rows, shape_cols = np.divmod(keys, n_cols + 1)
+    row_end = col_end = entry_end = 0
+    for n, nr, nc, ne in zip(members.tolist(), shape_rows.tolist(), shape_cols.tolist(),
+                             np.bincount(entry_group, minlength=keys.size).tolist()):
+        row_end, col_end, entry_end = row_end + n * nr, col_end + n * nc, entry_end + ne
+        row_index = row_order[row_end - n * nr:row_end].reshape(n, nr)
+        col_index = col_order[col_end - n * nc:col_end].reshape(n, nc)
+        entries = slice(entry_end - ne, entry_end)
+        blocks = np.zeros((n, nr, nc), dtype=complex)
+        blocks[entry_block[entries], entry_row[entries], entry_col[entries]] = values[entries]
         yield row_index, col_index, blocks
 
 

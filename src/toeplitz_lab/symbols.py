@@ -300,7 +300,7 @@ def eval_hopf_grid(a: Symbol, theta: np.ndarray, phi1: np.ndarray, phi2: np.ndar
     the coefficients times a radial table (d_theta: its derivative) and a
     weight (d_phi1, d_phi2: i(p - s), i(q - t)) are summed per frequency
     pair, and two products with the phase tables fill a points-last
-    (r, r, nt, n1, n2) buffer, returned as an np.moveaxis view.  The
+    (r, r, nt, n1, n2) buffer, returned as its transposed view.  The
     frequency pairs come from a's _hopf_plan, made once and kept on a.
     out, when given, is that buffer (with partials, a sequence of four):
     C-contiguous complex arrays the fields are written into, not new ones.
@@ -321,7 +321,7 @@ def eval_hopf_grid(a: Symbol, theta: np.ndarray, phi1: np.ndarray, phi2: np.ndar
             # reshaping any other array copies it, and the product would be lost
             raise ValueError(f"out must be C-contiguous of shape {shape}")
         np.matmul(half.reshape(-1, f2.size), phase2, out=buffer.reshape(-1, phi2.size))
-        return np.moveaxis(buffer, (0, 1), (3, 4))
+        return buffer.transpose(2, 3, 4, 0, 1)
 
     ct, st, m, n = np.cos(theta)[:, None], np.sin(theta)[:, None], p + s, q + t
     radial = ct ** m * st ** n  # (nt, K)
@@ -338,18 +338,19 @@ def eval_hopf_grid(a: Symbol, theta: np.ndarray, phi1: np.ndarray, phi2: np.ndar
 def pointwise_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix product at every point of points-last stacks: (r, k, N) x (k, s, N) -> (r, s, N).
 
-    Each entry is k multiply-adds over whole point vectors; numpy's stacked @
-    on (N, r, r) stacks runs one tiny matrix product per point instead.  The
-    product is written into out when it is given, and returned.
+    Row i is a[i, 0] b[0] + a[i, 1] b[1] + ..., one multiply and one add per
+    inner index over whole (s, N) rows, so each entry sums the same products
+    in the same order as an entry-by-entry loop; numpy's stacked @ would run
+    one tiny matrix product per point.  The product is written into out if given.
     """
     k, n = a.shape[1], a.shape[2]
     if out is None:
         out = np.empty((a.shape[0], b.shape[1], n), dtype=np.result_type(a, b))
-    term = np.empty(n, dtype=out.dtype)
-    for i, j in np.ndindex(out.shape[:2]):
-        np.multiply(a[i, 0], b[0, j], out=out[i, j])
+    term = np.empty(out.shape[1:], dtype=out.dtype)
+    for i in range(out.shape[0]):
+        np.multiply(a[i, 0], b[0], out=out[i])
         for l in range(1, k):
-            out[i, j] += np.multiply(a[i, l], b[l, j], out=term)
+            out[i] += np.multiply(a[i, l], b[l], out=term)
     return out
 
 

@@ -6,7 +6,8 @@ one-point forms stay here, as independent references for the tests: a
 symbol's value and exact partials at one manifold point, the squared
 monomial norm of H^2(S3), the six-term trace of the S3 Chern form, the
 pointwise Gauss-Jordan inverse with its pivot rows swapped in through flat
-indices, and the SVD kernel dimension of one matrix.  entries() gives a dense test matrix
+indices, the pointwise product entry by entry, and the SVD kernel dimension
+of one matrix.  entries() gives a dense test matrix
 as the Entries the kernel engine takes, and sample_calls() records every
 symbol a manifold samples.  Not collected by pytest; the test modules import
 it as ``oracles`` from their own directory.
@@ -144,6 +145,23 @@ def flat_index_inverse(a: np.ndarray, pivots: list | None = None) -> np.ndarray:
                 work[i, k + 1:] -= np.multiply(work[k, k + 1:], factor, out=rest)
                 inv[i] -= np.multiply(inv[k], factor, out=term)
     return inv
+
+
+def per_entry_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """symbols.pointwise_matmul entry by entry: k multiply-adds over each entry's point vector.
+
+    Entry (i, j) is a[i, 0] b[0, j], then a[i, l] b[l, j] added for l = 1..k-1,
+    each product and sum over whole (N,) point vectors.
+    """
+    k, n = a.shape[1], a.shape[2]
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[1], n), dtype=np.result_type(a, b))
+    term = np.empty(n, dtype=out.dtype)
+    for i, j in np.ndindex(out.shape[:2]):
+        np.multiply(a[i, 0], b[0, j], out=out[i, j])
+        for l in range(1, k):
+            out[i, j] += np.multiply(a[i, l], b[l, j], out=term)
+    return out
 
 
 def entries(matrix) -> Entries:

@@ -153,22 +153,29 @@ REFERENCE_SYMBOLS = {
 }
 
 
-@pytest.mark.parametrize("band", [8, 20, 24])
-@pytest.mark.parametrize("name", sorted(REFERENCE_SYMBOLS))
+# the reference symbols and, starred, their adjoints: the cokernel's builds
+BUILD_INPUTS = {**REFERENCE_SYMBOLS,
+                **{f"{name}*": adjoint(a) for name, a in REFERENCE_SYMBOLS.items()}}
+
+
+# band 25 is the residual build of the (20, 24) schedule
+@pytest.mark.parametrize("band", [8, 20, 24, 25])
+@pytest.mark.parametrize("name", sorted(BUILD_INPUTS))
 def test_truncation_equals_the_per_entry_loop(name, band):
-    a = REFERENCE_SYMBOLS[name]
+    a = BUILD_INPUTS[name]
     t, want = toeplitz_rect_s3(a, band), loop_rect_s3(a, band)
     assert np.array_equal(t.matrix, want)
     # the entries hold each coordinate once and no exact zero, and are the
     # loop's nonzero entries bit for bit: terms that meet at one coordinate
     # are summed in term order, as the loop's += does
     keys = t.rows * t.shape[1] + t.cols
-    assert np.unique(keys).size == keys.size
     assert np.all(t.values != 0)
+    # in strictly increasing key order, row-major: the residual product sums
+    # each row's terms in entry order
+    assert np.all(np.diff(keys) > 0)
     rows, cols = want.nonzero()
-    order = np.argsort(keys)
-    assert np.array_equal(keys[order], rows * t.shape[1] + cols)
-    assert np.array_equal(t.values[order], want[rows, cols])
+    assert np.array_equal(keys, rows * t.shape[1] + cols)
+    assert np.array_equal(t.values, want[rows, cols])
 
 
 def test_a_truncation_that_no_term_reaches_has_no_entries():

@@ -391,12 +391,16 @@ COMPONENT_CASES = {
 def test_components_match_the_pairwise_grouping(case):
     # a truncation's own entries against the nonzero pattern of its matrix
     t = COMPONENT_CASES[case]()
-    got = [(rows, cols) for rows, cols, _ in _blocks(t)]
+    got = list(_blocks(t))
     ref = list(unique_pairs_components(t.matrix))
     assert len(got) == len(ref)
-    for (rows, cols), (ref_rows, ref_cols) in zip(got, ref):
+    for (rows, cols, blocks), (ref_rows, ref_cols) in zip(got, ref):
         assert np.array_equal(rows, ref_rows) and rows.dtype == ref_rows.dtype
         assert np.array_equal(cols, ref_cols) and cols.dtype == ref_cols.dtype
+        # each block holds its submatrix of the dense matrix, bit for bit
+        assert blocks.dtype == complex and blocks.shape == rows.shape + cols.shape[1:]
+        for b, block in enumerate(blocks):
+            assert np.array_equal(block, t.matrix[np.ix_(rows[b], cols[b])])
 
 
 SYMBOLS = os.path.join(os.path.dirname(__file__), os.pardir, "symbols")

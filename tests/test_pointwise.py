@@ -29,7 +29,7 @@ from toeplitz_lab.symbols import (S3, UNITARY_TOL, Symbol, constant, direct_sum,
 from toeplitz_lab.topology import (S3_ORIENTATION_SIGN, THETA_CHUNK, _chern_s3_raw,
                                    _diagonal_blocks, topological_index)
 
-from oracles import HopfPoint, evaluate, flat_index_inverse, hopf_partials
+from oracles import HopfPoint, evaluate, flat_index_inverse, hopf_partials, per_entry_matmul
 
 MS = range(-3, 4)
 
@@ -190,6 +190,23 @@ def test_pointwise_matmul_matches_stacked_matmul():
         b = rng.standard_normal((k, s, 17)) + 1j * rng.standard_normal((k, s, 17))
         want = np.moveaxis(np.moveaxis(a, -1, 0) @ np.moveaxis(b, -1, 0), 0, -1)
         assert np.allclose(pointwise_matmul(a, b), want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("r, k, s", list(np.ndindex(4, 4, 4)))
+def test_pointwise_matmul_equals_the_per_entry_reference(r, k, s):
+    # the same products summed in the same order, row by row: bit for bit
+    rng = np.random.default_rng(r * 16 + k * 4 + s)
+    r, k, s = r + 1, k + 1, s + 1
+    a = rng.standard_normal((r, k, 37)) + 1j * rng.standard_normal((r, k, 37))
+    b = rng.standard_normal((k, s, 37)) + 1j * rng.standard_normal((k, s, 37))
+    want = per_entry_matmul(a, b)
+    assert np.array_equal(pointwise_matmul(a, b), want)
+    out = np.empty((r, s, 37), dtype=complex)
+    assert pointwise_matmul(a, b, out=out) is out
+    assert np.array_equal(out, want)
+    # a strided view, as the unitarity defect passes the conjugate transpose
+    view = a.transpose(1, 0, 2)
+    assert np.array_equal(pointwise_matmul(view, a), per_entry_matmul(view, a))
 
 
 @pytest.mark.parametrize("a", [su2_symbol(), s3_representative(3)[0], sandwich(-2),

@@ -24,7 +24,6 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .errors import NonIntegralChernError, SymbolError, UndersampledError
-from .kernel import Entries, _blocks
 from .symbols import (S1, S3, Symbol, eval_circle, eval_hopf_grid, laurent_coefficients,
                       pointwise_inverse, pointwise_matmul, require_invertible)
 
@@ -186,16 +185,19 @@ def _chern_s3_integrand(a: Symbol, theta: np.ndarray, phi: np.ndarray, unitary: 
 def _diagonal_blocks(a: Symbol) -> list[Symbol]:
     """a's square diagonal blocks, after a constant row and column permutation.
 
-    The blocks are the connected components of the union of a's coefficient
-    patterns, as kernel._blocks finds them for the pattern's entries; a
-    symbol that does not split is its own one block.  A component with more
-    rows than columns, or fewer, makes a singular everywhere (SymbolError).
+    The blocks are the connected components of the graph on a's rows (nodes
+    0..r-1) and columns (r..2r-1) linked by the entries of the union of a's
+    coefficient patterns, by size, then smallest node, rows and columns
+    ascending: the order their values are summed in.  A non-square component
+    makes a singular everywhere (SymbolError).
     """
-    pattern = np.any([c != 0 for c in a.terms.values()], axis=0)
-    nonzero = pattern.nonzero()
-    groups = _blocks(Entries(pattern.shape, *nonzero, np.ones(nonzero[0].size)))
-    blocks = [(rows, cols) for row_index, col_index, _ in groups
-              for rows, cols in zip(row_index, col_index)]
+    r, pattern = a.rank, np.any([c != 0 for c in a.terms.values()], axis=0)
+    linked = np.block([[np.eye(r, dtype=bool), pattern], [pattern.T, np.eye(r, dtype=bool)]])
+    # ceil(log2 2r) squarings close the graph; a node's first reachable node labels it
+    label = np.linalg.matrix_power(linked, 1 << (2 * r - 1).bit_length()).argmax(axis=1)
+    smallest = np.flatnonzero(label == np.arange(2 * r))  # each component's smallest node
+    blocks = sorted(((np.flatnonzero(label[:r] == n), np.flatnonzero(label[r:] == n))
+                     for n in smallest), key=lambda block: block[0].size)
     if any(rows.size != cols.size for rows, cols in blocks):
         raise SymbolError("symbol is singular at a quadrature node")
     if len(blocks) == 1:

@@ -7,7 +7,9 @@ symbol's value and exact partials at one manifold point, the squared
 monomial norm of H^2(S3), the six-term trace of the S3 Chern form, the
 pointwise Gauss-Jordan inverse with its pivot rows swapped in through flat
 indices, the pointwise product entry by entry, and the SVD kernel dimension
-of one matrix.  entries() gives a dense test matrix
+of one matrix.  diagonal_blocks() splits an S3 symbol into its diagonal
+blocks by the kernel engine's own splitter, as the topological route once
+did.  entries() gives a dense test matrix
 as the Entries the kernel engine takes, and sample_calls() records every
 symbol a manifold samples.  Not collected by pytest; the test modules import
 it as ``oracles`` from their own directory.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from toeplitz_lab.hardy_s3 import log_monomial_norm_sq
-from toeplitz_lab.kernel import DEFAULT_TOL, Entries, _svd_split
+from toeplitz_lab.kernel import DEFAULT_TOL, Entries, _blocks, _svd_split
 from toeplitz_lab.errors import SymbolError
 from toeplitz_lab.symbols import S1, S3, Symbol
 
@@ -169,6 +171,27 @@ def entries(matrix) -> Entries:
     m = np.asarray(matrix, dtype=complex)
     rows, cols = m.nonzero()
     return Entries(m.shape, rows, cols, m[rows, cols])
+
+
+def diagonal_blocks(a: Symbol) -> list[Symbol]:
+    """a's square diagonal blocks as kernel._blocks splits the union of a's coefficient patterns.
+
+    The blocks in _blocks' order, rows and columns by component; a symbol
+    that does not split is its own one block, and a non-square component
+    raises SymbolError, as topology._diagonal_blocks does.
+    """
+    pattern = np.any([c != 0 for c in a.terms.values()], axis=0)
+    nonzero = pattern.nonzero()
+    groups = _blocks(Entries(pattern.shape, *nonzero, np.ones(nonzero[0].size)))
+    blocks = [(rows, cols) for row_index, col_index, _ in groups
+              for rows, cols in zip(row_index, col_index)]
+    if any(rows.size != cols.size for rows, cols in blocks):
+        raise SymbolError("symbol is singular at a quadrature node")
+    if len(blocks) == 1:
+        return [a]
+    return [Symbol(S3, {key: c[np.ix_(rows, cols)] for key, c in a.terms.items()},
+                   rank=rows.size)
+            for rows, cols in blocks]
 
 
 def kernel_dim(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:

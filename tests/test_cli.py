@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tomllib
 
 import numpy as np
 import pytest
@@ -379,6 +380,20 @@ class TestInstalledEntryPoint:
         proc = subprocess.run([sys.executable, "-m", "toeplitz_lab", "--help"], env=src_env(),
                               capture_output=True, text=True)
         assert proc.returncode == 0
+        for name in ("index", "chern", "winding", "verify", "convergence"):
+            assert name in proc.stdout
+
+    def test_project_script_target_runs(self):
+        # the [project.scripts] target, imported and called as an installer's
+        # wrapper script would call it
+        with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"), "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["toeplitz-lab"]
+        assert target == "toeplitz_lab.cli:entry"
+        module, function = target.split(":")
+        call = f"from {module} import {function}; {function}()"
+        proc = subprocess.run([sys.executable, "-c", call, "--help"], env=src_env(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
         for name in ("index", "chern", "winding", "verify", "convergence"):
             assert name in proc.stdout
 

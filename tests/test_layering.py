@@ -4,11 +4,14 @@ No module imports inside a function, and the relative imports between the
 package's modules form no cycle, counting imports at any depth: a module
 that has to defer an import to dodge a cycle has a decision in the wrong
 home.  Only blas reads how many CPUs the process has, and no module pins one.
+The two routes to the index stay independent: the topological one imports
+no module of the analytic one, nor the other way round.
 """
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "toeplitz_lab"
+ANALYTIC = ("kernel", "hardy_s1", "hardy_s3")
 
 
 def parse_package() -> dict:
@@ -71,3 +74,15 @@ def test_only_blas_reads_the_cpus_and_nothing_pins_a_process():
     pinners = [name for name, text in sources.items()
                if "sched_setaffinity" in text or "SimpleQueue" in text]
     assert (readers, pinners) == (["blas.py"], [])
+
+
+def test_the_two_routes_import_nothing_of_each_other():
+    # a defect in one route's code must not reach the other, so the two meet
+    # only in symbols, blas and errors; reports, verify and cli import both
+    trees = parse_package()
+    graph = {name: imported_modules(tree, trees) - {name} for name, tree in trees.items()}
+    crossing = sorted([f"topology -> {m}" for m in graph["topology"] if m in ANALYTIC]
+                      + [f"{m} -> topology" for m in ANALYTIC if "topology" in graph[m]])
+    shared = graph["topology"] & set().union(*(graph[m] for m in ANALYTIC))
+    assert crossing == [], crossing
+    assert shared <= {"symbols", "blas", "errors"}, shared

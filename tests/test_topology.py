@@ -1,5 +1,6 @@
 """Winding oracles, Chern character quadratures, and the index-theorem gate."""
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -14,11 +15,12 @@ from toeplitz_lab.families import (constant_sandwich, diag_laurent, haar_unitary
                                    s3_representative, su2_power, su2_symbol, z_power)
 from toeplitz_lab.symbols import (S1, S3, Symbol, adjoint, constant, direct_sum,
                                   det_laurent, multiply, transpose)
-from toeplitz_lab.topology import (S3_ORIENTATION_SIGN, ChernValue, chern_ladder, chern_s1,
-                                   chern_s3, topological_index,
+from toeplitz_lab.topology import (S3_ORIENTATION_SIGN, ChernValue, _diagonal_blocks,
+                                   chern_ladder, chern_s1, chern_s3, topological_index,
                                    winding_argument, winding_roots)
 
-from oracles import HopfPoint, evaluate, hopf_partials, sample_calls, six_term_trace
+from oracles import (HopfPoint, diagonal_blocks, evaluate, hopf_partials, sample_calls,
+                     six_term_trace)
 
 
 def root_product(shift, roots):
@@ -295,3 +297,67 @@ def test_gauss_legendre_nodes_are_made_once_per_count(monkeypatch):
         assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
     finally:
         topology._gauss_legendre.cache_clear()
+
+
+def patterned_symbol(pattern, rng, terms=1):
+    """An S3 symbol whose coefficients' union pattern is pattern: seeded complex values on it.
+
+    Each entry of the pattern goes to one of `terms` exponent keys, drawn from rng.
+    """
+    r = len(pattern)
+    values = np.where(pattern, rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)), 0)
+    owner = rng.integers(terms, size=(r, r))
+    keys = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)][:terms]
+    return Symbol(S3, {key: np.where(owner == k, values, 0) for k, key in enumerate(keys)},
+                  rank=r)
+
+
+def split_outcome(split, a):
+    """split(a)'s diagonal blocks, or SymbolError where it raises one."""
+    try:
+        return split(a)
+    except SymbolError:
+        return SymbolError
+
+
+def assert_split_matches_the_reference(a):
+    # lists of blocks compare by Symbol.__eq__, and SymbolError only to itself
+    assert split_outcome(_diagonal_blocks, a) == split_outcome(diagonal_blocks, a), a.terms
+
+
+class TestDiagonalBlocks:
+    """topology's own split against the kernel engine's splitter (oracles.diagonal_blocks)."""
+
+    def test_every_pattern_up_to_three_by_three(self):
+        rng = np.random.default_rng(18)
+        patterns = [np.array(bits, dtype=bool).reshape(r, r) for r in (1, 2, 3)
+                    for bits in itertools.product((False, True), repeat=r * r) if any(bits)]
+        assert len(patterns) == 527
+        for pattern in patterns:
+            assert_split_matches_the_reference(patterned_symbol(pattern, rng))
+
+    def test_seeded_patterns_of_rank_four_to_eight(self):
+        # rows and columns dealt into up to three groups, entries only within
+        # a group: square groups split, others raise, and some stay joined
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            r, groups = int(rng.integers(4, 9)), int(rng.integers(1, 4))
+            rows, cols = rng.permutation(r) % groups, rng.permutation(r) % groups
+            pattern = (rows[:, None] == cols) & (rng.random((r, r)) < rng.uniform(0.3, 0.9))
+            pattern[rng.integers(r), rng.integers(r)] = True
+            assert_split_matches_the_reference(patterned_symbol(pattern, rng, terms=3))
+
+    def test_antidiagonal_is_two_one_by_one_blocks(self):
+        # linking row i with column i as well would make this one 2 x 2 block
+        a = patterned_symbol(np.array([[0, 1], [1, 0]], dtype=bool), np.random.default_rng(2))
+        blocks = _diagonal_blocks(a)
+        assert [b.rank for b in blocks] == [1, 1]
+        assert_split_matches_the_reference(a)
+
+    def test_non_square_components_are_singular(self):
+        # rows {0, 1} on column {0} beside row {2} on columns {1, 2}
+        pattern = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 1]], dtype=bool)
+        a = patterned_symbol(pattern, np.random.default_rng(3))
+        with pytest.raises(SymbolError, match="singular at a quadrature node"):
+            _diagonal_blocks(a)
+        assert_split_matches_the_reference(a)

@@ -357,14 +357,19 @@ def pointwise_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
 def pointwise_inverse(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Inverse at every point of a points-last stack: (r, r, N) -> (r, r, N).
 
-    Gauss-Jordan elimination with partial pivoting, run on all points at
-    once: each row operation is one multiply-add over whole point vectors,
-    and the pivot row, chosen per point, is swapped in by a masked swap of
-    rows k and k + i at the points whose pivot is i.  The eliminated copy of
-    a and the inverse are two (r, r, N) buffers; the inverse is written into
-    out when it is given, and returned.  An exactly zero pivot, which makes
-    a singular at that point, raises SymbolError.
+    Rank 2, the rank of the SU(2) generator, is inverted in closed form by
+    the adjugate (_adjugate_inverse).  Other ranks go through Gauss-Jordan
+    elimination with partial pivoting, run on all points at once: each row
+    operation is one multiply-add over whole point vectors, and the pivot
+    row, chosen per point, is swapped in by a masked swap of rows k and
+    k + i at the points whose pivot is i.  The eliminated copy of a and the
+    inverse are two (r, r, N) buffers.  The inverse is written into out when
+    it is given (out may be a itself), and returned.  An exactly zero
+    determinant (rank 2) or pivot (otherwise), which makes a singular at
+    that point, raises SymbolError.
     """
+    if a.shape[0] == 2:
+        return _adjugate_inverse(a, out)
     r, n = a.shape[0], a.shape[2]
     work = a.copy()
     inv = np.empty_like(work) if out is None else out
@@ -400,6 +405,31 @@ def pointwise_inverse(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
                 rest = term[:r - k - 1]
                 work[i, k + 1:] -= np.multiply(work[k, k + 1:], factor, out=rest)
                 inv[i] -= np.multiply(inv[k], factor, out=term)
+    return inv
+
+
+def _adjugate_inverse(a: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """pointwise_inverse of a (2, 2, N) stack: [[a11, -a01], [-a10, a00]] (1 / det a).
+
+    det a = a00 a11 - a01 a10 and its reciprocal are taken once per point,
+    and each entry is one product with the reciprocal or its negative.
+    Every entry of a is read before the one that overwrites it is written,
+    so out may be a.
+    """
+    a00, a01, a10, a11 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
+    scale = np.multiply(a00, a11)
+    term = np.multiply(a01, a10)
+    scale -= term
+    if not np.all(scale):
+        raise SymbolError("symbol is singular at a quadrature node")
+    np.divide(1.0, scale, out=scale)
+    inv = np.empty_like(a) if out is None else out
+    np.negative(scale, out=term)
+    np.multiply(a01, term, out=inv[0, 1])
+    np.multiply(a10, term, out=inv[1, 0])
+    np.multiply(a00, scale, out=term)
+    np.multiply(a11, scale, out=inv[0, 0])
+    inv[1, 1] = term
     return inv
 
 

@@ -6,13 +6,14 @@ one-point forms stay here, as independent references for the tests: a
 symbol's value and exact partials at one manifold point, the squared
 monomial norm of H^2(S3), the six-term trace of the S3 Chern form, the
 pointwise Gauss-Jordan inverse with its pivot rows swapped in through flat
-indices, the pointwise product entry by entry, and the SVD kernel dimension
-of one matrix.  diagonal_blocks() splits an S3 symbol into its diagonal
-blocks by the kernel engine's own splitter, as the topological route once
-did.  entries() gives a dense test matrix
-as the Entries the kernel engine takes, and sample_calls() records every
-symbol a manifold samples.  Not collected by pytest; the test modules import
-it as ``oracles`` from their own directory.
+indices, the closed-form rank-2 inverse point by point, the pointwise
+product entry by entry, and the SVD kernel dimension of one matrix.
+diagonal_blocks() splits an S3 symbol into its diagonal blocks by the
+kernel engine's own splitter, as the topological route once did.
+entries() gives a dense test matrix as the Entries the kernel engine
+takes, and sample_calls() records every symbol a manifold samples.  Not
+collected by pytest; the test modules import it as ``oracles`` from their
+own directory.
 """
 from __future__ import annotations
 
@@ -104,11 +105,12 @@ def six_term_trace(a1: np.ndarray, a2: np.ndarray, a3: np.ndarray) -> complex:
 
 
 def flat_index_inverse(a: np.ndarray, pivots: list | None = None) -> np.ndarray:
-    """symbols.pointwise_inverse with each pivot row swapped in by a flat-index gather and scatter.
+    """symbols.pointwise_inverse above rank 2, pivot rows swapped by flat-index gather and scatter.
 
-    The same Gauss-Jordan elimination over a points-last (r, r, N) stack and
-    the same pivot choice; the pivot rows of step k, counted from k, are
-    appended to pivots when it is given.
+    It mirrors the elimination used above rank 2 (rank 2 is inverted by the
+    adjugate; see adjugate_inverse): the same Gauss-Jordan elimination over
+    a points-last (r, r, N) stack and the same pivot choice.  The pivot rows
+    of step k, counted from k, are appended to pivots when it is given.
     """
     r, n = a.shape[0], a.shape[2]
     work = a.copy()
@@ -146,6 +148,27 @@ def flat_index_inverse(a: np.ndarray, pivots: list | None = None) -> np.ndarray:
                 rest = term[:r - k - 1]
                 work[i, k + 1:] -= np.multiply(work[k, k + 1:], factor, out=rest)
                 inv[i] -= np.multiply(inv[k], factor, out=term)
+    return inv
+
+
+def adjugate_inverse(a: np.ndarray) -> np.ndarray:
+    """symbols.pointwise_inverse of a (2, 2, N) stack, one point at a time.
+
+    At each point, det = a00 a11 - a01 a10, its reciprocal s, and the
+    entries a11 s, a01 (-s), a10 (-s), a00 s: the same products, operands
+    in the same order, as the stacked closed form.  Each operation runs on
+    one-point arrays, so it rounds as numpy's array loops round, fused
+    multiply-adds in the complex product included.
+    """
+    inv = np.empty_like(a)
+    for p in range(a.shape[2]):
+        a00, a01, a10, a11 = (a[i, j, p:p + 1] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        det = np.multiply(a00, a11) - np.multiply(a01, a10)
+        if not det[0]:
+            raise SymbolError("symbol is singular at a quadrature node")
+        scale = np.divide(1.0, det)
+        inv[:, :, p:p + 1] = [[np.multiply(a11, scale), np.multiply(a01, -scale)],
+                              [np.multiply(a10, -scale), np.multiply(a00, scale)]]
     return inv
 
 

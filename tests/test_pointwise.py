@@ -3,13 +3,16 @@
 eval_hopf_grid evaluates by frequency into (r, r, nt, n1, n2) buffers, and
 the S3 Chern quadrature multiplies (r, r, N) stacks with pointwise_matmul and
 inverts them with pointwise_inverse, one diagonal block of the symbol at a
-time, in batches of theta nodes over one workspace per block.  The
-per-term evaluation into (nt, n1, n2, r, r) arrays and the stacked-@
-quadrature over the whole symbol, with LAPACK inverses, are kept here as
-references.  Summing by frequency pair changes the order of the sum,
-so the grid agrees with the per-term loop and with the one-point oracles to
-1e-13 of each field's largest modulus, not bit for bit; the value alone
-equals the value of the partials call exactly.
+time, in batches of theta nodes over one workspace per block.  Rank-2
+stacks are inverted by the adjugate and equal the point-by-point
+adjugate_inverse bit for bit; larger ranks go through elimination, and at
+ranks 3 and 4 equal flat_index_inverse bit for bit.  The per-term
+evaluation into (nt, n1, n2, r, r) arrays and the stacked-@ quadrature over
+the whole symbol, with LAPACK inverses, are kept here as references.
+Summing by frequency pair changes the order of the sum, so the grid agrees
+with the per-term loop and with the one-point oracles to 1e-13 of each
+field's largest modulus, not bit for bit; the value alone equals the value
+of the partials call exactly.
 """
 import tracemalloc
 
@@ -29,7 +32,8 @@ from toeplitz_lab.symbols import (S3, UNITARY_TOL, Symbol, constant, direct_sum,
 from toeplitz_lab.topology import (S3_ORIENTATION_SIGN, THETA_CHUNK, _chern_s3_raw,
                                    _diagonal_blocks, topological_index)
 
-from oracles import HopfPoint, evaluate, flat_index_inverse, hopf_partials, per_entry_matmul
+from oracles import (HopfPoint, adjugate_inverse, evaluate, flat_index_inverse, hopf_partials,
+                     per_entry_matmul)
 
 MS = range(-3, 4)
 
@@ -176,6 +180,18 @@ def test_raw_chern_agrees_with_the_stacked_reference(m, theta_nodes):
         assert abs(got - want) <= 1e-12, (m, theta_nodes, unitary, got, want)
 
 
+@pytest.mark.parametrize("m", [-1, 1])
+def test_raw_chern_agrees_with_the_stacked_reference_on_the_timed_grid(m):
+    # the constant sandwich of su2^(+-1) at the 48 x 48 nodes a convergence
+    # table's last rung runs: rank 2, not unitary, inverted by the adjugate
+    a = constant_sandwich(su2_power(m), np.random.default_rng(41 + m))
+    assert a.rank == 2 and not a.unitary
+    got = chern_s3_raw(a, 48, 48, unitary=False)
+    want = stacked_chern_s3_raw(a, 48, 48, unitary=False)
+    assert abs(got - want) <= 1e-12, (m, got, want)
+    assert round(got.real) == -m
+
+
 def test_singular_node_raises_symbol_error():
     # the one Gauss-Legendre theta node is pi/4; z1 - cos(pi/4) vanishes there at phi1 = 0
     a = Symbol(S3, {(1, 0, 0, 0): [[1.0]], (0, 0, 0, 0): [[-np.cos(np.pi / 4)]]})
@@ -277,6 +293,30 @@ def test_masked_pivot_swaps_match_the_flat_index_swaps_bit_for_bit(r):
     out = np.full_like(a, np.nan)
     assert pointwise_inverse(a, out=out) is out
     assert np.array_equal(out, want)
+    same = a.copy()
+    assert pointwise_inverse(same, out=same) is same
+    assert np.array_equal(same, want)
+
+
+@pytest.mark.parametrize("stack", ["pivoting", "sandwich"])
+def test_rank_two_inverse_equals_the_adjugate_reference_bit_for_bit(stack):
+    if stack == "pivoting":
+        # a zero leading entry at every odd point, where elimination had to pivot
+        a = random_stack(np.random.default_rng(32), 2, 401)
+        assert np.all(a[0, 0, 1::2] == 0)
+    else:
+        # the values the quadrature inverts: a non-unitary rank-2 symbol on its grid
+        theta, phi1, phi2 = hopf_axes(4, 12, 12)
+        a = np.moveaxis(eval_hopf_grid(sandwich(1), theta, phi1, phi2), (3, 4), (0, 1))
+        a = np.ascontiguousarray(a).reshape(2, 2, -1)
+    want = adjugate_inverse(a)
+    assert np.array_equal(pointwise_inverse(a), want)
+    out = np.full_like(a, np.nan)
+    assert pointwise_inverse(a, out=out) is out
+    assert np.array_equal(out, want)
+    same = a.copy()
+    assert pointwise_inverse(same, out=same) is same
+    assert np.array_equal(same, want)
 
 
 @pytest.mark.parametrize("singular", [[[0.0]], [[1.0, 0.0], [2.0, 0.0]],
